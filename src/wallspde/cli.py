@@ -69,7 +69,6 @@ def main(argv=None) -> int:
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
     p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _dispatch(args) -> int:
@@ -248,7 +247,6 @@ def _run_diagnose(cfg, out, args):
         base_seed=base_seed,
         dt=dsec.get("dt", 1e-3),
         chains=chains,
-        threads=max(1, args.threads),
     )
 
     lines = ["target_id,eps,p_hat,wilson_lo,wilson_hi,eps2_log_p,J_inner,J_outer"]

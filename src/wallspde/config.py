@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -55,9 +56,22 @@ class ConfigError(ValueError):
     """Schema violation; the message names the offending key."""
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"number out of range in config: {text}")
+    return value
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number in config: {name}")
+
+
 def load_config(path: str | Path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(
+            Path(path).read_text(), parse_float=_finite_float, parse_constant=_reject_constant
+        )
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -80,9 +94,14 @@ def _get(section: dict, dotted: str, kind, required=True, default=None, positive
         return default
     value = section[key]
     if kind is float and isinstance(value, int):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"value must be finite: {dotted}")
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"wrong type for {dotted}: expected {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"value must be finite: {dotted}")
     if positive and value <= 0:
         raise ConfigError(f"value must be positive: {dotted}")
     if nonneg and value < 0:

@@ -1,14 +1,13 @@
 """Time integrators for the reflected evolution problems.
 
-Four flavours share one semi-implicit core: the controlled (skeleton)
-equation, its penalized approximation, the zero-control flow, and the
-stochastic equation driven by discretized space-time white noise.  Each step
-applies (I - dt*A)^{-1} to the previous state plus the explicit reaction and
-drive terms, then restores the wall constraint either by clipping onto
-[K1, K2] (projected mode, the production default) or by solving the stiff
-penalty balance implicitly node by node (penalized mode, closed form because
-the penalty is piecewise linear).  Clip corrections over dt, respectively the
-penalty terms at the new state, provide the force densities.
+Four flavours share one step: the controlled (skeleton) equation, its
+penalized approximation, the zero-control flow, and the stochastic equation
+driven by discretized space-time white noise.  Each step adds the explicit
+reaction and drive terms to the previous state and hands the result to
+``lattice.Propagator.step``, which does the implicit linear solve and
+restores the walls by clipping onto [K1, K2] (projected mode, the
+production default) or by the closed-form implicit penalty (penalized mode);
+its restoring correction over dt gives the force densities.
 
 Noise normalisation: each cell increment is N(0, dt*dx) and enters the drift
 as sigma * dW / dx, so pairing the forcing with a test function under
@@ -21,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from wallspde.lattice import Grid, SpaceTimeField, Walls, backward_euler_inverse
+from wallspde.lattice import Grid, Propagator, SpaceTimeField, Walls
 from wallspde.obstacle import LocalTime
 
 __all__ = [
@@ -159,43 +158,6 @@ class Trajectory:
     control: Control | None = None
 
 
-class _SemiImplicitCore:
-    """Shared stepping kernel; owns the implicit propagator for one dt."""
-
-    def __init__(self, grid: Grid, walls: Walls, coeffs: CoefficientSpec, dt: float):
-        self.grid = grid
-        self.walls = walls
-        self.coeffs = coeffs
-        self.dt = dt
-        self.propagator = backward_euler_inverse(grid, coeffs.alpha, dt)
-
-    def free_value(self, state: np.ndarray, drive: np.ndarray | None) -> np.ndarray:
-        """Implicit linear step applied to state + dt*f + exogenous increment."""
-        rhs = state + self.dt * self.coeffs.f(self.grid.nodes, state)
-        if drive is not None:
-            rhs = rhs + drive
-        return self.propagator @ rhs
-
-    def projected(self, state, drive):
-        y = self.free_value(state, drive)
-        new = np.clip(y, self.walls.k1, self.walls.k2)
-        corr = (new - y) / self.dt
-        return new, np.maximum(corr, 0.0), np.maximum(-corr, 0.0)
-
-    def penalized(self, state, drive, delta, eps_pen):
-        y = self.free_value(state, drive)
-        new = y.copy()
-        below = y < self.walls.k1
-        above = y > self.walls.k2
-        r1 = self.dt / delta
-        r2 = self.dt / eps_pen
-        new[below] = (y[below] + r1 * self.walls.k1[below]) / (1.0 + r1)
-        new[above] = (y[above] + r2 * self.walls.k2[above]) / (1.0 + r2)
-        eta = np.maximum(self.walls.k1 - new, 0.0) / delta
-        xi = np.maximum(new - self.walls.k2, 0.0) / eps_pen
-        return new, eta, xi
-
-
 def step_penalized(
     state: np.ndarray,
     walls: Walls,
@@ -219,20 +181,17 @@ def step_penalized(
         raise ValueError("non-finite state")
     if delta <= 0.0 or eps_pen <= 0.0:
         raise ValueError("penalty parameters must be positive")
-    core = _SemiImplicitCore(walls.grid, walls, coeffs, dt)
-    drive = _assemble_drive(core, state, hdot, noise_increment, eps_noise)
-    new, _, _ = core.penalized(state, drive, delta, eps_pen)
-    return new
-
-
-def _assemble_drive(core, state, hdot, noise_increment, eps_noise):
+    grid = walls.grid
     drive = None
     if hdot is not None:
-        drive = core.dt * core.coeffs.sigma(core.grid.nodes, state) * hdot
+        drive = dt * coeffs.sigma(grid.nodes, state) * hdot
     if noise_increment is not None:
-        kick = eps_noise * core.coeffs.sigma(core.grid.nodes, state) * noise_increment / core.grid.dx
+        kick = eps_noise * coeffs.sigma(grid.nodes, state) * noise_increment / grid.dx
         drive = kick if drive is None else drive + kick
-    return drive
+    prop = Propagator(grid, coeffs.alpha, dt)
+    one_step = np.array([0.0, dt])
+    path, _, _ = _march(prop, coeffs, walls, state, one_step, lambda k, u: drive, (delta, eps_pen))
+    return path.final
 
 
 def _check_admissible(u0: np.ndarray, walls: Walls) -> np.ndarray:
@@ -244,19 +203,21 @@ def _check_admissible(u0: np.ndarray, walls: Walls) -> np.ndarray:
     return u0
 
 
-def _march(core, u0, m, drive_for_step, mode, delta, eps_pen):
-    n1 = core.grid.n + 1
+def _march(prop, coeffs, walls, u0, times, drive_for_step, penalty=None):
+    """Step u0 across ``times``; returns the path and its lower and upper force densities."""
+    grid = prop.grid
+    m, n1 = len(times) - 1, grid.n + 1
     u = np.empty((m + 1, n1))
     eta = np.zeros((m, n1))
     xi = np.zeros((m, n1))
     u[0] = u0
     for k in range(m):
         drive = drive_for_step(k, u[k])
-        if mode == "projected":
-            u[k + 1], eta[k], xi[k] = core.projected(u[k], drive)
-        else:
-            u[k + 1], eta[k], xi[k] = core.penalized(u[k], drive, delta, eps_pen)
-    return u, eta, xi
+        rhs = u[k] + prop.dt * coeffs.f(grid.nodes, u[k])
+        if drive is not None:
+            rhs = rhs + drive
+        prop.step(rhs, walls.k1, walls.k2, penalty=penalty, out=u[k + 1], forces=(eta[k], xi[k]))
+    return SpaceTimeField(grid, times, u), LocalTime(grid, times, eta), LocalTime(grid, times, xi)
 
 
 def solve_skeleton(
@@ -294,22 +255,16 @@ def solve_skeleton(
     else:
         rows = None
 
-    core = _SemiImplicitCore(grid, walls, coeffs, dt)
+    prop = Propagator(grid, coeffs.alpha, dt)
 
     def drive_for_step(k, state):
         if rows is None:
             return None
-        return core.dt * coeffs.sigma(grid.nodes, state) * rows[k]
+        return prop.dt * coeffs.sigma(grid.nodes, state) * rows[k]
 
-    u, eta, xi = _march(core, u0, m, drive_for_step, mode, delta, eps_pen)
-    return Trajectory(
-        u=SpaceTimeField(grid, times, u),
-        eta=LocalTime(grid, times, eta),
-        xi=LocalTime(grid, times, xi),
-        coeffs=coeffs,
-        mode=mode,
-        control=control,
-    )
+    penalty = (delta, eps_pen) if mode == "penalized" else None
+    u, eta, xi = _march(prop, coeffs, walls, u0, times, drive_for_step, penalty)
+    return Trajectory(u, eta, xi, coeffs, mode, control=control)
 
 
 def solve_deterministic(
@@ -357,22 +312,15 @@ def solve_spde(
     else:
         increments = None
 
-    core = _SemiImplicitCore(grid, walls, coeffs, dt)
+    prop = Propagator(grid, coeffs.alpha, dt)
 
     def drive_for_step(k, state):
         if increments is None:
             return None
         return eps_noise * coeffs.sigma(grid.nodes, state) * increments[k] / grid.dx
 
-    u, eta, xi = _march(core, u0, m, drive_for_step, "projected", 0.0, 0.0)
-    return Trajectory(
-        u=SpaceTimeField(grid, times, u),
-        eta=LocalTime(grid, times, eta),
-        xi=LocalTime(grid, times, xi),
-        coeffs=coeffs,
-        mode="projected",
-        eps_noise=float(eps_noise),
-    )
+    u, eta, xi = _march(prop, coeffs, walls, u0, times, drive_for_step)
+    return Trajectory(u, eta, xi, coeffs, "projected", eps_noise=float(eps_noise))
 
 
 def local_time_energy(lt: LocalTime, alpha: float, T: float) -> float:

@@ -5,7 +5,8 @@ mirrors a ghost node across each boundary, which keeps it self-adjoint for
 the trapezoid inner product and makes the discrete cosine modes exact
 eigenvectors.  The semigroup kernel is assembled from that eigenbasis, so
 kernel composition and row mass are identities up to round-off rather than
-discretization errors.
+discretization errors.  ``Propagator`` holds the implicit-step inverse and
+the wall restoration that every solver steps with.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "neumann_operator",
     "heat_kernel",
     "backward_euler_inverse",
+    "Propagator",
     "cosine_eigensystem",
     "holder_norm",
 ]
@@ -214,6 +216,73 @@ def backward_euler_inverse(grid: Grid, alpha: float, dt: float) -> np.ndarray:
     op = neumann_operator(grid, alpha)
     n1 = grid.n + 1
     return np.linalg.inv(np.eye(n1) - dt * op.dense())
+
+
+class Propagator:
+    """Implicit heat step followed by restoring the walls, for one (grid, alpha, dt).
+
+    The obstacle problem, the integrators, the adjoint optimizer and the
+    sampler all step with it.  States are shaped (n+1,) or (batch, n+1).
+    """
+
+    def __init__(self, grid: Grid, alpha: float, dt: float):
+        self.grid = grid
+        self.alpha = float(alpha)
+        self.dt = float(dt)
+        self.matrix = backward_euler_inverse(grid, alpha, dt)
+
+    @cached_property
+    def _matrix_t(self) -> np.ndarray:
+        return np.ascontiguousarray(self.matrix.T)
+
+    def solve(self, values: np.ndarray) -> np.ndarray:
+        """(I - dt*A)^{-1} applied to a state or to each row of a batch."""
+        if values.ndim == 1:
+            return self.matrix @ values
+        # BLAS rounds the product with a node-major copy like an (n+1, batch)
+        # product; multiplying the rows directly changes the last bits.
+        return (self.matrix @ np.ascontiguousarray(values.T)).T
+
+    def solve_transpose(self, values: np.ndarray) -> np.ndarray:
+        """Transposed solve of a single state, for adjoint sweeps."""
+        return self._matrix_t @ values
+
+    def step(
+        self,
+        rhs: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        penalty: tuple[float, float] | None = None,
+        out: np.ndarray | None = None,
+        forces: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Solve for ``rhs``, then restore the band [lo, hi] given as (n+1,) profiles.
+
+        Without ``penalty`` the free value is clipped onto the band.  With
+        ``penalty = (delta, eps_pen)`` the stiff terms (u - lo)^- / delta and
+        (u - hi)^+ / eps_pen are integrated implicitly per node, in closed
+        form.  ``forces = (lower, upper)`` receive the restoring correction
+        over dt, split into its two nonnegative parts.  Returns the new state
+        and, in penalty mode, the mask of nodes where the penalty acted.
+        """
+        y = self.solve(rhs)
+        if penalty is None:
+            out, active = np.clip(y, lo, hi, out=out), None
+        else:
+            if lo.shape != y.shape:
+                lo, hi = np.broadcast_to(lo, y.shape), np.broadcast_to(hi, y.shape)
+            r1, r2 = self.dt / penalty[0], self.dt / penalty[1]
+            out = np.empty_like(y) if out is None else out
+            out[...] = y
+            below, above = y < lo, y > hi
+            out[below] = (y[below] + r1 * lo[below]) / (1.0 + r1)
+            out[above] = (y[above] + r2 * hi[above]) / (1.0 + r2)
+            active = below | above
+        if forces is not None:
+            corr = (out - y) / self.dt
+            np.maximum(corr, 0.0, out=forces[0])
+            np.maximum(-corr, 0.0, out=forces[1])
+        return out, active
 
 
 def holder_norm(grid: Grid, values: np.ndarray, gamma: float) -> float:

@@ -5,13 +5,12 @@ correction z with z(., 0) = 0 such that K1 <= z + v <= K2 at every node and
 time, together with the nonnegative force densities that realise the
 confinement and act only where a wall binds.
 
-Each time step does a backward Euler solve for the linear part and then
-clips the result onto the moving band [K1 - v_next, K2 - v_next].  The clip
-corrections divided by dt are the force densities, so nonnegativity, wall
-exactness at active nodes, and the complementarity identities hold by
-construction rather than up to a solver tolerance.  The same recursion
-applied to spatially constant data is exactly the classical discrete
-two-sided Skorokhod map.
+Each time step is one ``lattice.Propagator`` step in clip mode onto the
+moving band [K1 - v_next, K2 - v_next]; its clip corrections over dt are the
+force densities, so nonnegativity, wall exactness at active nodes, and the
+complementarity identities hold by construction rather than up to a solver
+tolerance.  The same recursion applied to spatially constant data is exactly
+the classical discrete two-sided Skorokhod map.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from wallspde.lattice import Grid, SpaceTimeField, Walls, backward_euler_inverse, neumann_operator
+from wallspde.lattice import Grid, Propagator, SpaceTimeField, Walls
 
 __all__ = ["LocalTime", "ObstacleSolution", "solve_obstacle", "check_complementarity"]
 
@@ -65,51 +63,24 @@ class ObstacleSolution:
     xi: LocalTime
 
 
-def solve_obstacle(
-    v: SpaceTimeField,
-    walls: Walls,
-    alpha: float,
-    dt: float,
-    solver: str = "direct",
-    iterative_x0: str = "zero",
-) -> ObstacleSolution:
-    """Reflected correction z and force densities for the forcing path v.
-
-    ``solver`` selects the inner linear solve: "direct" uses the precomputed
-    implicit-step inverse, "iterative" runs GMRES to round-off (``iterative_x0``
-    picks the start vector, "zero" or "previous").  Both paths land on the
-    same z because the step has a unique solution.
-    """
+def solve_obstacle(v: SpaceTimeField, walls: Walls, alpha: float, dt: float) -> ObstacleSolution:
+    """Reflected correction z and force densities for the forcing path v."""
     grid = v.grid
     if abs(v.dt - dt) > 1e-12 * (1.0 + dt):
         raise ValueError(f"dt={dt} does not match the forcing time mesh (dt={v.dt})")
     if not walls.contains(v.initial, tol=1e-12):
         raise ValueError("inadmissible initial condition: v(.,0) must lie between the walls")
-    if solver not in ("direct", "iterative"):
-        raise ValueError(f"unknown solver '{solver}'")
 
     m = v.steps
     n1 = grid.n + 1
-    propagator = backward_euler_inverse(grid, alpha, dt)
-    system = np.eye(n1) - dt * neumann_operator(grid, alpha).dense()
-
+    prop = Propagator(grid, alpha, dt)
     z = np.zeros((m + 1, n1))
     eta = np.zeros((m, n1))
     xi = np.zeros((m, n1))
     for k in range(m):
-        if solver == "direct":
-            z_star = propagator @ z[k]
-        else:
-            x0 = np.zeros(n1) if iterative_x0 == "zero" else z[k].copy()
-            z_star, info = spla.gmres(system, z[k], x0=x0, rtol=1e-14, atol=1e-14)
-            if info != 0:
-                raise RuntimeError(f"iterative inner solve failed (info={info})")
         lo = walls.k1 - v.values[k + 1]
         hi = walls.k2 - v.values[k + 1]
-        z[k + 1] = np.clip(z_star, lo, hi)
-        correction = z[k + 1] - z_star
-        eta[k] = np.maximum(correction, 0.0) / dt
-        xi[k] = np.maximum(-correction, 0.0) / dt
+        prop.step(z[k], lo, hi, out=z[k + 1], forces=(eta[k], xi[k]))
 
     times = v.times.copy()
     return ObstacleSolution(

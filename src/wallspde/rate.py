@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from wallspde.dynamics import CoefficientSpec, Control, Trajectory, solve_skeleton
-from wallspde.lattice import SpaceTimeField, Walls, backward_euler_inverse, neumann_operator
+from wallspde.lattice import Propagator, SpaceTimeField, Walls, neumann_operator
 from wallspde.obstacle import LocalTime
 
 __all__ = [
@@ -86,6 +86,12 @@ class OptimizerOptions:
     terminal_tol: float = 5e-3
     improvement_tol: float = 1e-3
     initial_weight: float = 1e4  # anchor toward 0 in the free-start parametrization
+
+
+def _require_derivatives(coeffs: CoefficientSpec) -> None:
+    for name in ("df_du", "dsigma_du"):
+        if getattr(coeffs, name) is None:
+            raise ValueError(f"the adjoint gradient needs coeffs.{name}, which is not set")
 
 
 def _admissible(v: SpaceTimeField, walls: Walls, tol: float = 1e-9) -> bool:
@@ -212,8 +218,7 @@ class _ActionProblem:
         self.delta = delta
         self.free_start = free_start
         self.weights = self.grid.weights
-        self.propagator = backward_euler_inverse(self.grid, coeffs.alpha, dt)
-        self.prop_t = self.propagator.T.copy()
+        self.prop = Propagator(self.grid, coeffs.alpha, dt)
         self.n1 = self.grid.n + 1
         self.w_pen = 0.0
         self.w_init = 0.0
@@ -225,25 +230,18 @@ class _ActionProblem:
 
     def forward(self, u0, h):
         x = self.grid.nodes
-        dt, delta = self.dt, self.delta
-        r = dt / delta
-        k1, k2 = self.walls.k1, self.walls.k2
+        dt = self.dt
+        penalty = (self.delta, self.delta)
         states = np.empty((self.steps + 1, self.n1))
-        slopes = np.empty((self.steps, self.n1))
+        active = np.empty((self.steps, self.n1), dtype=bool)
         states[0] = u0
         for k in range(self.steps):
             u = states[k]
             a = u + dt * self.coeffs.f(x, u) + dt * self.coeffs.sigma(x, u) * h[k]
-            y = self.propagator @ a
-            new = y.copy()
-            grad = np.ones(self.n1)
-            below = y < k1
-            above = y > k2
-            new[below] = (y[below] + r * k1[below]) / (1.0 + r)
-            new[above] = (y[above] + r * k2[above]) / (1.0 + r)
-            grad[below | above] = 1.0 / (1.0 + r)
-            states[k + 1] = new
-            slopes[k] = grad
+            _, active[k] = self.prop.step(
+                a, self.walls.k1, self.walls.k2, penalty=penalty, out=states[k + 1]
+            )
+        slopes = np.where(active, 1.0 / (1.0 + dt / self.delta), 1.0)
         return states, slopes
 
     def value_and_grad(self, z):
@@ -261,7 +259,7 @@ class _ActionProblem:
         grad_h = np.empty_like(h)
         for k in range(self.steps - 1, -1, -1):
             u = states[k]
-            q = self.prop_t @ (slopes[k] * lam)
+            q = self.prop.solve_transpose(slopes[k] * lam)
             grad_h[k] = dt * w * h[k] + dt * self.coeffs.sigma(x, u) * q
             lam = q * (
                 1.0
@@ -322,6 +320,7 @@ def quasipotential_J(
     value improves by less than ``improvement_tol`` relatively.  Convergence
     trouble is reported in the flag, never raised.
     """
+    _require_derivatives(coeffs)
     opts = opts or OptimizerOptions()
     grid = walls.grid
     target = np.asarray(z, dtype=float)
@@ -389,6 +388,7 @@ def infinite_horizon_check(
     """Free-start parametrization of the same minimum: the path starts at an
     optimization variable anchored toward 0 over a long window and must end
     at z.  Returns the achieved action for comparison with quasipotential_J."""
+    _require_derivatives(coeffs)
     opts = opts or OptimizerOptions()
     grid = walls.grid
     target = np.asarray(z, dtype=float)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,11 @@ def test_validate_h_for_invariant_commands():
         validate_config(cfg, "invariant")
 
 
+def test_validate_rejects_non_finite_value():
+    with pytest.raises(ConfigError, match="noise.eps"):
+        validate_config(base_cfg(noise={"eps": math.nan}), "simulate")
+
+
 def test_config_hash_stable_under_key_order():
     a = {"x": 1, "y": {"a": 2, "b": 3}}
     b = {"y": {"b": 3, "a": 2}, "x": 1}
@@ -84,6 +90,17 @@ def test_cli_missing_key_exits_2(tmp_path):
     proc = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert "alpha" in proc.stderr
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+def test_cli_non_finite_number_exits_2(tmp_path, literal):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_cfg(noise={"eps": "EPS", "seed": 1})).replace('"EPS"', literal))
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--config", str(path), "--out", str(out))
+    assert proc.returncode == 2
+    assert literal in proc.stderr or "noise.eps" in proc.stderr
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_cli_unknown_command_fails(tmp_path):
@@ -167,9 +184,7 @@ def test_diagnose_command_writes_table(tmp_path):
     }
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
-    proc = run_cli(
-        "diagnose", "--config", str(path), "--out", str(out), "--deterministic", "--threads", "2"
-    )
+    proc = run_cli("diagnose", "--config", str(path), "--out", str(out), "--deterministic")
     assert proc.returncode == 0, proc.stderr
     lines = (out / "diagnostics.csv").read_text().strip().split("\n")
     assert lines[0] == "target_id,eps,p_hat,wilson_lo,wilson_hi,eps2_log_p,J_inner,J_outer"

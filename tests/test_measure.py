@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import wallspde.measure
 from conftest import coeffs_zero
 from oracles import sample_stationary_gaussian, wilson_reference
 from wallspde.lattice import Walls, build_grid, holder_norm
@@ -65,6 +68,28 @@ def test_sampling_reproducible_from_seeds():
     a = sample_invariant(coeffs, walls, 0.3, plan, seeds=[5, 6], dt=1e-2)
     b = sample_invariant(coeffs, walls, 0.3, plan, seeds=[5, 6], dt=1e-2)
     assert np.array_equal(a.samples, b.samples)
+
+
+def test_noise_chunking_keeps_seed_streams(monkeypatch):
+    grid, coeffs, walls, plan = benchmark(count=30)
+    monkeypatch.setattr(wallspde.measure, "_NOISE_CHUNK", 10**6)
+    whole = sample_invariant(coeffs, walls, 0.3, plan, seeds=[5, 6, 7], dt=1e-2)
+    monkeypatch.setattr(wallspde.measure, "_NOISE_CHUNK", 7)
+    chunked = sample_invariant(coeffs, walls, 0.3, plan, seeds=[5, 6, 7], dt=1e-2)
+    assert np.array_equal(whole.samples, chunked.samples)
+
+
+def test_burn_in_noise_memory_is_bounded():
+    # 64 chains over 20k burn-in steps would need 338 MB of noise drawn up front.
+    grid, coeffs, walls, _ = benchmark(alpha=2.0, grid_n=32)
+    plan = SamplingPlan(burn_in=20.0, thin=0.5, count=64)
+    tracemalloc.start()
+    try:
+        sample_invariant(coeffs, walls, 0.3, plan, seeds=range(64), dt=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_samples_respect_walls():

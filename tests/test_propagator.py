@@ -1,0 +1,105 @@
+"""Property tests of the implicit-step-and-restore kernel over random walls,
+bands and forcings."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from wallspde.lattice import Propagator, build_grid, neumann_operator
+
+finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def step_cases(draw):
+    n = draw(st.integers(4, 24))
+    batch = draw(st.sampled_from([None, 1, 3]))
+    shape = (n + 1,) if batch is None else (batch, n + 1)
+    centre = draw(arrays(float, n + 1, elements=finite))
+    half = draw(arrays(float, n + 1, elements=st.floats(1e-3, 2.0)))
+    rhs = draw(arrays(float, shape, elements=finite))
+    other = draw(arrays(float, shape, elements=finite))
+    prop = Propagator(
+        build_grid(n), draw(st.floats(0.0, 5.0)), draw(st.floats(1e-4, 5e-2))
+    )
+    penalty = draw(
+        st.one_of(st.none(), st.tuples(st.floats(1e-5, 1e-1), st.floats(1e-5, 1e-1)))
+    )
+    return prop, centre - half, centre + half, rhs, other, penalty
+
+
+def step_with_forces(prop, rhs, lo, hi, penalty):
+    lower, upper = np.empty_like(rhs), np.empty_like(rhs)
+    new, active = prop.step(rhs, lo, hi, penalty=penalty, forces=(lower, upper))
+    return new, active, lower, upper
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_cases())
+def test_step_restores_band_with_one_signed_forces(case):
+    prop, lo, hi, rhs, _, penalty = case
+    new, active, lower, upper = step_with_forces(prop, rhs, lo, hi, penalty)
+    assert new.shape == rhs.shape
+    assert np.all(lower >= 0.0) and np.all(upper >= 0.0)
+    assert np.all(lower * upper == 0.0)
+    lo_b, hi_b = np.broadcast_to(lo, new.shape), np.broadcast_to(hi, new.shape)
+    if penalty is None:
+        assert active is None
+        assert np.all(new >= lo_b) and np.all(new <= hi_b)
+        assert np.all(new[lower > 0.0] == lo_b[lower > 0.0])
+        assert np.all(new[upper > 0.0] == hi_b[upper > 0.0])
+    else:
+        assert active.shape == new.shape
+        assert np.all(lower[~active] == 0.0) and np.all(upper[~active] == 0.0)
+        # A penalized node ends beyond its wall, up to rounding of the closed form.
+        slack = 1e-12 * (1.0 + np.abs(lo_b) + np.abs(hi_b))
+        assert np.all((new <= lo_b + slack)[lower > 0.0])
+        assert np.all((new >= hi_b - slack)[upper > 0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_cases())
+def test_step_matches_reference_solve(case):
+    prop, lo, hi, rhs, _, penalty = case
+    grid = prop.grid
+    system = np.eye(grid.n + 1) - prop.dt * neumann_operator(grid, prop.alpha).dense()
+    y = np.linalg.solve(system, np.atleast_2d(rhs).T).T.reshape(rhs.shape)
+    new, active = prop.step(rhs, lo, hi, penalty=penalty)
+    if penalty is None:
+        expected = np.clip(y, lo, hi)
+    else:
+        r1, r2 = prop.dt / penalty[0], prop.dt / penalty[1]
+        expected = np.where(y < lo, (y + r1 * lo) / (1 + r1), y)
+        expected = np.where(y > hi, (y + r2 * hi) / (1 + r2), expected)
+    assert np.max(np.abs(new - expected)) <= 1e-10 * (1.0 + np.max(np.abs(rhs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_cases())
+def test_step_is_a_contraction_in_the_forcing(case):
+    prop, lo, hi, rhs, other, penalty = case
+    gap_in = np.max(np.abs(rhs - other))
+    new, _ = prop.step(rhs, lo, hi, penalty=penalty)
+    new_other, _ = prop.step(other, lo, hi, penalty=penalty)
+    assert np.max(np.abs(new - new_other)) <= gap_in * (1.0 + 1e-12) + 1e-14
+
+
+@settings(max_examples=50, deadline=None)
+@given(step_cases())
+def test_batch_rows_step_like_single_states(case):
+    prop, lo, hi, rhs, _, penalty = case
+    batch = np.atleast_2d(rhs)
+    new, _ = prop.step(batch, lo, hi, penalty=penalty)
+    for row, expected in zip(batch, new):
+        single, _ = prop.step(row, lo, hi, penalty=penalty)
+        assert np.max(np.abs(single - expected)) <= 1e-12
+
+
+def test_transposed_solve_is_the_adjoint():
+    grid = build_grid(12)
+    prop = Propagator(grid, 1.5, 0.02)
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(2, grid.n + 1))
+    assert float(a @ prop.solve(b)) == pytest.approx(float(prop.solve_transpose(a) @ b), rel=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -251,6 +252,17 @@ def test_infinite_horizon_parametrization_agrees():
     forward = quasipotential_J(target, coeffs, walls, FAST_OPTS)
     backward = infinite_horizon_check(target, coeffs, walls, FAST_OPTS)
     assert abs(backward - forward.value) / forward.value <= 0.05
+
+
+@pytest.mark.parametrize("missing", ["df_du", "dsigma_du"])
+def test_optimizer_requires_coefficient_derivatives(missing):
+    grid = build_grid(8)
+    walls = Walls.constant(grid, -1.0, 1.0)
+    coeffs = dataclasses.replace(coeffs_zero(1.0), **{missing: None})
+    target = np.full(grid.n + 1, 0.3)
+    for solve in (quasipotential_J, infinite_horizon_check):
+        with pytest.raises(ValueError, match=missing):
+            solve(target, coeffs, walls, FAST_OPTS)
 
 
 def test_infinite_horizon_zero_target():
