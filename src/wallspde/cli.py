@@ -18,20 +18,7 @@ from time import time
 import numpy as np
 
 from wallspde import __version__
-from wallspde.config import (
-    ConfigError,
-    _field_from_spec,
-    build_coefficients,
-    build_control,
-    build_initial,
-    build_optimizer_options,
-    build_plan,
-    build_target,
-    build_walls,
-    config_hash,
-    load_config,
-    validate_config,
-)
+from wallspde.config import COMMANDS, ConfigError, build_run, config_hash, load_config
 from wallspde.dynamics import solve_skeleton, solve_spde
 from wallspde.lattice import build_grid, heat_kernel
 from wallspde.measure import ldp_scaling_curve, sample_invariant, tightness_probe
@@ -47,7 +34,7 @@ from wallspde.snapshots import (
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="wallspde", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in ("simulate", "skeleton", "rate", "quasipotential", "invariant", "diagnose"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         _common_flags(p)
@@ -73,10 +60,12 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 def _dispatch(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.command == "selftest":
+        out.mkdir(parents=True, exist_ok=True)
         return _run_selftest(out, args)
-    cfg = validate_config(load_config(args.config), args.command)
+    cfg = load_config(args.config)
+    run = build_run(cfg, args.command)
+    out.mkdir(parents=True, exist_ok=True)
     handler = {
         "simulate": _run_simulate,
         "skeleton": _run_skeleton,
@@ -85,7 +74,7 @@ def _dispatch(args) -> int:
         "invariant": _run_invariant,
         "diagnose": _run_diagnose,
     }[args.command]
-    code, outputs = handler(cfg, out, args)
+    code, outputs = handler(cfg, run, out)
     _write_manifest(out, args, cfg, outputs)
     return code
 
@@ -103,26 +92,9 @@ def _write_manifest(out: Path, args, cfg, outputs) -> None:
     write_json_record(manifest, out / "manifest.json")
 
 
-def _setup(cfg):
-    grid = build_grid(cfg["grid"]["n"])
-    coeffs = build_coefficients(cfg["coefficients"])
-    walls = build_walls(cfg["walls"], grid)
-    return grid, coeffs, walls
-
-
-def _run_simulate(cfg, out, args):
-    grid, coeffs, walls = _setup(cfg)
-    dt, T = cfg["time"]["dt"], cfg["time"]["horizon"]
-    nsec = cfg["noise"]
+def _run_simulate(cfg, run, out):
     traj = solve_spde(
-        build_initial(cfg, grid),
-        nsec["eps"],
-        coeffs,
-        walls,
-        T,
-        dt,
-        seed=nsec.get("seed", 0),
-        stream=nsec.get("stream", 0),
+        run.u0, run.eps, run.coeffs, run.walls, run.T, run.dt, seed=run.seed, stream=run.stream
     )
     write_trajectory_csv(traj, out / "trajectory.csv")
     write_field_snapshot(traj.u, out / "trajectory.bin")
@@ -136,33 +108,16 @@ def _run_simulate(cfg, out, args):
     return 0, ["trajectory.csv", "trajectory.bin", "summary.json"]
 
 
-def _skeleton_run(cfg, grid, coeffs, walls):
-    dt, T = cfg["time"]["dt"], cfg["time"]["horizon"]
-    control = build_control(cfg, grid, T, dt)
-    pen = cfg.get("penalty", {})
-    return (
-        solve_skeleton(
-            build_initial(cfg, grid),
-            control,
-            coeffs,
-            walls,
-            T,
-            dt,
-            mode=pen.get("mode", "projected"),
-            delta=pen.get("delta", 1e-4),
-            eps_pen=pen.get("eps_pen"),
-        ),
-        control,
-    )
+def _skeleton_run(run):
+    return solve_skeleton(run.u0, run.control, run.coeffs, run.walls, run.T, run.dt, **run.penalty)
 
 
-def _run_skeleton(cfg, out, args):
-    grid, coeffs, walls = _setup(cfg)
-    traj, control = _skeleton_run(cfg, grid, coeffs, walls)
+def _run_skeleton(cfg, run, out):
+    traj = _skeleton_run(run)
     write_trajectory_csv(traj, out / "trajectory.csv")
     write_field_snapshot(traj.u, out / "trajectory.bin")
     summary = {
-        "control_action": control.action if control is not None else 0.0,
+        "control_action": run.control.action if run.control is not None else 0.0,
         "eta_mass": traj.eta.total_mass,
         "xi_mass": traj.xi.total_mass,
         "u_hash": field_hash(traj.u.values),
@@ -171,28 +126,24 @@ def _run_skeleton(cfg, out, args):
     return 0, ["trajectory.csv", "trajectory.bin", "summary.json"]
 
 
-def _run_rate(cfg, out, args):
-    grid, coeffs, walls = _setup(cfg)
-    traj, control = _skeleton_run(cfg, grid, coeffs, walls)
-    T = cfg["time"]["horizon"]
-    i_val = rate_I(traj.u, 0.0, T, coeffs, walls)
-    s_val = rate_S(traj.u, 0.0, T, coeffs)
+def _run_rate(cfg, run, out):
+    traj = _skeleton_run(run)
+    i_val = rate_I(traj.u, 0.0, run.T, run.coeffs, run.walls)
+    s_val = rate_S(traj.u, 0.0, run.T, run.coeffs)
     record = {
         "rate_I": i_val if math.isfinite(i_val) else "inf",
         "rate_S": s_val,
-        "control_action": control.action if control is not None else 0.0,
-        "window": [0.0, T],
+        "control_action": run.control.action if run.control is not None else 0.0,
+        "window": [0.0, run.T],
     }
     write_json_record(record, out / "rates.json")
     return 0, ["rates.json"]
 
 
-def _run_quasipotential(cfg, out, args):
-    grid, coeffs, walls = _setup(cfg)
-    target = build_target(cfg, grid)
-    result = quasipotential_J(target, coeffs, walls, build_optimizer_options(cfg))
+def _run_quasipotential(cfg, run, out):
+    result = quasipotential_J(run.target, run.coeffs, run.walls, run.opts)
     record = {
-        "target_hash": field_hash(target),
+        "target_hash": field_hash(run.target),
         "value": result.value,
         "horizon": result.horizon,
         "action": result.control.action,
@@ -205,15 +156,13 @@ def _run_quasipotential(cfg, out, args):
     return (0 if result.converged else 3), ["quasipotential.json", "path.bin"]
 
 
-def _run_invariant(cfg, out, args):
-    grid, coeffs, walls = _setup(cfg)
-    plan, seeds, eps, dt = build_plan(cfg, coeffs)
-    measure = sample_invariant(coeffs, walls, eps, plan, seeds, dt=dt)
-    means = measure.samples @ grid.weights
+def _run_invariant(cfg, run, out):
+    measure = sample_invariant(run.coeffs, run.walls, run.eps, run.plan, run.seeds, dt=run.dt)
+    means = measure.samples @ run.grid.weights
     summary = {
         "count": measure.count,
-        "eps": eps,
-        "seeds": list(seeds),
+        "eps": run.eps,
+        "seeds": list(run.seeds),
         "spatial_mean_variance": float(np.var(means)),
         "sup_abs": float(np.max(np.abs(measure.samples))),
         "samples_hash": field_hash(measure.samples),
@@ -223,30 +172,16 @@ def _run_invariant(cfg, out, args):
     return 0, ["summary.json", "samples.npy"]
 
 
-def _run_diagnose(cfg, out, args):
-    from wallspde.measure import SamplingPlan
-
-    grid, coeffs, walls = _setup(cfg)
-    dsec = cfg["diagnose"]
-    targets = [
-        (_field_from_spec(entry, grid, "target"), entry["delta"]) for entry in dsec["targets"]
-    ]
-    schedule = dsec["eps_schedule"]
-    counts = dsec.get("counts", [500] * len(schedule))
-    relax = 1.0 / coeffs.alpha1
-    plans = [SamplingPlan(burn_in=10.0 * relax, thin=relax, count=c) for c in counts]
-    chains = dsec.get("chains", 16)
-    base_seed = dsec.get("base_seed", 200)
-
+def _run_diagnose(cfg, run, out):
     diag = ldp_scaling_curve(
-        targets,
-        schedule,
-        plans,
-        coeffs,
-        walls,
-        base_seed=base_seed,
-        dt=dsec.get("dt", 1e-3),
-        chains=chains,
+        run.targets,
+        run.eps_schedule,
+        run.plans,
+        run.coeffs,
+        run.walls,
+        base_seed=run.base_seed,
+        dt=run.dt,
+        chains=run.chains,
     )
 
     lines = ["target_id,eps,p_hat,wilson_lo,wilson_hi,eps2_log_p,J_inner,J_outer"]
@@ -259,14 +194,11 @@ def _run_diagnose(cfg, out, args):
         )
     (out / "diagnostics.csv").write_text("\n".join(lines) + "\n")
 
-    gamma = dsec.get("gamma")
     tightness = None
-    if gamma is not None:
-        probe_plan = SamplingPlan(burn_in=10.0 * relax, thin=relax, count=counts[-1])
-        seeds = tuple(base_seed + 9000 + j for j in range(chains))
-        probe = sample_invariant(coeffs, walls, schedule[-1], probe_plan, seeds, dt=dsec.get("dt", 1e-3))
-        radii = dsec.get("radii", [0.5, 1.0, 2.0, 4.0])
-        tightness = tightness_probe(probe, gamma, radii)
+    if run.gamma is not None:
+        seeds = tuple(run.base_seed + 9000 + j for j in range(run.chains))
+        probe = sample_invariant(run.coeffs, run.walls, run.eps_schedule[-1], run.plans[-1], seeds, dt=run.dt)
+        tightness = tightness_probe(probe, run.gamma, run.radii)
 
     record = {
         "rows": diag.rows,
@@ -274,7 +206,7 @@ def _run_diagnose(cfg, out, args):
         "trend_ok": diag.trend_ok,
         "j_values": {str(k): list(v) for k, v in diag.j_values.items()},
         "tightness": tightness,
-        "seeds": {"base_seed": base_seed, "chains": chains},
+        "seeds": {"base_seed": run.base_seed, "chains": run.chains},
         "config": cfg,
     }
     write_json_record(record, out / "diagnostics.json")

@@ -1,19 +1,28 @@
 """Run configuration: JSON loading, schema validation, and the coefficient
 registry.
 
-Coefficient functions come from a closed registry rather than arbitrary
-expressions so the declared Lipschitz/lower/upper bounds are actually true
-and runs stay reproducible.  Validation failures raise ``ConfigError`` with
-the offending dotted key in the message; the CLI maps them to exit code 2.
+``config_schema.json`` states every per-key rule (type, enum, range, array
+items) and every default; ``_get`` applies them, and the ``build_*``
+functions are the only readers of a config.  What the schema cannot say (a
+horizon on the step mesh, fields between the walls, a long enough burn-in)
+is checked by the builder that owns the value.  Coefficient functions come
+from a closed registry rather than arbitrary expressions so the declared
+Lipschitz/lower/upper bounds are actually true and runs stay reproducible.
+Validation failures raise ``ConfigError`` with the offending dotted key in
+the message; the CLI maps them to exit code 2.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import operator
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,24 +41,27 @@ __all__ = [
     "build_initial",
     "build_control",
     "build_target",
+    "build_time",
+    "build_noise",
+    "build_penalty",
     "build_plan",
     "build_optimizer_options",
+    "build_diagnose",
+    "build_run",
     "schema_path",
 ]
 
 COMMANDS = ("simulate", "skeleton", "rate", "quasipotential", "invariant", "diagnose")
 
-_REQUIRED = {
-    "simulate": ("grid", "time", "coefficients", "walls", "noise"),
-    "skeleton": ("grid", "time", "coefficients", "walls", "control"),
-    "rate": ("grid", "time", "coefficients", "walls", "control"),
-    "quasipotential": ("grid", "coefficients", "walls", "target"),
-    "invariant": ("grid", "coefficients", "walls", "sampling"),
-    "diagnose": ("grid", "coefficients", "walls", "diagnose"),
+# The keywords ``_check`` applies; annotations ("$schema", "title") aside, the
+# schema may use no other, so that no rule written there goes unenforced.
+_BOUNDS = {
+    "minimum": (operator.ge, "at least"),
+    "exclusiveMinimum": (operator.gt, "above"),
+    "exclusiveMaximum": (operator.lt, "below"),
 }
-
-_F_KINDS = ("zero", "linear", "sinusoidal")
-_SIGMA_KINDS = ("one", "cosine_profile", "state_modulated")
+_KEYWORDS = frozenset(_BOUNDS) | {"type", "enum", "items", "minItems", "required", "default", "properties"}
+_TYPES = {"number": (int, float), "integer": int, "array": list, "object": dict}
 
 
 class ConfigError(ValueError):
@@ -78,45 +90,80 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
-def _section(cfg: dict, name: str) -> dict:
-    if name not in cfg:
-        raise ConfigError(f"missing section: {name}")
-    if not isinstance(cfg[name], dict):
-        raise ConfigError(f"section must be an object: {name}")
-    return cfg[name]
+@functools.cache
+def _schema() -> dict:
+    return json.loads(schema_path().read_text())
 
 
-def _get(section: dict, dotted: str, kind, required=True, default=None, positive=False, nonneg=False):
-    head, _, key = dotted.rpartition(".")
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing key: {dotted}")
-        return default
-    value = section[key]
-    if kind is float and isinstance(value, int):
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError(f"value must be finite: {dotted}")
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"wrong type for {dotted}: expected {kind.__name__}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"value must be finite: {dotted}")
-    if positive and value <= 0:
-        raise ConfigError(f"value must be positive: {dotted}")
-    if nonneg and value < 0:
-        raise ConfigError(f"value must be nonnegative: {dotted}")
+def _node(dotted: str) -> dict:
+    """Schema node of a dotted key; ``name[i]`` steps into an array's items."""
+    node = _schema()
+    for part in filter(None, dotted.split(".")):
+        name, _, index = part.partition("[")
+        node = node["properties"][name]
+        if index:
+            node = node["items"]
+    return node
+
+
+def _check(value, node: dict, dotted: str):
+    """Apply one schema node to a value; numbers come back as finite floats."""
+    types = node.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types:
+        kind = next((t for t in types if isinstance(value, _TYPES[t]) and not isinstance(value, bool)), None)
+        if kind is None:
+            raise ConfigError(f"wrong type for {dotted}: expected {' or '.join(types)}")
+        if kind == "number":
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ConfigError(f"value must be finite: {dotted}")
+    if "enum" in node and value not in node["enum"]:
+        raise ConfigError(f"{dotted} must be one of {node['enum']}, got {value!r}")
+    if isinstance(value, (int, float)):
+        for word, (holds, text) in _BOUNDS.items():
+            if word in node and not holds(value, node[word]):
+                raise ConfigError(f"{dotted} must be {text} {node[word]}, got {value}")
+    if isinstance(value, list):
+        if len(value) < node.get("minItems", 0):
+            raise ConfigError(f"{dotted} needs at least {node['minItems']} entries")
+        if "items" in node:
+            value = [_check(item, node["items"], f"{dotted}[{i}]") for i, item in enumerate(value)]
     return value
 
 
+def _get(section: dict, dotted: str):
+    """The checked value of a key, or its schema default when absent."""
+    head, _, key = dotted.rpartition(".")
+    node = _node(dotted)
+    if key not in section:
+        if key in _node(head).get("required", ()):
+            raise ConfigError(f"missing key: {dotted}")
+        return node.get("default")
+    return _check(section[key], node, dotted)
+
+
+def _need(section: dict, dotted: str):
+    """``_get`` for a key that the schema leaves optional but this command or branch needs."""
+    value = _get(section, dotted)
+    if value is None:
+        raise ConfigError(f"missing key: {dotted}")
+    return value
+
+
+def _between_walls(field: np.ndarray, walls: Walls, key: str) -> np.ndarray:
+    if not walls.contains(field, tol=1e-12):
+        raise ConfigError(f"{key} must lie between walls.k1 and walls.k2")
+    return field
+
+
 def build_coefficients(section: dict) -> CoefficientSpec:
-    alpha = _get(section, "coefficients.alpha", float, positive=True)
-    f_kind = _get(section, "coefficients.f", str)
-    sigma_kind = _get(section, "coefficients.sigma", str, required=False, default="one")
-    if f_kind not in _F_KINDS:
-        raise ConfigError(f"unknown registry entry for coefficients.f: {f_kind}")
-    if sigma_kind not in _SIGMA_KINDS:
-        raise ConfigError(f"unknown registry entry for coefficients.sigma: {sigma_kind}")
+    alpha = _get(section, "coefficients.alpha")
+    f_kind = _get(section, "coefficients.f")
+    sigma_kind = _get(section, "coefficients.sigma")
 
     if f_kind == "zero":
         c = 0.0
@@ -124,7 +171,7 @@ def build_coefficients(section: dict) -> CoefficientSpec:
         df = lambda x, u: np.zeros_like(u)
         f_bound = 0.0
     else:
-        c = _get(section, "coefficients.c", float, nonneg=True)
+        c = _need(section, "coefficients.c")
         if f_kind == "linear":
             f = lambda x, u: c * u
             df = lambda x, u: np.full_like(u, c)
@@ -142,9 +189,7 @@ def build_coefficients(section: dict) -> CoefficientSpec:
         dsigma = lambda x, u: np.zeros_like(u)
         m, sig_bound = 0.5, 1.0
     else:
-        amp = _get(section, "coefficients.sigma_amplitude", float, required=False, default=0.3)
-        if not 0.0 < amp < 1.0:
-            raise ConfigError("value must lie in (0, 1): coefficients.sigma_amplitude")
+        amp = _get(section, "coefficients.sigma_amplitude")
         sigma = lambda x, u: 1.0 + amp * np.sin(u)
         dsigma = lambda x, u: amp * np.cos(u)
         m, sig_bound = 1.0 - amp, 1.0 + amp
@@ -164,160 +209,173 @@ def build_coefficients(section: dict) -> CoefficientSpec:
 
 
 def build_walls(section: dict, grid: Grid) -> Walls:
-    kind = _get(section, "walls.kind", str, required=False, default="constant")
-    if kind == "constant":
-        k1 = _get(section, "walls.k1", float)
-        k2 = _get(section, "walls.k2", float)
-        if not k1 < 0.0 < k2:
-            raise ConfigError("walls must satisfy k1 < 0 < k2: walls.k1/walls.k2")
+    kind = _get(section, "walls.kind")
+    k1, k2 = _get(section, "walls.k1"), _get(section, "walls.k2")
+    profiles = kind == "profiles"
+    if isinstance(k1, list) != profiles or isinstance(k2, list) != profiles:
+        raise ConfigError(f"walls.k1 and walls.k2 must be {'arrays' if profiles else 'numbers'} for walls.kind {kind}")
+    if not profiles:
         return Walls.constant(grid, k1, k2)
-    if kind == "profiles":
-        for key in ("k1", "k2"):
-            if key not in section or not isinstance(section[key], list):
-                raise ConfigError(f"missing or non-array key: walls.{key}")
-        try:
-            return Walls.from_profiles(grid, np.array(section["k1"]), np.array(section["k2"]))
-        except ValueError as exc:
-            raise ConfigError(f"walls.k1/walls.k2: {exc}")
-    raise ConfigError(f"unknown walls.kind: {kind}")
+    try:
+        return Walls.from_profiles(grid, np.array(k1), np.array(k2))
+    except ValueError as exc:
+        raise ConfigError(f"walls.k1/walls.k2: {exc}")
 
 
 def _field_from_spec(section: dict, grid: Grid, prefix: str) -> np.ndarray:
-    kind = _get(section, f"{prefix}.kind", str, required=False, default="zero")
-    x = grid.nodes
+    kind = _get(section, f"{prefix}.kind")
     if kind == "zero":
         return np.zeros(grid.n + 1)
     if kind == "constant":
-        return np.full(grid.n + 1, _get(section, f"{prefix}.value", float))
-    if kind == "cosine":
-        amp = _get(section, f"{prefix}.amplitude", float)
-        mode = _get(section, f"{prefix}.mode", int, required=False, default=1)
-        return amp * np.cos(mode * np.pi * x)
-    raise ConfigError(f"unknown {prefix}.kind: {kind}")
+        return np.full(grid.n + 1, _need(section, f"{prefix}.value"))
+    amp = _need(section, f"{prefix}.amplitude")
+    mode = _get(section, f"{prefix}.mode")
+    return amp * np.cos(mode * np.pi * grid.nodes)
 
 
 def build_initial(cfg: dict, grid: Grid) -> np.ndarray:
-    if "initial" not in cfg:
-        return np.zeros(grid.n + 1)
-    return _field_from_spec(cfg["initial"], grid, "initial")
+    return _field_from_spec(_get(cfg, "initial"), grid, "initial")
 
 
 def build_target(cfg: dict, grid: Grid) -> np.ndarray:
-    return _field_from_spec(_section(cfg, "target"), grid, "target")
+    return _field_from_spec(_need(cfg, "target"), grid, "target")
+
+
+def build_time(cfg: dict) -> tuple[float, float]:
+    """(horizon, dt); the horizon must be a whole number of steps."""
+    section = _need(cfg, "time")
+    T, dt = _get(section, "time.horizon"), _get(section, "time.dt")
+    steps = T / dt
+    if not math.isfinite(steps) or round(steps) < 1 or abs(round(steps) * dt - T) > 1e-9 * (1.0 + T):
+        raise ConfigError("time.horizon must be a positive multiple of time.dt")
+    return T, dt
+
+
+def build_noise(cfg: dict, grid: Grid, dt: float) -> tuple[float, int, int]:
+    """(eps, seed, stream); the stochastic step must not exceed dx."""
+    if dt > grid.dx:
+        raise ConfigError(f"time.dt must not exceed 1/grid.n = {grid.dx} for simulate")
+    section = _need(cfg, "noise")
+    return tuple(_get(section, f"noise.{key}") for key in ("eps", "seed", "stream"))
 
 
 def build_control(cfg: dict, grid: Grid, T: float, dt: float) -> Control | None:
-    section = _section(cfg, "control")
-    kind = _get(section, "control.kind", str)
+    section = _need(cfg, "control")
+    kind = _get(section, "control.kind")
     if kind == "zero":
         return None
+    amp = _need(section, "control.amplitude")
     if kind == "uniform_decay":
-        amp = _get(section, "control.amplitude", float)
-        beta = _get(section, "control.beta", float, nonneg=True)
+        beta = _need(section, "control.beta")
         return Control.from_function(grid, T, dt, lambda x, t: amp * np.exp(-beta * t) * np.ones_like(x))
-    if kind == "cosine_pulse":
-        amp = _get(section, "control.amplitude", float)
-        mode = _get(section, "control.mode", int, required=False, default=1)
-        t_end = _get(section, "control.t_end", float, required=False, default=T)
-        return Control.from_function(
-            grid,
-            T,
-            dt,
-            lambda x, t: amp * np.cos(mode * np.pi * x) * (1.0 if t < t_end else 0.0),
-        )
-    raise ConfigError(f"unknown control.kind: {kind}")
-
-
-def build_plan(cfg: dict, coeffs: CoefficientSpec) -> tuple[SamplingPlan, list, float, float]:
-    section = _section(cfg, "sampling")
-    count = _get(section, "sampling.count", int, positive=True)
-    relax = 1.0 / coeffs.alpha1
-    burn_in = _get(section, "sampling.burn_in", float, required=False, default=10.0 * relax, positive=True)
-    thin = _get(section, "sampling.thin", float, required=False, default=relax, positive=True)
-    eps = _get(section, "sampling.eps", float, nonneg=True)
-    dt = _get(section, "sampling.dt", float, required=False, default=1e-3, positive=True)
-    seeds = section.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("sampling.seeds must be a non-empty array of integers")
-    return SamplingPlan(burn_in=burn_in, thin=thin, count=count), seeds, eps, dt
-
-
-def build_optimizer_options(cfg: dict) -> OptimizerOptions:
-    section = cfg.get("optimizer", {})
-    if not isinstance(section, dict):
-        raise ConfigError("section must be an object: optimizer")
-    horizons = section.get("horizons", [1.0, 2.0, 4.0, 8.0])
-    if not isinstance(horizons, list) or not all(isinstance(h, (int, float)) for h in horizons):
-        raise ConfigError("optimizer.horizons must be an array of numbers")
-    return OptimizerOptions(
-        horizons=tuple(float(h) for h in horizons),
-        dt=_get(section, "optimizer.dt", float, required=False, default=0.02, positive=True),
-        maxiter=_get(section, "optimizer.maxiter", int, required=False, default=500, positive=True),
-        terminal_tol=_get(section, "optimizer.terminal_tol", float, required=False, default=5e-3, positive=True),
-        improvement_tol=_get(
-            section, "optimizer.improvement_tol", float, required=False, default=1e-3, nonneg=True
-        ),
+    mode = _get(section, "control.mode")
+    t_end = _get(section, "control.t_end")
+    if t_end is None:
+        t_end = T
+    return Control.from_function(
+        grid,
+        T,
+        dt,
+        lambda x, t: amp * np.cos(mode * np.pi * x) * (1.0 if t < t_end else 0.0),
     )
 
 
-def validate_config(cfg: dict, command: str) -> dict:
-    """Check everything the run needs up front; returns the resolved config."""
-    if command not in _REQUIRED:
+def build_penalty(cfg: dict) -> dict:
+    """``solve_skeleton`` keywords: mode, delta and eps_pen."""
+    section = _get(cfg, "penalty")
+    return {key: _get(section, f"penalty.{key}") for key in ("mode", "delta", "eps_pen")}
+
+
+def build_plan(cfg: dict, coeffs: CoefficientSpec) -> tuple[SamplingPlan, list, float, float]:
+    section = _need(cfg, "sampling")
+    plan = SamplingPlan.default(coeffs, _get(section, "sampling.count"))
+    given = {key: _get(section, f"sampling.{key}") for key in ("burn_in", "thin")}
+    plan = replace(plan, **{key: value for key, value in given.items() if value is not None})
+    try:
+        plan.check_burn_in(coeffs)
+    except ValueError as exc:
+        raise ConfigError(f"sampling.burn_in: {exc}")
+    return plan, _get(section, "sampling.seeds"), _get(section, "sampling.eps"), _get(section, "sampling.dt")
+
+
+def build_optimizer_options(cfg: dict) -> OptimizerOptions:
+    section = _get(cfg, "optimizer")
+    opts = OptimizerOptions(
+        horizons=tuple(_get(section, "optimizer.horizons")),
+        **{key: _get(section, f"optimizer.{key}") for key in ("dt", "maxiter", "terminal_tol", "improvement_tol")},
+    )
+    for i, horizon in enumerate(opts.horizons):
+        steps = horizon / opts.dt
+        if not math.isfinite(steps) or round(steps) < 1:
+            raise ConfigError(f"optimizer.horizons[{i}] must span a finite number, at least one, of optimizer.dt steps")
+    return opts
+
+
+def build_diagnose(cfg: dict, grid: Grid, coeffs: CoefficientSpec, walls: Walls) -> dict:
+    """``ldp_scaling_curve`` inputs (targets, eps_schedule, plans, base_seed,
+    dt, chains) plus the tightness probe's gamma and radii."""
+    section = _need(cfg, "diagnose")
+    targets = []
+    for i, entry in enumerate(_get(section, "diagnose.targets")):
+        key = f"diagnose.targets[{i}]"
+        field = _between_walls(_field_from_spec(entry, grid, key), walls, key)
+        targets.append((field, _get(entry, f"{key}.delta")))
+    schedule = _get(section, "diagnose.eps_schedule")
+    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise ConfigError("diagnose.eps_schedule must be strictly decreasing")
+    counts = _get(section, "diagnose.counts")
+    if counts is None:
+        counts = [_node("diagnose.counts")["items"]["default"]] * len(schedule)
+    if len(counts) != len(schedule):
+        raise ConfigError("diagnose.counts must match diagnose.eps_schedule in length")
+    return {
+        "targets": targets,
+        "eps_schedule": schedule,
+        "plans": [SamplingPlan.default(coeffs, count) for count in counts],
+        **{key: _get(section, f"diagnose.{key}") for key in ("base_seed", "dt", "chains", "gamma", "radii")},
+    }
+
+
+def build_run(cfg: dict, command: str) -> SimpleNamespace:
+    """Build and check everything the command's handler uses.
+
+    Always grid, coeffs and walls; T, dt and u0 for simulate, skeleton and
+    rate; eps, seed and stream for simulate; control and penalty for skeleton
+    and rate; target and opts for quasipotential; plan, seeds, eps and dt for
+    invariant; the ``build_diagnose`` entries for diagnose.
+    """
+    if command not in COMMANDS:
         raise ConfigError(f"unknown command: {command}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    for name in _REQUIRED[command]:
-        _section(cfg, name)
-
-    n = _get(_section(cfg, "grid"), "grid.n", int, positive=True)
-    if n < 4:
-        raise ConfigError("value must be at least 4: grid.n")
-    grid = build_grid(n)
-    coeffs = build_coefficients(_section(cfg, "coefficients"))
-    build_walls(_section(cfg, "walls"), grid)
-
+    grid = build_grid(_get(_need(cfg, "grid"), "grid.n"))
+    run = SimpleNamespace(grid=grid, coeffs=build_coefficients(_need(cfg, "coefficients")))
+    run.walls = build_walls(_need(cfg, "walls"), grid)
     if command in ("simulate", "skeleton", "rate"):
-        tsec = _section(cfg, "time")
-        dt = _get(tsec, "time.dt", float, positive=True)
-        T = _get(tsec, "time.horizon", float, positive=True)
-        if round(T / dt) < 1:
-            raise ConfigError("time.horizon must cover at least one step of time.dt")
+        run.T, run.dt = build_time(cfg)
+        run.u0 = _between_walls(build_initial(cfg, grid), run.walls, "initial")
     if command == "simulate":
-        nsec = _section(cfg, "noise")
-        _get(nsec, "noise.eps", float, nonneg=True)
-        _get(nsec, "noise.seed", int, required=False, default=0)
-        _get(nsec, "noise.stream", int, required=False, default=0)
+        run.eps, run.seed, run.stream = build_noise(cfg, grid, run.dt)
     if command in ("skeleton", "rate"):
-        build_control(cfg, grid, 1.0, 0.5)  # shape checks only
+        run.control = build_control(cfg, grid, run.T, run.dt)
+        run.penalty = build_penalty(cfg)
     if command == "quasipotential":
-        build_target(cfg, grid)
-        build_optimizer_options(cfg)
-    if command in ("invariant", "diagnose"):
-        if not coeffs.satisfies_h(grid):
-            raise ConfigError(
-                "coefficients.c must stay below coefficients.alpha for invariant-measure commands"
-            )
+        run.target = _between_walls(build_target(cfg, grid), run.walls, "target")
+        run.opts = build_optimizer_options(cfg)
+    if command in ("invariant", "diagnose") and not run.coeffs.satisfies_h(grid):
+        raise ConfigError(
+            "coefficients.c must stay below coefficients.alpha for invariant-measure commands"
+        )
     if command == "invariant":
-        build_plan(cfg, coeffs)
+        run.plan, run.seeds, run.eps, run.dt = build_plan(cfg, run.coeffs)
     if command == "diagnose":
-        dsec = _section(cfg, "diagnose")
-        targets = dsec.get("targets")
-        if not isinstance(targets, list) or not targets:
-            raise ConfigError("missing or empty array: diagnose.targets")
-        for i, entry in enumerate(targets):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"diagnose.targets[{i}] must be an object")
-            _get(entry, f"diagnose.targets[{i}].delta", float, positive=True)
-        schedule = dsec.get("eps_schedule")
-        if not isinstance(schedule, list) or len(schedule) < 2:
-            raise ConfigError("diagnose.eps_schedule must list at least two noise levels")
-        if any(b >= a for a, b in zip(schedule, schedule[1:])):
-            raise ConfigError("diagnose.eps_schedule must be strictly decreasing")
-        counts = dsec.get("counts")
-        if counts is not None and (
-            not isinstance(counts, list) or len(counts) != len(schedule)
-        ):
-            raise ConfigError("diagnose.counts must match diagnose.eps_schedule in length")
+        vars(run).update(build_diagnose(cfg, grid, run.coeffs, run.walls))
+    return run
+
+
+def validate_config(cfg: dict, command: str) -> dict:
+    """Run every builder the command's handler runs; returns cfg unchanged."""
+    build_run(cfg, command)
     return cfg
 
 

@@ -244,6 +244,8 @@ def solve_skeleton(
         raise ValueError(f"unknown mode '{mode}'")
     if eps_pen is None:
         eps_pen = delta
+    if mode == "penalized" and not (0.0 < delta < np.inf and 0.0 < eps_pen < np.inf):
+        raise ValueError(f"penalty parameters must be positive and finite: delta={delta}, eps_pen={eps_pen}")
     m = round(T / dt)
     if abs(m * dt - T) > 1e-9 * (1.0 + T) or m < 1:
         raise ValueError(f"horizon T={T} is not a positive multiple of dt={dt}")

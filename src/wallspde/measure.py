@@ -55,6 +55,14 @@ class SamplingPlan:
         relax = 1.0 / coeffs.alpha1
         return cls(burn_in=10.0 * relax, thin=relax, count=count)
 
+    def check_burn_in(self, coeffs: CoefficientSpec) -> None:
+        """Reject a burn-in shorter than the mixing heuristic 5/alpha1."""
+        relax = 1.0 / coeffs.alpha1
+        if self.burn_in < 5.0 * relax - 1e-12:
+            raise ValueError(
+                f"burn-in {self.burn_in} is below the mixing heuristic 5/alpha1 = {5.0 * relax}"
+            )
+
 
 @dataclass(eq=False)
 class EmpiricalMeasure:
@@ -101,11 +109,7 @@ def sample_invariant(
         raise ValueError("noise level must be nonnegative")
     if not seeds:
         raise ValueError("need at least one seed")
-    relax = 1.0 / coeffs.alpha1
-    if plan.burn_in < 5.0 * relax - 1e-12:
-        raise ValueError(
-            f"burn-in {plan.burn_in} is below the mixing heuristic 5/alpha1 = {5.0 * relax}"
-        )
+    plan.check_burn_in(coeffs)
 
     seeds = tuple(int(s) for s in seeds)
     chains = len(seeds)
@@ -195,7 +199,7 @@ def ldp_scaling_curve(
     coeffs: CoefficientSpec,
     walls: Walls,
     catalog: dict | None = None,
-    base_seed: int = 20_0,
+    base_seed: int = 200,
     dt: float = 1e-3,
     chains: int = 16,
 ) -> LdpDiagnostics:

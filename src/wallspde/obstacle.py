@@ -43,8 +43,8 @@ class LocalTime:
         expected = (len(self.times) - 1, self.grid.n + 1)
         if self.density.shape != expected:
             raise ValueError(f"density shaped {self.density.shape}, expected {expected}")
-        if self.density.min() < 0.0:
-            raise ValueError("local-time density must be nonnegative")
+        if not np.isfinite(self.density).all() or self.density.min() < 0.0:
+            raise ValueError("local-time density must be finite and nonnegative")
 
     @property
     def total_mass(self) -> float:

@@ -37,6 +37,76 @@ def dir_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(Path(root).iterdir())}
 
 
+def with_walls(cfg, k1, k2):
+    cfg["walls"] = {"kind": "constant", "k1": k1, "k2": k2}
+    return cfg
+
+
+def diagnose_cfg(**changes):
+    section = {
+        "targets": [{"kind": "constant", "value": 0.3, "delta": 0.1}],
+        "eps_schedule": [0.5, 0.35],
+        "counts": [10, 10],
+        "chains": 2,
+    }
+    section.update(changes)
+    return base_cfg(diagnose=section)
+
+
+def qp_cfg(**optimizer):
+    return base_cfg(target={"kind": "constant", "value": 0.1}, optimizer=optimizer)
+
+
+SIM = {"noise": {"eps": 0.1, "seed": 1}}
+SKEL = {"control": {"kind": "zero"}}
+
+# Malformed configs: (id, command, config, the key stderr must name, whether a
+# per-key schema rule rejects it; the others break a cross-field rule).
+CORPUS = [
+    ("burn_in_short", "invariant", base_cfg(sampling={"count": 10, "eps": 0.2, "burn_in": 0.3}), "sampling.burn_in", False),
+    ("seeds_bool", "invariant", base_cfg(sampling={"count": 10, "eps": 0.2, "seeds": [True]}), "sampling.seeds", True),
+    (
+        "target_outside",
+        "quasipotential",
+        with_walls(base_cfg(target={"kind": "cosine", "amplitude": 0.24}), -0.2, 0.5),
+        "target",
+        False,
+    ),
+    ("horizons_huge", "quasipotential", qp_cfg(horizons=[1e308]), "optimizer.horizons", False),
+    ("horizons_zero", "quasipotential", qp_cfg(horizons=[0]), "optimizer.horizons", True),
+    ("horizons_negative", "quasipotential", qp_cfg(horizons=[-1]), "optimizer.horizons", True),
+    ("horizons_empty", "quasipotential", qp_cfg(horizons=[]), "optimizer.horizons", True),
+    ("penalty_mode", "skeleton", base_cfg(penalty={"mode": "bogus"}, **SKEL), "penalty.mode", True),
+    ("penalty_delta", "skeleton", base_cfg(penalty={"mode": "penalized", "delta": -1}, **SKEL), "penalty.delta", True),
+    ("penalty_number", "skeleton", base_cfg(penalty=3, **SKEL), "penalty", True),
+    ("eps_negative", "diagnose", diagnose_cfg(eps_schedule=[0.5, -0.1]), "diagnose.eps_schedule", True),
+    ("eps_strings", "diagnose", diagnose_cfg(eps_schedule=["a", "b"]), "diagnose.eps_schedule", True),
+    ("counts_zero", "diagnose", diagnose_cfg(counts=[0, 4]), "diagnose.counts", True),
+    ("chains_zero", "diagnose", diagnose_cfg(chains=0), "diagnose.chains", True),
+    ("chains_string", "diagnose", diagnose_cfg(chains="x"), "diagnose.chains", True),
+    ("gamma_large", "diagnose", diagnose_cfg(gamma=0.7), "diagnose.gamma", True),
+    ("dt_negative", "diagnose", diagnose_cfg(dt=-0.01), "diagnose.dt", True),
+    (
+        "profile_strings",
+        "skeleton",
+        base_cfg(walls={"kind": "profiles", "k1": ["a"] * 17, "k2": ["b"] * 17}, **SKEL),
+        "walls.k1",
+        True,
+    ),
+    ("simulate_dt_coarse", "simulate", base_cfg(time={"dt": 0.1, "horizon": 0.2}, **SIM), "time.dt", False),
+    ("horizon_off_mesh", "skeleton", base_cfg(time={"dt": 0.03, "horizon": 0.1}, **SKEL), "time.horizon", False),
+    ("initial_outside", "simulate", base_cfg(initial={"kind": "constant", "value": 0.9}, **SIM), "initial", False),
+    (
+        "sigma_amplitude_one",
+        "simulate",
+        base_cfg(coefficients={"alpha": 2.0, "f": "sinusoidal", "c": 0.5, "sigma": "state_modulated", "sigma_amplitude": 1}, **SIM),
+        "coefficients.sigma_amplitude",
+        True,
+    ),
+    ("seed_negative", "simulate", base_cfg(noise={"eps": 0.1, "seed": -1}), "noise.seed", True),
+]
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -101,6 +171,17 @@ def test_cli_non_finite_number_exits_2(tmp_path, literal):
     assert proc.returncode == 2
     assert literal in proc.stderr or "noise.eps" in proc.stderr
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("name, command, cfg, key, per_key", CORPUS, ids=[case[0] for case in CORPUS])
+def test_cli_malformed_config_exits_2_naming_key(tmp_path, name, command, cfg, key, per_key):
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    proc = run_cli(command, "--config", str(path), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_cli_unknown_command_fails(tmp_path):

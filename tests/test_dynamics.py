@@ -108,6 +108,21 @@ def test_penalized_step_rejects_nonfinite():
         step_penalized(state, walls, 1e-3, 1e-3, coeffs_zero(1.0), 1e-3)
 
 
+@pytest.mark.parametrize(
+    "delta, eps_pen", [(-1.0, None), (-1e-3, None), (0.0, None), (np.nan, None), (np.inf, None), (1e-3, -1e-3), (1e-3, 0.0)]
+)
+def test_penalized_skeleton_rejects_bad_penalty(delta, eps_pen):
+    # At the parent delta=-1 returned a path reaching 1.89 and delta=-1e-3 one holding inf.
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.2, 0.2)
+    control = Control.from_function(grid, 0.1, 1e-3, lambda x, t: np.full_like(x, 4.0))
+    with pytest.raises(ValueError, match="penalty parameters"):
+        solve_skeleton(
+            np.zeros(grid.n + 1), control, coeffs_zero(2.0), walls, 0.1, 1e-3,
+            mode="penalized", delta=delta, eps_pen=eps_pen,
+        )
+
+
 # ---------------------------------------------------------------- skeleton
 
 

@@ -96,6 +96,15 @@ def test_complementarity_detects_corruption():
     assert lower > 1e-6 * (1.0 + corrupted.total_mass + sol.xi.total_mass)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_local_time_rejects_non_finite_or_negative_density(bad):
+    grid = build_grid(8)
+    density = np.zeros((3, grid.n + 1))
+    density[1, 4] = bad
+    with pytest.raises(ValueError, match="local-time density"):
+        LocalTime(grid, np.linspace(0.0, 0.3, 4), density)
+
+
 def test_complementarity_mesh_mismatch():
     grid = build_grid(8)
     walls = Walls.constant(grid, -1.0, 1.0)
