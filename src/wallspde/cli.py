@@ -182,6 +182,7 @@ def _run_diagnose(cfg, run, out):
         base_seed=run.base_seed,
         dt=run.dt,
         chains=run.chains,
+        options=run.opts,
     )
 
     lines = ["target_id,eps,p_hat,wilson_lo,wilson_hi,eps2_log_p,J_inner,J_outer"]

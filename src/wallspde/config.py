@@ -53,6 +53,11 @@ __all__ = [
 
 COMMANDS = ("simulate", "skeleton", "rate", "quasipotential", "invariant", "diagnose")
 
+# A run stores its path as one (steps + 1, n + 1) float64 array; a horizon
+# whose array would hold more values than this (2**26 values, 512 MiB) is a
+# config error rather than an allocation failure mid-run.
+MAX_PATH_VALUES = 2**26
+
 # The keywords ``_check`` applies; annotations ("$schema", "title") aside, the
 # schema may use no other, so that no rule written there goes unenforced.
 _BOUNDS = {
@@ -241,13 +246,24 @@ def build_target(cfg: dict, grid: Grid) -> np.ndarray:
     return _field_from_spec(_need(cfg, "target"), grid, "target")
 
 
+def _check_path_size(cfg: dict, steps: int, key: str) -> None:
+    n = _get(_need(cfg, "grid"), "grid.n")
+    if (steps + 1) * (n + 1) > MAX_PATH_VALUES:
+        raise ConfigError(
+            f"{key} needs {steps} steps, and a path of that many steps on grid.n = {n} "
+            f"would hold more than {MAX_PATH_VALUES} values"
+        )
+
+
 def build_time(cfg: dict) -> tuple[float, float]:
-    """(horizon, dt); the horizon must be a whole number of steps."""
+    """(horizon, dt); the horizon must be a whole number of steps, and not
+    more than ``MAX_PATH_VALUES`` allows."""
     section = _need(cfg, "time")
     T, dt = _get(section, "time.horizon"), _get(section, "time.dt")
     steps = T / dt
     if not math.isfinite(steps) or round(steps) < 1 or abs(round(steps) * dt - T) > 1e-9 * (1.0 + T):
         raise ConfigError("time.horizon must be a positive multiple of time.dt")
+    _check_path_size(cfg, round(steps), "time.horizon")
     return T, dt
 
 
@@ -308,6 +324,7 @@ def build_optimizer_options(cfg: dict) -> OptimizerOptions:
         steps = horizon / opts.dt
         if not math.isfinite(steps) or round(steps) < 1:
             raise ConfigError(f"optimizer.horizons[{i}] must span a finite number, at least one, of optimizer.dt steps")
+        _check_path_size(cfg, round(steps), f"optimizer.horizons[{i}]")
     return opts
 
 
@@ -342,7 +359,7 @@ def build_run(cfg: dict, command: str) -> SimpleNamespace:
     Always grid, coeffs and walls; T, dt and u0 for simulate, skeleton and
     rate; eps, seed and stream for simulate; control and penalty for skeleton
     and rate; target and opts for quasipotential; plan, seeds, eps and dt for
-    invariant; the ``build_diagnose`` entries for diagnose.
+    invariant; the ``build_diagnose`` entries and opts for diagnose.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command: {command}")
@@ -370,6 +387,7 @@ def build_run(cfg: dict, command: str) -> SimpleNamespace:
         run.plan, run.seeds, run.eps, run.dt = build_plan(cfg, run.coeffs)
     if command == "diagnose":
         vars(run).update(build_diagnose(cfg, grid, run.coeffs, run.walls))
+        run.opts = build_optimizer_options(cfg)
     return run
 
 

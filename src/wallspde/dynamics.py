@@ -17,6 +17,7 @@ trapezoid weights reproduces the white-noise integral.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -188,10 +189,16 @@ def step_penalized(
     if noise_increment is not None:
         kick = eps_noise * coeffs.sigma(grid.nodes, state) * noise_increment / grid.dx
         drive = kick if drive is None else drive + kick
-    prop = Propagator(grid, coeffs.alpha, dt)
+    prop = _cached_propagator(grid, coeffs.alpha, dt)
     one_step = np.array([0.0, dt])
     path, _, _ = _march(prop, coeffs, walls, state, one_step, lambda k, u: drive, (delta, eps_pen))
     return path.final
+
+
+@lru_cache(maxsize=8)
+def _cached_propagator(grid: Grid, alpha: float, dt: float) -> Propagator:
+    """One propagator per (grid, alpha, dt), so repeated single steps build it once."""
+    return Propagator(grid, alpha, dt)
 
 
 def _check_admissible(u0: np.ndarray, walls: Walls) -> np.ndarray:

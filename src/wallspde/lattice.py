@@ -5,8 +5,11 @@ mirrors a ghost node across each boundary, which keeps it self-adjoint for
 the trapezoid inner product and makes the discrete cosine modes exact
 eigenvectors.  The semigroup kernel is assembled from that eigenbasis, so
 kernel composition and row mass are identities up to round-off rather than
-discretization errors.  ``Propagator`` holds the implicit-step inverse and
-the wall restoration that every solver steps with.
+discretization errors.  ``Propagator`` holds the implicit step and the wall
+restoration that every solver steps with.  The step has two paths chosen by
+``grid.n`` alone: below ``DCT_MIN_N`` a dense inverse, whose matvec is the
+cheapest solve on coarse grids; at or above it a DCT-I, a diagonal scale and
+an inverse DCT-I, O(n log n) per step with no (n+1)^2 array.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import dct, idct
 
 __all__ = [
     "Grid",
@@ -29,6 +33,11 @@ __all__ = [
     "cosine_eigensystem",
     "holder_norm",
 ]
+
+# Grids with at least this many intervals take the DCT-I solve.  A single-state
+# solve, dense against DCT, one BLAS thread on a 2-core Xeon: 35 against 47 us
+# at n=384, 92 against 54 us at n=512, 445 against 73 us at n=1024.
+DCT_MIN_N = 512
 
 
 @dataclass(frozen=True)
@@ -177,14 +186,14 @@ def cosine_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     exact eigenvectors of the discrete operator, orthonormal for the
     trapezoid inner product.
     """
-    n = grid.n
-    x = grid.nodes
-    k = np.arange(n + 1)
-    basis = np.cos(np.pi * np.outer(x, k))
-    norms = np.sqrt(grid.weights @ basis**2)
-    basis /= norms
-    lam = -4.0 * np.sin(0.5 * np.pi * k / n) ** 2 / grid.dx**2
-    return lam, basis
+    basis = np.cos(np.pi * np.outer(grid.nodes, np.arange(grid.n + 1)))
+    basis /= np.sqrt(grid.weights @ basis**2)
+    return _cosine_eigenvalues(grid), basis
+
+
+def _cosine_eigenvalues(grid: Grid) -> np.ndarray:
+    k = np.arange(grid.n + 1)
+    return -4.0 * np.sin(0.5 * np.pi * k / grid.n) ** 2 / grid.dx**2
 
 
 def heat_kernel(grid: Grid, alpha: float, t: float) -> np.ndarray:
@@ -208,8 +217,10 @@ def backward_euler_inverse(grid: Grid, alpha: float, dt: float) -> np.ndarray:
     """Dense inverse of (I - dt*A), the implicit-step propagator.
 
     The matrix is a strictly diagonally dominant M-matrix, so the inverse is
-    entrywise nonnegative with row sums 1 / (1 + alpha*dt); a dense inverse
-    at these sizes is cheaper per step than repeated banded solves.
+    entrywise nonnegative with row sums 1 / (1 + alpha*dt).  ``Propagator``
+    steps with it below ``DCT_MIN_N`` intervals, where its matvec is cheaper
+    than a DCT or repeated banded solves; it costs O(n^2) memory and an
+    O(n^3) build, so finer grids take the DCT-I path instead.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -223,13 +234,26 @@ class Propagator:
 
     The obstacle problem, the integrators, the adjoint optimizer and the
     sampler all step with it.  States are shaped (n+1,) or (batch, n+1).
+    Below ``DCT_MIN_N`` intervals the solve multiplies by the dense
+    ``backward_euler_inverse``.  From ``DCT_MIN_N`` on, the mirrored-ghost
+    operator is diagonal in the DCT-I basis, so the solve is a DCT-I, a scale
+    by 1 / (1 + dt*(alpha - lam_k)) and an inverse DCT-I, and only the
+    (n+1,) scale is stored.  The two paths agree to round-off (about 1e-13).
     """
 
     def __init__(self, grid: Grid, alpha: float, dt: float):
         self.grid = grid
         self.alpha = float(alpha)
         self.dt = float(dt)
-        self.matrix = backward_euler_inverse(grid, alpha, dt)
+        if dt <= 0.0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if alpha < 0.0:
+            raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        if grid.n < DCT_MIN_N:
+            self.matrix = backward_euler_inverse(grid, alpha, dt)
+        else:
+            self.matrix = None
+            self._scale = 1.0 / (1.0 + self.dt * (self.alpha - _cosine_eigenvalues(grid)))
 
     @cached_property
     def _matrix_t(self) -> np.ndarray:
@@ -237,6 +261,8 @@ class Propagator:
 
     def solve(self, values: np.ndarray) -> np.ndarray:
         """(I - dt*A)^{-1} applied to a state or to each row of a batch."""
+        if self.matrix is None:
+            return idct(dct(values, type=1, axis=-1) * self._scale, type=1, axis=-1)
         if values.ndim == 1:
             return self.matrix @ values
         # BLAS rounds the product with a node-major copy like an (n+1, batch)
@@ -245,6 +271,10 @@ class Propagator:
 
     def solve_transpose(self, values: np.ndarray) -> np.ndarray:
         """Transposed solve of a single state, for adjoint sweeps."""
+        if self.matrix is None:
+            # A is self-adjoint for the trapezoid weights w, so M^T v = w * M(v / w).
+            w = self.grid.weights
+            return w * self.solve(values / w)
         return self._matrix_t @ values
 
     def step(

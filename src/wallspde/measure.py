@@ -19,6 +19,7 @@ import numpy as np
 
 from wallspde.dynamics import CoefficientSpec
 from wallspde.lattice import Grid, Propagator, Walls, holder_norm
+from wallspde.rate import OptimizerOptions, quasipotential_J
 
 # Steps of noise drawn per chain at a time, so memory does not grow with the horizon.
 _NOISE_CHUNK = 256
@@ -202,14 +203,15 @@ def ldp_scaling_curve(
     base_seed: int = 200,
     dt: float = 1e-3,
     chains: int = 16,
+    options: OptimizerOptions | None = None,
 ) -> LdpDiagnostics:
     """Bracket-and-trend diagnostics for the small-noise scaling of ball masses.
 
     ``targets`` is a list of (z_star, delta) pairs and ``catalog`` maps a
     target index to (j_inner, j_star, j_outer), the minimum-action values at
     the near edge, centre, and far edge of the ball (computed on demand when
-    absent).  For each noise level the table records the Wilson-adjusted
-    scaling estimate and whether it sits inside
+    absent, with optimizer ``options``).  For each noise level the table
+    records the Wilson-adjusted scaling estimate and whether it sits inside
     [-j_outer - slack, -j_inner + slack], with slack the rate's local modulus
     over the ball.  Zero-count targets are flagged unresolved, never
     extrapolated.
@@ -218,13 +220,11 @@ def ldp_scaling_curve(
         raise ValueError("eps schedule must be strictly decreasing")
     if catalog is None:
         catalog = {}
-        from wallspde.rate import quasipotential_J
-
         for idx, (z_star, delta) in enumerate(targets):
             z_star = np.asarray(z_star, dtype=float)
-            j_in = quasipotential_J(np.clip(z_star - delta, walls.k1, walls.k2), coeffs, walls).value
-            j_st = quasipotential_J(z_star, coeffs, walls).value
-            j_out = quasipotential_J(np.clip(z_star + delta, walls.k1, walls.k2), coeffs, walls).value
+            j_in = quasipotential_J(np.clip(z_star - delta, walls.k1, walls.k2), coeffs, walls, options).value
+            j_st = quasipotential_J(z_star, coeffs, walls, options).value
+            j_out = quasipotential_J(np.clip(z_star + delta, walls.k1, walls.k2), coeffs, walls, options).value
             catalog[idx] = (min(j_in, j_out, j_st), j_st, max(j_in, j_out, j_st))
 
     if isinstance(plans, SamplingPlan):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wallspde.config import ConfigError, config_hash, schema_path, validate_config
+from wallspde.config import ConfigError, MAX_PATH_VALUES, build_run, config_hash, schema_path, validate_config
+from wallspde.rate import quasipotential_J
 
 
 def run_cli(*argv):
@@ -76,6 +77,9 @@ CORPUS = [
     ("horizons_zero", "quasipotential", qp_cfg(horizons=[0]), "optimizer.horizons", True),
     ("horizons_negative", "quasipotential", qp_cfg(horizons=[-1]), "optimizer.horizons", True),
     ("horizons_empty", "quasipotential", qp_cfg(horizons=[]), "optimizer.horizons", True),
+    # Finite step counts whose (steps + 1, n + 1) path exceeds config.MAX_PATH_VALUES.
+    ("horizons_too_long", "quasipotential", qp_cfg(horizons=[1.0, 1e12]), "optimizer.horizons[1]", False),
+    ("horizon_too_long", "simulate", base_cfg(time={"dt": 1e-3, "horizon": 1e12}, **SIM), "time.horizon", False),
     ("penalty_mode", "skeleton", base_cfg(penalty={"mode": "bogus"}, **SKEL), "penalty.mode", True),
     ("penalty_delta", "skeleton", base_cfg(penalty={"mode": "penalized", "delta": -1}, **SKEL), "penalty.delta", True),
     ("penalty_number", "skeleton", base_cfg(penalty=3, **SKEL), "penalty", True),
@@ -273,6 +277,28 @@ def test_diagnose_command_writes_table(tmp_path):
     record = json.loads((out / "diagnostics.json").read_text())
     assert len(record["rows"]) == 2
     assert record["tightness"] is not None
+
+
+def test_diagnose_catalog_uses_the_optimizer_section(tmp_path):
+    cfg = diagnose_cfg(counts=[10, 10])
+    cfg["optimizer"] = {"horizons": [0.5], "dt": 0.05, "maxiter": 3}
+    out = tmp_path / "out"
+    proc = run_cli("diagnose", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out), "--deterministic")
+    assert proc.returncode == 0, proc.stderr
+    j_star = json.loads((out / "diagnostics.json").read_text())["j_values"]["0"][1]
+    run = build_run(cfg, "diagnose")
+    assert run.opts.horizons == (0.5,) and run.opts.maxiter == 3
+    assert j_star == pytest.approx(quasipotential_J(run.targets[0][0], run.coeffs, run.walls, run.opts).value, rel=1e-9)
+
+
+def test_path_cap_admits_the_largest_path():
+    rows = MAX_PATH_VALUES // 1024  # (steps + 1) * (n + 1) with n = 1023
+    cfg = base_cfg(grid={"n": 1023}, control={"kind": "zero"})
+    cfg["time"] = {"dt": 1.0, "horizon": float(rows - 1)}
+    validate_config(cfg, "skeleton")
+    cfg["time"]["horizon"] = float(rows)
+    with pytest.raises(ConfigError, match="time.horizon"):
+        validate_config(cfg, "skeleton")
 
 
 def test_config_echo_round_trips(tmp_path):

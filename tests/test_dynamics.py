@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import wallspde.dynamics as dynamics
+import wallspde.lattice as lattice
 from conftest import coeffs_linear, coeffs_sin, coeffs_zero
 from wallspde.dynamics import (
     Control,
@@ -70,6 +72,28 @@ def test_penalized_step_inactive_inside_band():
     prop = backward_euler_inverse(grid, coeffs.alpha, dt)
     free = prop @ (state + dt * coeffs.f(grid.nodes, state))
     assert np.max(np.abs(stepped - free)) <= 1e-14
+
+
+def test_penalized_steps_build_the_propagator_once(monkeypatch):
+    builds = []
+    inverse = lattice.backward_euler_inverse
+
+    def counting_inverse(*args):
+        builds.append(args)
+        return inverse(*args)
+
+    monkeypatch.setattr(lattice, "backward_euler_inverse", counting_inverse)
+    dynamics._cached_propagator.cache_clear()
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -1.0, 1.0)
+    coeffs = coeffs_sin(2.0, 0.5)
+    state = 0.4 * np.cos(np.pi * grid.nodes)
+    first = step_penalized(state, walls, 1e-3, 1e-3, coeffs, 1e-3)
+    second = step_penalized(first, walls, 1e-3, 1e-3, coeffs, 1e-3)
+    assert len(builds) == 1
+    assert np.array_equal(second, step_penalized(first, walls, 1e-3, 1e-3, coeffs, 1e-3))
+    step_penalized(state, walls, 1e-3, 1e-3, coeffs, 2e-3)
+    assert len(builds) == 2
 
 
 def test_penalized_step_pulls_toward_lower_wall():

@@ -26,8 +26,8 @@ def test_zero_forcing_gives_zero_solution():
     assert sol.xi.total_mass == 0.0
 
 
-def test_matches_scalar_skorokhod_oracle():
-    grid = build_grid(32)
+def skorokhod_oracle_error(n):
+    grid = build_grid(n)
     walls = Walls.constant(grid, -1.0, 1.0)
     dt = 1e-3
     times = np.linspace(0.0, 2.0, 2001)
@@ -37,8 +37,16 @@ def test_matches_scalar_skorokhod_oracle():
     sol = solve_obstacle(v, walls, alpha=0.0, dt=dt)
     reflected = scalar_two_sided_reflection(phi, -1.0, 1.0)
     u = sol.z.values + v.values
-    err = np.max(np.abs(u - reflected[:, None]))
-    assert err <= 5e-3
+    return np.max(np.abs(u - reflected[:, None]))
+
+
+def test_matches_scalar_skorokhod_oracle():
+    assert skorokhod_oracle_error(32) <= 5e-3
+
+
+def test_spectral_path_matches_scalar_skorokhod_oracle():
+    # n = 1024 is above lattice.DCT_MIN_N, so every step takes the DCT-I solve.
+    assert skorokhod_oracle_error(1024) <= 5e-3
 
 
 def test_contraction_in_forcing():

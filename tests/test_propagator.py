@@ -1,13 +1,15 @@
 """Property tests of the implicit-step-and-restore kernel over random walls,
 bands and forcings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wallspde.lattice import Propagator, build_grid, neumann_operator
+from wallspde.lattice import DCT_MIN_N, Propagator, build_grid, neumann_operator
 
 finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -103,3 +105,52 @@ def test_transposed_solve_is_the_adjoint():
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=(2, grid.n + 1))
     assert float(a @ prop.solve(b)) == pytest.approx(float(prop.solve_transpose(a) @ b), rel=1e-12)
+
+
+def relative_error(got, expected):
+    return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_spectral_path_matches_reference_solve(n):
+    assert n >= DCT_MIN_N
+    grid = build_grid(n)
+    prop = Propagator(grid, 2.0, 1.0 / n)
+    assert prop.matrix is None
+    system = np.eye(n + 1) - prop.dt * neumann_operator(grid, prop.alpha).dense()
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=(2, n + 1))
+    batch = rng.normal(size=(5, n + 1))
+    assert relative_error(prop.solve(a), np.linalg.solve(system, a)) <= 1e-12
+    assert relative_error(prop.solve(batch), np.linalg.solve(system, batch.T).T) <= 1e-12
+    assert relative_error(prop.solve_transpose(a), np.linalg.solve(system.T, a)) <= 1e-12
+    assert float(a @ prop.solve(b)) == pytest.approx(float(prop.solve_transpose(a) @ b), rel=1e-12)
+
+    # A forcing that crosses both walls, so clip and penalty both act.
+    lo = -0.5 + 0.1 * np.cos(2.0 * np.pi * grid.nodes)
+    hi = 0.5 + 0.05 * grid.nodes
+    rhs = 0.8 * np.cos(np.pi * grid.nodes) + 0.3 * batch
+    y = np.linalg.solve(system, rhs.T).T
+    r1, r2 = prop.dt / 1e-3, prop.dt / 2e-3
+    penalized = np.where(y < lo, (y + r1 * lo) / (1 + r1), y)
+    penalized = np.where(y > hi, (y + r2 * hi) / (1 + r2), penalized)
+    for penalty, expected in ((None, np.clip(y, lo, hi)), ((1e-3, 2e-3), penalized)):
+        new, active = prop.step(rhs, lo, hi, penalty=penalty)
+        assert np.any(new == lo) or np.any(active)
+        assert relative_error(new, expected) <= 1e-12
+        for row, stepped in zip(rhs, new):
+            single, _ = prop.step(row, lo, hi, penalty=penalty)
+            assert np.array_equal(single, stepped)
+
+
+def test_spectral_path_stores_no_matrix():
+    # The dense path allocates the 2049 x 2049 inverse here, 34 MB.
+    tracemalloc.start()
+    try:
+        grid = build_grid(2048)
+        prop = Propagator(grid, 2.0, 1.0 / 2048)
+        prop.step(np.cos(np.pi * grid.nodes), np.full(grid.n + 1, -0.5), np.full(grid.n + 1, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
