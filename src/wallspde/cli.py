@@ -153,6 +153,12 @@ def _run_quasipotential(cfg, run, out):
     }
     write_json_record(record, out / "quasipotential.json")
     write_field_snapshot(result.path, out / "path.bin")
+    if not result.converged:
+        print(
+            f"quasipotential not converged: horizon {result.horizon:g} reached with terminal gap "
+            f"{result.terminal_gap:.3e} > optimizer.terminal_tol {run.opts.terminal_tol:g}",
+            file=sys.stderr,
+        )
     return (0 if result.converged else 3), ["quasipotential.json", "path.bin"]
 
 

@@ -288,26 +288,27 @@ class Propagator:
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Solve for ``rhs``, then restore the band [lo, hi] given as (n+1,) profiles.
 
-        Without ``penalty`` the free value is clipped onto the band.  With
+        Without ``penalty`` the free value is clipped onto the band by the
+        max/min ufuncs (np.clip's bits and NaN, less overhead).  With
         ``penalty = (delta, eps_pen)`` the stiff terms (u - lo)^- / delta and
-        (u - hi)^+ / eps_pen are integrated implicitly per node, in closed
-        form.  ``forces = (lower, upper)`` receive the restoring correction
-        over dt, split into its two nonnegative parts.  Returns the new state
-        and, in penalty mode, the mask of nodes where the penalty acted.
+        (u - hi)^+ / eps_pen are integrated implicitly per node in closed form,
+        written only where a wall is crossed.  ``forces = (lower, upper)``
+        receive the restoring correction over dt, split into its two
+        nonnegative parts.  Returns the new state and, in penalty mode, the
+        mask of nodes where the penalty acted.
         """
         y = self.solve(rhs)
         if penalty is None:
-            out, active = np.clip(y, lo, hi, out=out), None
+            out, active = np.minimum(np.maximum(y, lo, out=out), hi, out=out), None
         else:
-            if lo.shape != y.shape:
-                lo, hi = np.broadcast_to(lo, y.shape), np.broadcast_to(hi, y.shape)
             r1, r2 = self.dt / penalty[0], self.dt / penalty[1]
             out = np.empty_like(y) if out is None else out
             out[...] = y
             below, above = y < lo, y > hi
-            out[below] = (y[below] + r1 * lo[below]) / (1.0 + r1)
-            out[above] = (y[above] + r2 * hi[above]) / (1.0 + r2)
             active = below | above
+            if active.any():
+                np.copyto(out, (y + r1 * lo) / (1.0 + r1), where=below)
+                np.copyto(out, (y + r2 * hi) / (1.0 + r2), where=above)
         if forces is not None:
             corr = (out - y) / self.dt
             np.maximum(corr, 0.0, out=forces[0])

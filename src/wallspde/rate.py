@@ -14,7 +14,9 @@ penalty driven through a continuation schedule, gradients from the discrete
 adjoint of the penalized forward scheme, and an outer horizon-doubling
 search warm-started by shifting the incumbent control behind a waiting
 period (which never changes its action, so the best value is monotone in
-the horizon).
+the horizon).  The forward pass tapes sigma along the path and the reverse
+sweep evaluates df_du and dsigma_du once on the stored states, so each
+gradient costs one coefficient call per derivative rather than one per step.
 """
 
 from __future__ import annotations
@@ -205,7 +207,11 @@ class _ActionProblem:
 
     Forward map is the penalized semi-implicit scheme, smooth in the control
     except on the measure-zero kink set of the clip surrogate, so quasi-Newton
-    steps see exact gradients wherever the walls are inactive.
+    steps see exact gradients wherever the walls are inactive.  ``forward``
+    returns the states, the penalty slopes and the sigma rows it used;
+    ``value_and_grad`` evaluates the coefficient derivatives once on the
+    stored states, so its reverse loop is only a transposed solve and a scale
+    per step.
     """
 
     def __init__(self, coeffs, walls, dt, steps, target, delta, free_start=False):
@@ -233,21 +239,23 @@ class _ActionProblem:
         dt = self.dt
         penalty = (self.delta, self.delta)
         states = np.empty((self.steps + 1, self.n1))
+        sig = np.empty((self.steps, self.n1))
         active = np.empty((self.steps, self.n1), dtype=bool)
         states[0] = u0
         for k in range(self.steps):
             u = states[k]
-            a = u + dt * self.coeffs.f(x, u) + dt * self.coeffs.sigma(x, u) * h[k]
+            sig[k] = self.coeffs.sigma(x, u)
+            a = u + dt * self.coeffs.f(x, u) + dt * sig[k] * h[k]
             _, active[k] = self.prop.step(
                 a, self.walls.k1, self.walls.k2, penalty=penalty, out=states[k + 1]
             )
         slopes = np.where(active, 1.0 / (1.0 + dt / self.delta), 1.0)
-        return states, slopes
+        return states, slopes, sig
 
     def value_and_grad(self, z):
         u0, h = self.split(z)
-        states, slopes = self.forward(u0, h)
-        x = self.grid.nodes
+        states, slopes, sig = self.forward(u0, h)
+        x, u = self.grid.nodes, states[:-1]
         w, dt = self.weights, self.dt
 
         miss = states[-1] - self.target
@@ -255,26 +263,17 @@ class _ActionProblem:
         if self.free_start:
             value += self.w_init * float(np.sum(w * u0**2))
 
+        factor = 1.0 + dt * self.coeffs.df_du(x, u) + dt * self.coeffs.dsigma_du(x, u) * h
         lam = 2.0 * self.w_pen * w * miss
-        grad_h = np.empty_like(h)
+        q = np.empty_like(h)
         for k in range(self.steps - 1, -1, -1):
-            u = states[k]
-            q = self.prop.solve_transpose(slopes[k] * lam)
-            grad_h[k] = dt * w * h[k] + dt * self.coeffs.sigma(x, u) * q
-            lam = q * (
-                1.0
-                + dt * self.coeffs.df_du(x, u)
-                + dt * self.coeffs.dsigma_du(x, u) * h[k]
-            )
+            q[k] = self.prop.solve_transpose(slopes[k] * lam)
+            lam = q[k] * factor[k]
+        grad_h = dt * w * h + dt * sig * q
         if self.free_start:
             grad0 = lam + 2.0 * self.w_init * w * u0
             return value, np.concatenate([grad0, grad_h.ravel()])
         return value, grad_h.ravel()
-
-    def terminal_gap(self, z):
-        u0, h = self.split(z)
-        states, _ = self.forward(u0, h)
-        return float(np.max(np.abs(states[-1] - self.target)))
 
 
 def _continuation(problem, z0, opts):
@@ -316,8 +315,11 @@ def quasipotential_J(
     """Minimal action to move the reflected flow from rest at 0 to z.
 
     Outer loop doubles the horizon, warm-starting each stage from the
-    incumbent control shifted behind a waiting period, and stops once the
-    value improves by less than ``improvement_tol`` relatively.  Convergence
+    incumbent control shifted behind a waiting period, and stops once a
+    converged stage improves on the previous converged one by less than
+    ``improvement_tol`` relatively.  A stage converges when its terminal gap
+    is within ``terminal_tol``; the lowest converged value wins, and a stage
+    that missed the target wins only when none converged.  Convergence
     trouble is reported in the flag, never raised.
     """
     _require_derivatives(coeffs)
@@ -368,14 +370,17 @@ def quasipotential_J(
             gradient_norm=grad_norm,
             terminal_gap=gap,
         )
-        if best is None or value <= best.value + 1e-12:
+        if best is None or candidate.converged > best.converged or (
+            candidate.converged == best.converged and value <= best.value + 1e-12
+        ):
             best = candidate
         prev_rows = rows
-        if prev_value < math.inf:
-            improvement = (prev_value - value) / max(abs(prev_value), 1e-30)
-            if improvement < opts.improvement_tol:
-                break
-        prev_value = value
+        if candidate.converged:
+            if prev_value < math.inf:
+                improvement = (prev_value - value) / max(abs(prev_value), 1e-30)
+                if improvement < opts.improvement_tol:
+                    break
+            prev_value = value
     return best
 
 

@@ -234,6 +234,27 @@ def test_quasipotential_command_hits_benchmark(tmp_path):
     assert manifest["command"] == "quasipotential"
 
 
+def test_quasipotential_exit_3_says_why(tmp_path):
+    cfg = {
+        "grid": {"n": 16},
+        "coefficients": {"alpha": 1.0, "f": "zero", "sigma": "one"},
+        "walls": {"kind": "constant", "k1": -10.0, "k2": 10.0},
+        "target": {"kind": "constant", "value": 0.3},
+        "optimizer": {"horizons": [0.5], "dt": 0.05, "maxiter": 1},
+    }
+    out = tmp_path / "out"
+    proc = run_cli("quasipotential", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out), "--deterministic")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    record = json.loads((out / "quasipotential.json").read_text())
+    assert not record["converged"]
+    assert "not converged" in proc.stderr
+    assert "horizon 0.5" in proc.stderr
+    assert f"terminal gap {record['terminal_gap']:.3e}" in proc.stderr
+    assert "optimizer.terminal_tol 0.005" in proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "path.bin", "quasipotential.json"]
+
+
 def test_invariant_command_writes_summary(tmp_path):
     cfg = {
         "grid": {"n": 16},
@@ -319,3 +340,12 @@ def test_selftest_command(tmp_path):
     record = json.loads((out / "selftest.json").read_text())
     assert record["passed"]
     assert "PASS" in proc.stdout
+
+
+def test_python_dash_m_wallspde_runs_the_cli(tmp_path):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "wallspde", "selftest", "--out", str(out)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "selftest.json").read_text())["passed"]

@@ -38,6 +38,23 @@ def step_with_forces(prop, rhs, lo, hi, penalty):
     return new, active, lower, upper
 
 
+def penalty_ratios(prop, penalty):
+    return None if penalty is None else (prop.dt / penalty[0], prop.dt / penalty[1])
+
+
+def restored_reference(y, lo, hi, ratios):
+    """Clip onto [lo, hi], or the closed-form penalty step with ratios dt/delta."""
+    if ratios is None:
+        return np.clip(y, lo, hi)
+    r1, r2 = ratios
+    expected = np.where(y < lo, (y + r1 * lo) / (1 + r1), y)
+    return np.where(y > hi, (y + r2 * hi) / (1 + r2), expected)
+
+
+def both_modes(penalty):
+    return (None, penalty or (1e-3, 2e-3))
+
+
 @settings(max_examples=150, deadline=None)
 @given(step_cases())
 def test_step_restores_band_with_one_signed_forces(case):
@@ -69,13 +86,38 @@ def test_step_matches_reference_solve(case):
     system = np.eye(grid.n + 1) - prop.dt * neumann_operator(grid, prop.alpha).dense()
     y = np.linalg.solve(system, np.atleast_2d(rhs).T).T.reshape(rhs.shape)
     new, active = prop.step(rhs, lo, hi, penalty=penalty)
-    if penalty is None:
-        expected = np.clip(y, lo, hi)
-    else:
-        r1, r2 = prop.dt / penalty[0], prop.dt / penalty[1]
-        expected = np.where(y < lo, (y + r1 * lo) / (1 + r1), y)
-        expected = np.where(y > hi, (y + r2 * hi) / (1 + r2), expected)
+    expected = restored_reference(y, lo, hi, penalty_ratios(prop, penalty))
     assert np.max(np.abs(new - expected)) <= 1e-10 * (1.0 + np.max(np.abs(rhs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_cases())
+def test_step_restores_prop_solve_exactly(case):
+    prop, lo, hi, rhs, _, penalty = case
+    y = prop.solve(rhs)
+    for mode in both_modes(penalty):
+        expected = restored_reference(y, lo, hi, penalty_ratios(prop, mode))
+        buffer = np.empty_like(rhs)
+        for out in (None, buffer):
+            new, active = prop.step(rhs, lo, hi, penalty=mode, out=out)
+            assert np.array_equal(new, expected)
+            if mode is not None:
+                assert np.array_equal(active, (y < lo) | (y > hi))
+        assert np.array_equal(buffer, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_cases(), st.data())
+def test_nan_forcing_never_yields_a_finite_state(case, data):
+    prop, lo, hi, rhs, _, penalty = case
+    spot = data.draw(st.tuples(*(st.integers(0, size - 1) for size in rhs.shape)))
+    rhs = rhs.copy()
+    rhs[spot] = np.nan
+    for mode in both_modes(penalty):
+        new, _ = prop.step(rhs, lo, hi, penalty=mode)
+        # The solve spreads the NaN over its row; no restore may turn it in-band.
+        row = new if new.ndim == 1 else new[spot[0]]
+        assert not np.isfinite(row).any()
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import coeffs_linear, coeffs_sin, coeffs_sin_statesigma, coeffs_zero
 from oracles import discrete_lq_min_action, ou_mode_quasipotential
+import wallspde.rate as rate_module
 from wallspde.dynamics import Control, solve_deterministic, solve_skeleton
 from wallspde.lattice import SpaceTimeField, Walls, build_grid
 from wallspde.rate import (
@@ -187,6 +188,92 @@ def test_adjoint_gradient_matches_finite_differences():
         assert abs(fd - an) / max(abs(fd), 1e-12) <= 1e-4
 
 
+def test_free_start_gradient_matches_finite_differences():
+    # The u0 block of the gradient is the adjoint state lam after the whole sweep.
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -10.0, 10.0)
+    coeffs = coeffs_sin_statesigma(1.0, 0.5, amp=0.3)
+    steps = 20
+    problem = _ActionProblem(
+        coeffs, walls, 0.02, steps, 0.3 * np.ones(grid.n + 1), 1e-4, free_start=True
+    )
+    problem.w_pen, problem.w_init = 1e3, 10.0
+    rng = np.random.default_rng(19)
+    z = 0.5 * rng.normal(size=(steps + 1) * (grid.n + 1))
+    value, grad = problem.value_and_grad(z)
+    for block in (slice(0, grid.n + 1), slice(None)):
+        for _ in range(3):
+            d = np.zeros(z.size)
+            d[block] = rng.normal(size=d[block].size)
+            d /= np.linalg.norm(d)
+            h = 1e-6
+            vp = problem.value_and_grad(z + h * d)[0]
+            vm = problem.value_and_grad(z - h * d)[0]
+            fd = (vp - vm) / (2.0 * h)
+            an = float(grad @ d)
+            assert abs(fd - an) / max(abs(fd), 1e-12) <= 1e-4
+
+
+def per_step_value_and_grad(problem, z):
+    """The adjoint written as one loop that calls every coefficient at every
+    step, with the penalty restore spelled out on ``prop.solve``."""
+    u0, h = problem.split(z)
+    coeffs, x, dt, w = problem.coeffs, problem.grid.nodes, problem.dt, problem.weights
+    lo, hi, r = problem.walls.k1, problem.walls.k2, problem.dt / problem.delta
+    states = np.empty((problem.steps + 1, problem.n1))
+    slopes = np.ones((problem.steps, problem.n1))
+    states[0] = u0
+    for k in range(problem.steps):
+        u = states[k]
+        y = problem.prop.solve(u + dt * coeffs.f(x, u) + dt * coeffs.sigma(x, u) * h[k])
+        below, above = y < lo, y > hi
+        restored = np.where(below, (y + r * lo) / (1.0 + r), y)
+        states[k + 1] = np.where(above, (y + r * hi) / (1.0 + r), restored)
+        slopes[k][below | above] = 1.0 / (1.0 + r)
+
+    miss = states[-1] - problem.target
+    value = 0.5 * dt * float(np.sum(w * h**2)) + problem.w_pen * float(np.sum(w * miss**2))
+    if problem.free_start:
+        value += problem.w_init * float(np.sum(w * u0**2))
+    lam = 2.0 * problem.w_pen * w * miss
+    grad_h = np.empty_like(h)
+    for k in range(problem.steps - 1, -1, -1):
+        u = states[k]
+        q = problem.prop.solve_transpose(slopes[k] * lam)
+        grad_h[k] = dt * w * h[k] + dt * coeffs.sigma(x, u) * q
+        lam = q * (1.0 + dt * coeffs.df_du(x, u) + dt * coeffs.dsigma_du(x, u) * h[k])
+    grad = grad_h.ravel()
+    if problem.free_start:
+        grad = np.concatenate([lam + 2.0 * problem.w_init * w * u0, grad])
+    return value, grad, slopes
+
+
+@pytest.mark.parametrize("free_start", [False, True])
+@pytest.mark.parametrize(
+    "coeffs, k1, k2",
+    [(coeffs_zero(1.0), -10.0, 10.0), (coeffs_sin_statesigma(2.0, 0.5, amp=0.3), -0.2, 0.25)],
+    ids=["wide_walls_zero_one", "binding_walls_sinusoidal_state_modulated"],
+)
+def test_adjoint_matches_the_per_step_loop_bit_for_bit(coeffs, k1, k2, free_start):
+    grid = build_grid(16)
+    walls = Walls.constant(grid, k1, k2)
+    steps = 30
+    problem = _ActionProblem(
+        coeffs, walls, 0.02, steps, 0.2 * np.cos(np.pi * grid.nodes), 1e-4, free_start=free_start
+    )
+    problem.w_pen, problem.w_init = 1e4, 10.0 if free_start else 0.0
+    rng = np.random.default_rng(29)
+    push = np.tile(8.0 * np.cos(np.pi * grid.nodes), steps + free_start)
+    for _ in range(3):
+        z = push + 3.0 * rng.normal(size=push.size)
+        value, grad = problem.value_and_grad(z)
+        expected_value, expected_grad, slopes = per_step_value_and_grad(problem, z)
+        assert value == expected_value
+        assert np.array_equal(grad, expected_grad)
+        # The push crosses the binding walls, so penalty slopes enter the sweep.
+        assert np.any(slopes < 1.0) == (k2 < 1.0)
+
+
 # ------------------------------------------------------------ quasipotential
 
 
@@ -242,6 +329,48 @@ def test_quasipotential_monotone_in_horizon():
         values.append(quasipotential_J(target, coeffs, walls, opts).value)
     assert values[0] >= values[1] - 1e-8
     assert values[1] >= values[2] - 1e-8
+
+
+def score_with_misses(monkeypatch, missed_horizons):
+    """Make the stages at ``missed_horizons`` miss the target with a halved
+    control, so they report a lower value than they earned; log every stage."""
+    real = rate_module._score_on_projected
+    stages = []
+
+    def score(hdot_rows, times, *args):
+        traj, rec, gap = real(hdot_rows, times, *args)
+        if times[-1] in missed_horizons:
+            rec = dataclasses.replace(rec, hdot=Control(rec.hdot.grid, rec.hdot.times, 0.5 * rec.hdot.values))
+            gap = 10.0 * FAST_OPTS.terminal_tol
+        stages.append((times[-1], rec.action, gap))
+        return traj, rec, gap
+
+    monkeypatch.setattr(rate_module, "_score_on_projected", score)
+    return stages
+
+
+def test_quasipotential_prefers_converged_stages(monkeypatch):
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -10.0, 10.0)
+    stages = score_with_misses(monkeypatch, {2.0})
+    res = quasipotential_J(np.full(grid.n + 1, 0.3), coeffs_zero(1.0), walls, FAST_OPTS)
+    values = {horizon: value for horizon, value, _ in stages}
+    assert values[2.0] < min(v for h, v in values.items() if h != 2.0)
+    assert res.converged
+    assert res.horizon != 2.0
+    assert res.terminal_gap <= FAST_OPTS.terminal_tol
+    assert res.value == min(v for h, v in values.items() if h != 2.0)
+
+
+def test_quasipotential_without_a_converged_stage_takes_the_lowest(monkeypatch):
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -10.0, 10.0)
+    stages = score_with_misses(monkeypatch, set(FAST_OPTS.horizons))
+    res = quasipotential_J(np.full(grid.n + 1, 0.3), coeffs_zero(1.0), walls, FAST_OPTS)
+    # No converged stage, so no stop test: every horizon runs.
+    assert [horizon for horizon, _, _ in stages] == list(FAST_OPTS.horizons)
+    assert not res.converged
+    assert res.value == min(value for _, value, _ in stages)
 
 
 def test_infinite_horizon_parametrization_agrees():
