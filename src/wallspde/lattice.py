@@ -292,7 +292,8 @@ class Propagator:
         max/min ufuncs (np.clip's bits and NaN, less overhead).  With
         ``penalty = (delta, eps_pen)`` the stiff terms (u - lo)^- / delta and
         (u - hi)^+ / eps_pen are integrated implicitly per node in closed form,
-        written only where a wall is crossed.  ``forces = (lower, upper)``
+        written only where a wall is crossed; each wall's closed form is
+        computed only when some node crosses it.  ``forces = (lower, upper)``
         receive the restoring correction over dt, split into its two
         nonnegative parts.  Returns the new state and, in penalty mode, the
         mask of nodes where the penalty acted.
@@ -305,10 +306,11 @@ class Propagator:
             out = np.empty_like(y) if out is None else out
             out[...] = y
             below, above = y < lo, y > hi
-            active = below | above
-            if active.any():
+            if np.count_nonzero(below):
                 np.copyto(out, (y + r1 * lo) / (1.0 + r1), where=below)
+            if np.count_nonzero(above):
                 np.copyto(out, (y + r2 * hi) / (1.0 + r2), where=above)
+            active = below | above
         if forces is not None:
             corr = (out - y) / self.dt
             np.maximum(corr, 0.0, out=forces[0])

@@ -9,12 +9,13 @@ much of the residual as admissible into the one-signed force and the rest
 into the control.
 
 The quasipotential minimises the control action over a horizon subject to
-hitting a target, with the terminal constraint relaxed into a quadratic
-penalty driven through a continuation schedule, gradients from the discrete
-adjoint of the penalized forward scheme, and an outer horizon-doubling
-search warm-started by shifting the incumbent control behind a waiting
-period (which never changes its action, so the best value is monotone in
-the horizon).  The forward pass tapes sigma along the path and the reverse
+hitting a target, with the terminal constraint enforced by the method of
+multipliers (an augmented Lagrangian at one penalty weight whose multiplier
+is updated between L-BFGS rounds), gradients from the discrete adjoint of
+the penalized forward scheme, and an outer horizon-doubling search
+warm-started by shifting the incumbent control behind a waiting period
+(which never changes its action, so the best value is monotone in the
+horizon).  The forward pass tapes sigma along the path and the reverse
 sweep evaluates df_du and dsigma_du once on the stored states, so each
 gradient costs one coefficient call per derivative rather than one per step.
 """
@@ -45,6 +46,18 @@ __all__ = [
     "stability_bound_check",
     "level_set_distance",
 ]
+
+
+# Method of multipliers (see _multipliers).  A weight of 1e3 keeps each
+# L-BFGS round well conditioned; the stop gap, terminal_tol/50, is what an
+# inner solve capped by maxiter still reaches.  In the free-start
+# parametrization round k anchors u0 with initial_weight * _ANCHOR_RAMP[k]
+# (the last entry from then on): a full anchor from the first round makes
+# that round ill conditioned.
+_PENALTY_WEIGHT = 1e3
+_GAP_FRACTION = 0.02
+_MAX_ROUNDS = 10
+_ANCHOR_RAMP = (1e-4, 1e-2, 1.0)
 
 
 def contact_tolerance(walls: Walls) -> float:
@@ -82,7 +95,6 @@ class QuasipotentialResult:
 class OptimizerOptions:
     horizons: tuple = (1.0, 2.0, 4.0, 8.0)
     dt: float = 0.02
-    penalty_weights: tuple = (1e2, 1e4, 1e6)
     delta: float = 1e-4
     maxiter: int = 500
     terminal_tol: float = 5e-3
@@ -90,10 +102,15 @@ class OptimizerOptions:
     initial_weight: float = 1e4  # anchor toward 0 in the free-start parametrization
 
 
-def _require_derivatives(coeffs: CoefficientSpec) -> None:
+def _checked_target(z, coeffs: CoefficientSpec, walls: Walls) -> np.ndarray:
+    """The optimizers' shared input checks; returns z as a float array."""
     for name in ("df_du", "dsigma_du"):
         if getattr(coeffs, name) is None:
             raise ValueError(f"the adjoint gradient needs coeffs.{name}, which is not set")
+    target = np.asarray(z, dtype=float)
+    if not walls.contains(target, tol=1e-12):
+        raise ValueError("target must lie between the walls")
+    return target
 
 
 def _admissible(v: SpaceTimeField, walls: Walls, tol: float = 1e-9) -> bool:
@@ -203,7 +220,9 @@ def glue_path(u0_flow: Trajectory, tail: Trajectory) -> SpaceTimeField:
 
 
 class _ActionProblem:
-    """Discrete action + quadratic terminal penalty with adjoint gradients.
+    """Discrete action + augmented Lagrangian of the terminal constraint,
+    w_pen*|miss|^2 + <mu, miss> in the trapezoid weights, with adjoint
+    gradients; the multiplier row ``mu`` only shifts the adjoint's start.
 
     Forward map is the penalized semi-implicit scheme, smooth in the control
     except on the measure-zero kink set of the clip surrogate, so quasi-Newton
@@ -228,6 +247,7 @@ class _ActionProblem:
         self.n1 = self.grid.n + 1
         self.w_pen = 0.0
         self.w_init = 0.0
+        self.mu = np.zeros(self.n1)
 
     def split(self, z):
         if self.free_start:
@@ -260,11 +280,12 @@ class _ActionProblem:
 
         miss = states[-1] - self.target
         value = 0.5 * dt * float(np.sum(w * h**2)) + self.w_pen * float(np.sum(w * miss**2))
+        value += float(np.sum(w * self.mu * miss))
         if self.free_start:
             value += self.w_init * float(np.sum(w * u0**2))
 
         factor = 1.0 + dt * self.coeffs.df_du(x, u) + dt * self.coeffs.dsigma_du(x, u) * h
-        lam = 2.0 * self.w_pen * w * miss
+        lam = 2.0 * self.w_pen * w * miss + w * self.mu
         q = np.empty_like(h)
         for k in range(self.steps - 1, -1, -1):
             q[k] = self.prop.solve_transpose(slopes[k] * lam)
@@ -276,22 +297,27 @@ class _ActionProblem:
         return value, grad_h.ravel()
 
 
-def _continuation(problem, z0, opts):
+def _multipliers(problem, z0, opts):
+    """Method of multipliers for the terminal constraint (Hestenes 1969; Powell
+    1969): L-BFGS on the augmented Lagrangian at the one weight
+    ``_PENALTY_WEIGHT``, then mu += 2*w_pen*miss, until the penalized path ends
+    within ``_GAP_FRACTION * terminal_tol`` of the target with the anchor at
+    full weight, or ``_MAX_ROUNDS`` rounds have run.  Returns the last point
+    and the sup norm of its gradient."""
+    problem.w_pen = _PENALTY_WEIGHT
+    lbfgs = {"maxiter": opts.maxiter, "ftol": 1e-14, "gtol": 1e-10}
     z = z0
-    result = None
-    for w in opts.penalty_weights:
-        problem.w_pen = w
-        problem.w_init = opts.initial_weight * (w / opts.penalty_weights[-1]) if problem.free_start else 0.0
-        result = minimize(
-            problem.value_and_grad,
-            z,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": opts.maxiter, "ftol": 1e-14, "gtol": 1e-10},
-        )
+    last = len(_ANCHOR_RAMP) - 1
+    for k in range(_MAX_ROUNDS):
+        problem.w_init = opts.initial_weight * _ANCHOR_RAMP[min(k, last)]
+        result = minimize(problem.value_and_grad, z, jac=True, method="L-BFGS-B", options=lbfgs)
         z = result.x
-    grad_norm = float(np.max(np.abs(result.jac)))
-    return z, grad_norm
+        miss = problem.forward(*problem.split(z))[0][-1] - problem.target
+        ramped = k >= last or not problem.free_start
+        if ramped and np.max(np.abs(miss)) <= _GAP_FRACTION * opts.terminal_tol:
+            break
+        problem.mu = problem.mu + 2.0 * problem.w_pen * miss
+    return z, float(np.max(np.abs(result.jac)))
 
 
 def _score_on_projected(hdot_rows, times, coeffs, walls, target, start):
@@ -322,13 +348,9 @@ def quasipotential_J(
     that missed the target wins only when none converged.  Convergence
     trouble is reported in the flag, never raised.
     """
-    _require_derivatives(coeffs)
+    target = _checked_target(z, coeffs, walls)
     opts = opts or OptimizerOptions()
     grid = walls.grid
-    target = np.asarray(z, dtype=float)
-    if not walls.contains(target, tol=1e-12):
-        raise ValueError("target must lie between the walls")
-
     if float(np.max(np.abs(target))) <= opts.terminal_tol:
         times = np.array([0.0, opts.dt])
         return QuasipotentialResult(
@@ -343,17 +365,14 @@ def quasipotential_J(
         )
 
     best = None
-    prev_rows = None
+    prev_rows = np.zeros((0, grid.n + 1))
     prev_value = math.inf
     for horizon in opts.horizons:
         steps = round(horizon / opts.dt)
         problem = _ActionProblem(coeffs, walls, opts.dt, steps, target, opts.delta)
-        if prev_rows is None:
-            z0 = np.zeros(steps * problem.n1)
-        else:
-            pad = steps - prev_rows.shape[0]
-            z0 = np.vstack([np.zeros((pad, problem.n1)), prev_rows]).ravel()
-        zstar, grad_norm = _continuation(problem, z0, opts)
+        pad = steps - prev_rows.shape[0]
+        z0 = np.vstack([np.zeros((pad, problem.n1)), prev_rows]).ravel()
+        zstar, grad_norm = _multipliers(problem, z0, opts)
         rows = zstar.reshape(steps, problem.n1)
         times = np.linspace(0.0, horizon, steps + 1)
         traj, rec, gap = _score_on_projected(
@@ -393,17 +412,13 @@ def infinite_horizon_check(
     """Free-start parametrization of the same minimum: the path starts at an
     optimization variable anchored toward 0 over a long window and must end
     at z.  Returns the achieved action for comparison with quasipotential_J."""
-    _require_derivatives(coeffs)
+    target = _checked_target(z, coeffs, walls)
     opts = opts or OptimizerOptions()
-    grid = walls.grid
-    target = np.asarray(z, dtype=float)
-    if not walls.contains(target, tol=1e-12):
-        raise ValueError("target must lie between the walls")
     horizon = opts.horizons[-1]
     steps = round(horizon / opts.dt)
     problem = _ActionProblem(coeffs, walls, opts.dt, steps, target, opts.delta, free_start=True)
     z0 = np.zeros(problem.n1 + steps * problem.n1)
-    zstar, _ = _continuation(problem, z0, opts)
+    zstar, _ = _multipliers(problem, z0, opts)
     u0, rows = problem.split(zstar)
     start = np.clip(u0, walls.k1, walls.k2)
     times = np.linspace(0.0, horizon, steps + 1)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from conftest import coeffs_linear, coeffs_sin, coeffs_sin_statesigma, coeffs_zero
 from oracles import discrete_lq_min_action, ou_mode_quasipotential
@@ -176,16 +177,19 @@ def test_adjoint_gradient_matches_finite_differences():
     problem.w_pen = 1e3
     rng = np.random.default_rng(17)
     z = 0.5 * rng.normal(size=steps * (grid.n + 1))
-    value, grad = problem.value_and_grad(z)
-    for _ in range(5):
-        d = rng.normal(size=z.size)
-        d /= np.linalg.norm(d)
-        h = 1e-6
-        vp = problem.value_and_grad(z + h * d)[0]
-        vm = problem.value_and_grad(z - h * d)[0]
-        fd = (vp - vm) / (2.0 * h)
-        an = float(grad @ d)
-        assert abs(fd - an) / max(abs(fd), 1e-12) <= 1e-4
+    # Zero multiplier first, then a live one as the multiplier loop leaves it.
+    for live in (False, True):
+        problem.mu = 5.0 * rng.normal(size=grid.n + 1) if live else np.zeros(grid.n + 1)
+        value, grad = problem.value_and_grad(z)
+        for _ in range(5):
+            d = rng.normal(size=z.size)
+            d /= np.linalg.norm(d)
+            h = 1e-6
+            vp = problem.value_and_grad(z + h * d)[0]
+            vm = problem.value_and_grad(z - h * d)[0]
+            fd = (vp - vm) / (2.0 * h)
+            an = float(grad @ d)
+            assert abs(fd - an) / max(abs(fd), 1e-12) <= 1e-4
 
 
 def test_free_start_gradient_matches_finite_differences():
@@ -200,18 +204,20 @@ def test_free_start_gradient_matches_finite_differences():
     problem.w_pen, problem.w_init = 1e3, 10.0
     rng = np.random.default_rng(19)
     z = 0.5 * rng.normal(size=(steps + 1) * (grid.n + 1))
-    value, grad = problem.value_and_grad(z)
-    for block in (slice(0, grid.n + 1), slice(None)):
-        for _ in range(3):
-            d = np.zeros(z.size)
-            d[block] = rng.normal(size=d[block].size)
-            d /= np.linalg.norm(d)
-            h = 1e-6
-            vp = problem.value_and_grad(z + h * d)[0]
-            vm = problem.value_and_grad(z - h * d)[0]
-            fd = (vp - vm) / (2.0 * h)
-            an = float(grad @ d)
-            assert abs(fd - an) / max(abs(fd), 1e-12) <= 1e-4
+    for live in (False, True):
+        problem.mu = 5.0 * rng.normal(size=grid.n + 1) if live else np.zeros(grid.n + 1)
+        value, grad = problem.value_and_grad(z)
+        for block in (slice(0, grid.n + 1), slice(None)):
+            for _ in range(3):
+                d = np.zeros(z.size)
+                d[block] = rng.normal(size=d[block].size)
+                d /= np.linalg.norm(d)
+                h = 1e-6
+                vp = problem.value_and_grad(z + h * d)[0]
+                vm = problem.value_and_grad(z - h * d)[0]
+                fd = (vp - vm) / (2.0 * h)
+                an = float(grad @ d)
+                assert abs(fd - an) / max(abs(fd), 1e-12) <= 1e-4
 
 
 def per_step_value_and_grad(problem, z):
@@ -233,9 +239,10 @@ def per_step_value_and_grad(problem, z):
 
     miss = states[-1] - problem.target
     value = 0.5 * dt * float(np.sum(w * h**2)) + problem.w_pen * float(np.sum(w * miss**2))
+    value += float(np.sum(w * problem.mu * miss))
     if problem.free_start:
         value += problem.w_init * float(np.sum(w * u0**2))
-    lam = 2.0 * problem.w_pen * w * miss
+    lam = 2.0 * problem.w_pen * w * miss + w * problem.mu
     grad_h = np.empty_like(h)
     for k in range(problem.steps - 1, -1, -1):
         u = states[k]
@@ -264,7 +271,9 @@ def test_adjoint_matches_the_per_step_loop_bit_for_bit(coeffs, k1, k2, free_star
     problem.w_pen, problem.w_init = 1e4, 10.0 if free_start else 0.0
     rng = np.random.default_rng(29)
     push = np.tile(8.0 * np.cos(np.pi * grid.nodes), steps + free_start)
-    for _ in range(3):
+    # A zero multiplier, as the first round sees it, then live ones.
+    for live in (False, True, True):
+        problem.mu = 50.0 * rng.normal(size=grid.n + 1) if live else np.zeros(grid.n + 1)
         z = push + 3.0 * rng.normal(size=push.size)
         value, grad = problem.value_and_grad(z)
         expected_value, expected_grad, slopes = per_step_value_and_grad(problem, z)
@@ -373,6 +382,81 @@ def test_quasipotential_without_a_converged_stage_takes_the_lowest(monkeypatch):
     assert res.value == min(value for _, value, _ in stages)
 
 
+def multiplier_log(monkeypatch):
+    """Log, per run of the multiplier loop, its rounds, its adjoint
+    evaluations and the terminal gap of the penalized path it returns."""
+    real_loop, real_minimize = rate_module._multipliers, rate_module.minimize
+    log = []
+
+    def minimize(fun, x0, **kwargs):
+        result = real_minimize(fun, x0, **kwargs)
+        log[-1]["rounds"] += 1
+        log[-1]["nfev"] += result.nfev
+        return result
+
+    def loop(problem, z0, opts):
+        log.append({"rounds": 0, "nfev": 0})
+        z, grad_norm = real_loop(problem, z0, opts)
+        miss = problem.forward(*problem.split(z))[0][-1] - problem.target
+        log[-1]["gap"] = float(np.max(np.abs(miss)))
+        return z, grad_norm
+
+    monkeypatch.setattr(rate_module, "minimize", minimize)
+    monkeypatch.setattr(rate_module, "_multipliers", loop)
+    return log
+
+
+@pytest.mark.parametrize("case", ["c08", "binding_walls_sinusoidal_state_modulated"])
+def test_multiplier_loop_meets_its_stop_rule(monkeypatch, case):
+    grid = build_grid(32)
+    if case == "c08":
+        walls = Walls.constant(grid, -10.0, 10.0)
+        coeffs, target = coeffs_zero(1.0), np.full(grid.n + 1, 0.3)
+        opts = OptimizerOptions(horizons=(1.0, 2.0, 4.0, 8.0), dt=0.02, maxiter=500)
+    else:
+        # The walls pass through the target at both ends, so the path ends in contact.
+        walls = Walls.constant(grid, -0.2, 0.2)
+        coeffs, target = coeffs_sin_statesigma(2.0, 0.5, amp=0.3), 0.2 * np.cos(np.pi * grid.nodes)
+        opts = OptimizerOptions(horizons=(1.0, 2.0), dt=0.02, maxiter=60)
+    log = multiplier_log(monkeypatch)
+    res = quasipotential_J(target, coeffs, walls, opts)
+    stop = rate_module._GAP_FRACTION * opts.terminal_tol
+    assert res.converged
+    assert res.terminal_gap <= stop
+    assert len(log) == len(opts.horizons)
+    for stage in log:
+        assert 1 <= stage["rounds"] <= rate_module._MAX_ROUNDS
+        assert stage["gap"] <= stop
+    if case == "c08":
+        # The three-weight penalty continuation took 565 evaluations here.
+        assert sum(stage["nfev"] for stage in log) <= 565 // 2
+
+
+def test_multiplier_loop_stops_at_the_round_cap(monkeypatch):
+    """An inner solve that never moves leaves the gap where it is: every stage
+    runs the round cap and the result says it missed, without raising."""
+    calls = []
+
+    def stuck(fun, x0, **kwargs):
+        calls.append(fun)
+        value, grad = fun(x0)
+        return OptimizeResult(x=x0, fun=value, jac=grad, nfev=1, nit=0)
+
+    monkeypatch.setattr(rate_module, "minimize", stuck)
+    grid = build_grid(8)
+    walls = Walls.constant(grid, -1.0, 1.0)
+    target = np.full(grid.n + 1, 0.3)
+    opts = OptimizerOptions(horizons=(0.5, 1.0), dt=0.05, maxiter=20)
+    res = quasipotential_J(target, coeffs_zero(1.0), walls, opts)
+    assert len(calls) == len(opts.horizons) * rate_module._MAX_ROUNDS
+    assert not res.converged
+    assert res.terminal_gap > opts.terminal_tol
+    calls.clear()
+    value = infinite_horizon_check(target, coeffs_zero(1.0), walls, opts)
+    assert len(calls) == rate_module._MAX_ROUNDS
+    assert math.isfinite(value)
+
+
 def test_infinite_horizon_parametrization_agrees():
     grid = build_grid(16)
     walls = Walls.constant(grid, -10.0, 10.0)
@@ -381,6 +465,26 @@ def test_infinite_horizon_parametrization_agrees():
     forward = quasipotential_J(target, coeffs, walls, FAST_OPTS)
     backward = infinite_horizon_check(target, coeffs, walls, FAST_OPTS)
     assert abs(backward - forward.value) / forward.value <= 0.05
+
+
+def test_free_start_ends_at_the_full_anchor(monkeypatch):
+    """A small target meets the stop gap in the first round, while the
+    anchor on u0 is still light; the loop runs on to the full anchor."""
+    real = rate_module.minimize
+    anchors = []
+
+    def minimize(fun, x0, **kwargs):
+        anchors.append(fun.__self__.w_init)
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(rate_module, "minimize", minimize)
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -10.0, 10.0)
+    target = np.full(grid.n + 1, 0.01)
+    value = infinite_horizon_check(target, coeffs_zero(1.0), walls, FAST_OPTS)
+    assert anchors[-1] == FAST_OPTS.initial_weight
+    oracle = ou_mode_quasipotential(grid, 1.0, target)
+    assert abs(value - oracle) / oracle <= 0.05
 
 
 @pytest.mark.parametrize("missing", ["df_du", "dsigma_du"])
