@@ -25,6 +25,7 @@ from wallspde.measure import ldp_scaling_curve, sample_invariant, tightness_prob
 from wallspde.rate import quasipotential_J, rate_I, rate_S
 from wallspde.snapshots import (
     field_hash,
+    format_float,
     write_field_snapshot,
     write_json_record,
     write_trajectory_csv,
@@ -191,14 +192,11 @@ def _run_diagnose(cfg, run, out):
         options=run.opts,
     )
 
+    cols = ("eps", "p_hat", "wilson_lo", "wilson_hi", "eps2_log_p", "j_inner", "j_outer")
     lines = ["target_id,eps,p_hat,wilson_lo,wilson_hi,eps2_log_p,J_inner,J_outer"]
     for row in diag.rows:
-        e2l = "" if row["eps2_log_p"] is None else format(row["eps2_log_p"], ".17g")
-        lines.append(
-            f"{row['target_id']},{format(row['eps'], '.17g')},{format(row['p_hat'], '.17g')},"
-            f"{format(row['wilson_lo'], '.17g')},{format(row['wilson_hi'], '.17g')},{e2l},"
-            f"{format(row['j_inner'], '.17g')},{format(row['j_outer'], '.17g')}"
-        )
+        cells = ("" if row[c] is None else format_float(row[c]) for c in cols)
+        lines.append(",".join([str(row["target_id"]), *cells]))
     (out / "diagnostics.csv").write_text("\n".join(lines) + "\n")
 
     tightness = None

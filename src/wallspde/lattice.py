@@ -344,6 +344,8 @@ class SpaceTimeField:
         self.values = np.asarray(self.values, dtype=float)
         if self.times.ndim != 1 or len(self.times) < 2:
             raise ValueError("need at least two time levels")
+        if not np.isfinite(self.times).all():
+            raise ValueError("times must be finite")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")
         expected = (len(self.times), self.grid.n + 1)

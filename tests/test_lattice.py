@@ -213,6 +213,12 @@ def test_space_time_field_validation():
         SpaceTimeField(grid, times, np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize("times", [[np.nan] * 3, [0.0, np.inf, np.inf], [0.0, 0.1, np.inf], [-np.inf, 0.0, 0.1]])
+def test_space_time_field_rejects_non_finite_times(times):
+    with pytest.raises(ValueError, match="finite"):
+        SpaceTimeField(build_grid(4), np.array(times), np.zeros((3, 5)))
+
+
 def test_space_time_field_restrict():
     grid = build_grid(4)
     times = np.linspace(0.0, 1.0, 11)
