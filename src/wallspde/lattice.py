@@ -7,9 +7,9 @@ eigenvectors.  The semigroup kernel is assembled from that eigenbasis, so
 kernel composition and row mass are identities up to round-off rather than
 discretization errors.  ``Propagator`` holds the implicit step and the wall
 restoration that every solver steps with.  The step has two paths chosen by
-``grid.n`` alone: below ``DCT_MIN_N`` a dense inverse, whose matvec is the
-cheapest solve on coarse grids; at or above it a DCT-I, a diagonal scale and
-an inverse DCT-I, O(n log n) per step with no (n+1)^2 array.
+``grid.n`` alone: below ``TRIDIAGONAL_MIN_N`` a dense inverse, whose matvec is
+the cheapest solve on coarse grids; at or above it one banded LU solve with
+the tridiagonal system factored once, O(n) per step with no (n+1)^2 array.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dct, idct
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 __all__ = [
     "Grid",
@@ -34,10 +34,17 @@ __all__ = [
     "holder_norm",
 ]
 
-# Grids with at least this many intervals take the DCT-I solve.  A single-state
-# solve, dense against DCT, one BLAS thread on a 2-core Xeon: 35 against 47 us
-# at n=384, 92 against 54 us at n=512, 445 against 73 us at n=1024.
-DCT_MIN_N = 512
+# Grids with at least this many intervals take the factored tridiagonal solve.
+# Dense matvec against LAPACK gttrs, one CPU of a 2-core Xeon: a single state
+# 71 against 11 us at n=512 and 386 against 21 us at n=1024; a 16-row batch at
+# n=32 4.2 against 8.9 us, where one BLAS product beats 16 column solves.
+# Below the threshold the dense path also keeps coarse-grid outputs' bits.
+TRIDIAGONAL_MIN_N = 512
+
+# Path-wide reductions (the rate functionals, the complementarity integrals)
+# walk a path in row blocks of about this many values, so their temporaries
+# stay near 0.5 MiB each however fine the grid or long the path.
+BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,13 @@ class Grid:
 
 def build_grid(n: int) -> Grid:
     return Grid(n)
+
+
+def row_blocks(grid: Grid, rows: int) -> list[tuple[int, int]]:
+    """(start, stop) ranges covering ``rows`` rows of (n+1) values in blocks of
+    about ``BLOCK_VALUES`` values, for path-wide reductions."""
+    size = max(1, BLOCK_VALUES // (grid.n + 1))
+    return [(k, min(k + size, rows)) for k in range(0, rows, size)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,9 +232,9 @@ def backward_euler_inverse(grid: Grid, alpha: float, dt: float) -> np.ndarray:
 
     The matrix is a strictly diagonally dominant M-matrix, so the inverse is
     entrywise nonnegative with row sums 1 / (1 + alpha*dt).  ``Propagator``
-    steps with it below ``DCT_MIN_N`` intervals, where its matvec is cheaper
-    than a DCT or repeated banded solves; it costs O(n^2) memory and an
-    O(n^3) build, so finer grids take the DCT-I path instead.
+    steps with it below ``TRIDIAGONAL_MIN_N`` intervals, where its matvec is
+    cheap; it costs O(n^2) memory and an O(n^3) build, so finer grids take
+    the factored tridiagonal path instead.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -234,11 +248,11 @@ class Propagator:
 
     The obstacle problem, the integrators, the adjoint optimizer and the
     sampler all step with it.  States are shaped (n+1,) or (batch, n+1).
-    Below ``DCT_MIN_N`` intervals the solve multiplies by the dense
-    ``backward_euler_inverse``.  From ``DCT_MIN_N`` on, the mirrored-ghost
-    operator is diagonal in the DCT-I basis, so the solve is a DCT-I, a scale
-    by 1 / (1 + dt*(alpha - lam_k)) and an inverse DCT-I, and only the
-    (n+1,) scale is stored.  The two paths agree to round-off (about 1e-13).
+    Below ``TRIDIAGONAL_MIN_N`` intervals the solve multiplies by the dense
+    ``backward_euler_inverse``.  From ``TRIDIAGONAL_MIN_N`` on, the
+    tridiagonal I - dt*A is LU-factored once (LAPACK gttrf) and each solve,
+    plain or transposed, is one gttrs call; only the five factor arrays,
+    5(n+1) numbers, are stored.  The two paths agree to round-off.
     """
 
     def __init__(self, grid: Grid, alpha: float, dt: float):
@@ -249,20 +263,30 @@ class Propagator:
             raise ValueError(f"dt must be positive, got {dt}")
         if alpha < 0.0:
             raise ValueError(f"alpha must be nonnegative, got {alpha}")
-        if grid.n < DCT_MIN_N:
+        if grid.n < TRIDIAGONAL_MIN_N:
             self.matrix = backward_euler_inverse(grid, alpha, dt)
         else:
             self.matrix = None
-            self._scale = 1.0 / (1.0 + self.dt * (self.alpha - _cosine_eigenvalues(grid)))
+            op = neumann_operator(grid, alpha)
+            *factors, info = dgttrf(-self.dt * op.lower, 1.0 - self.dt * op.main, -self.dt * op.upper)
+            if info != 0:
+                raise ValueError(f"implicit-step matrix is singular (gttrf info={info})")
+            self._factors = factors
 
     @cached_property
     def _matrix_t(self) -> np.ndarray:
         return np.ascontiguousarray(self.matrix.T)
 
+    def _banded(self, values: np.ndarray, trans: str) -> np.ndarray:
+        # gttrs solves for the columns of a column-major b, which a C-ordered
+        # (batch, n+1) batch's transpose already is: no reordering copy.
+        x, _ = dgttrs(*self._factors, values if values.ndim == 1 else values.T, trans=trans)
+        return x if values.ndim == 1 else x.T
+
     def solve(self, values: np.ndarray) -> np.ndarray:
         """(I - dt*A)^{-1} applied to a state or to each row of a batch."""
         if self.matrix is None:
-            return idct(dct(values, type=1, axis=-1) * self._scale, type=1, axis=-1)
+            return self._banded(values, "N")
         if values.ndim == 1:
             return self.matrix @ values
         # BLAS rounds the product with a node-major copy like an (n+1, batch)
@@ -272,9 +296,7 @@ class Propagator:
     def solve_transpose(self, values: np.ndarray) -> np.ndarray:
         """Transposed solve of a single state, for adjoint sweeps."""
         if self.matrix is None:
-            # A is self-adjoint for the trapezoid weights w, so M^T v = w * M(v / w).
-            w = self.grid.weights
-            return w * self.solve(values / w)
+            return self._banded(values, "T")
         return self._matrix_t @ values
 
     def step(

@@ -143,14 +143,14 @@ def sample_invariant(
                 prop.step(rhs, walls.k1, walls.k2, out=state)
 
     advance(burn_steps)
-    kept = []
+    # Chain j's round-r state goes to row starts[j] + r: (chain, round) order.
+    starts = np.cumsum([0] + per_chain[:-1])
+    samples = np.empty((plan.count, grid.n + 1))
     for r in range(rounds):
         advance(thin_steps)
         for j in range(chains):
             if r < per_chain[j]:
-                kept.append((j, r, state[j].copy()))
-    kept.sort(key=lambda item: (item[0], item[1]))
-    samples = np.array([row for _, _, row in kept])
+                samples[starts[j] + r] = state[j]
     return EmpiricalMeasure(samples=samples, eps=float(eps), plan=plan, seeds=seeds, grid=grid)
 
 
@@ -218,6 +218,10 @@ def ldp_scaling_curve(
     """
     if np.any(np.diff(eps_schedule) >= 0.0):
         raise ValueError("eps schedule must be strictly decreasing")
+    if isinstance(plans, SamplingPlan):
+        plans = [plans] * len(eps_schedule)
+    if len(plans) != len(eps_schedule):
+        raise ValueError(f"got {len(plans)} sampling plans for {len(eps_schedule)} noise levels")
     if catalog is None:
         catalog = {}
         for idx, (z_star, delta) in enumerate(targets):
@@ -226,9 +230,6 @@ def ldp_scaling_curve(
             j_st = quasipotential_J(z_star, coeffs, walls, options).value
             j_out = quasipotential_J(np.clip(z_star + delta, walls.k1, walls.k2), coeffs, walls, options).value
             catalog[idx] = (min(j_in, j_out, j_st), j_st, max(j_in, j_out, j_st))
-
-    if isinstance(plans, SamplingPlan):
-        plans = [plans] * len(eps_schedule)
 
     rows = []
     for e_idx, eps in enumerate(eps_schedule):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wallspde.lattice import Grid, Propagator, SpaceTimeField, Walls
+from wallspde.lattice import Grid, Propagator, SpaceTimeField, Walls, row_blocks
 
 __all__ = ["LocalTime", "ObstacleSolution", "solve_obstacle", "check_complementarity"]
 
@@ -43,7 +43,8 @@ class LocalTime:
         expected = (len(self.times) - 1, self.grid.n + 1)
         if self.density.shape != expected:
             raise ValueError(f"density shaped {self.density.shape}, expected {expected}")
-        if not np.isfinite(self.density).all() or self.density.min() < 0.0:
+        # Reductions rather than an isfinite mask: NaN fails the first test.
+        if not (self.density.min() >= 0.0 and self.density.max() < np.inf):
             raise ValueError("local-time density must be finite and nonnegative")
 
     @property
@@ -104,9 +105,15 @@ def check_complementarity(
     if v.values.shape != sol.z.values.shape or np.max(np.abs(v.times - sol.z.times)) > 1e-12:
         raise ValueError("mesh mismatch between solution and forcing")
     dts = np.diff(sol.z.times)
-    u = sol.z.values + v.values
-    gap_lower = u[1:] - walls.k1
-    gap_upper = walls.k2 - u[1:]
-    lower = float(dts @ ((gap_lower * sol.eta.density) @ grid.weights))
-    upper = float(dts @ ((gap_upper * sol.xi.density) @ grid.weights))
-    return abs(lower), abs(upper)
+    z, forcing = sol.z.values[1:], v.values[1:]
+    # One path-sized buffer for each product in turn, filled block by block.
+    prod = np.empty((len(dts), grid.n + 1))
+
+    def integral(density, gap) -> float:
+        for a, b in row_blocks(grid, len(dts)):
+            np.multiply(gap(z[a:b] + forcing[a:b]), density[a:b], out=prod[a:b])
+        return abs(float(dts @ (prod @ grid.weights)))
+
+    lower = integral(sol.eta.density, lambda u: u - walls.k1)
+    upper = integral(sol.xi.density, lambda u: walls.k2 - u)
+    return lower, upper

@@ -6,7 +6,9 @@ the force densities, so away from the walls hdot = r / sigma reproduces the
 generating control of a forward run exactly.  On contact sets the split is
 ambiguous; the recovery takes the pointwise least-squares choice, putting as
 much of the residual as admissible into the one-signed force and the rest
-into the control.
+into the control.  Recovery and the path rates walk the path in row blocks
+(``lattice.row_blocks``), node-wise, so they keep the whole-path formulas'
+bits without whole-path temporaries.
 
 The quasipotential minimises the control action over a horizon subject to
 hitting a target, with the terminal constraint enforced by the method of
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from wallspde.dynamics import CoefficientSpec, Control, Trajectory, solve_skeleton
-from wallspde.lattice import Propagator, SpaceTimeField, Walls, neumann_operator
+from wallspde.lattice import Propagator, SpaceTimeField, Walls, neumann_operator, row_blocks
 from wallspde.obstacle import LocalTime
 
 __all__ = [
@@ -114,9 +116,37 @@ def _checked_target(z, coeffs: CoefficientSpec, walls: Walls) -> np.ndarray:
 
 
 def _admissible(v: SpaceTimeField, walls: Walls, tol: float = 1e-9) -> bool:
-    return bool(
-        np.all(v.values >= walls.k1 - tol) and np.all(v.values <= walls.k2 + tol)
-    )
+    return all(walls.contains(v.values[a:b], tol) for a, b in row_blocks(v.grid, len(v.times)))
+
+
+def _decompose(v: SpaceTimeField, coeffs: CoefficientSpec, walls: Walls | None, dt: float):
+    """Invert the forward stencil one block of steps at a time.
+
+    Yields ``(steps, sig, residual, hdot, eta, xi)`` for the step rows in the
+    slice ``steps``.  With ``walls`` the least-squares split puts the one-signed
+    part of the residual at a contact node into the force and raises unless
+    sigma keeps to its positive bound ``coeffs.sigma_min``; with ``walls=None``
+    the control absorbs the whole residual and ``eta``, ``xi`` are None.  Each
+    value is computed node-wise, so it equals the full-array formula's bits.
+    """
+    if walls is not None and coeffs.sigma_min <= 0.0:
+        raise ValueError("sigma lower bound must be positive")
+    grid = v.grid
+    x = grid.nodes
+    op = neumann_operator(grid, coeffs.alpha)
+    tol = None if walls is None else contact_tolerance(walls)
+    for a, b in row_blocks(grid, v.steps):
+        prev, new = v.values[a:b], v.values[a + 1 : b + 1]
+        sig = coeffs.sigma(x, prev)
+        if walls is not None and np.min(np.abs(sig)) < coeffs.sigma_min * (1.0 - 1e-9):
+            raise ValueError("sigma dips below its declared lower bound along the path")
+        residual = (new - prev) / dt - op.apply(new) - coeffs.f(x, prev)
+        if walls is None:
+            yield slice(a, b), sig, residual, residual / sig, None, None
+            continue
+        eta = np.where(np.abs(new - walls.k1) <= tol, np.maximum(residual, 0.0), 0.0)
+        xi = np.where(np.abs(new - walls.k2) <= tol, np.maximum(-residual, 0.0), 0.0)
+        yield slice(a, b), sig, residual, (residual - eta + xi) / sig, eta, xi
 
 
 def recover_control(
@@ -132,24 +162,11 @@ def recover_control(
         raise ValueError(f"dt={dt} does not match the path time mesh (dt={v.dt})")
     if not _admissible(v, walls):
         raise ValueError("path leaves the walls: no admissible decomposition")
-    if coeffs.sigma_min <= 0.0:
-        raise ValueError("sigma lower bound must be positive")
 
-    u = v.values
-    op = neumann_operator(grid, coeffs.alpha)
-    sig = coeffs.sigma(grid.nodes, u[:-1])
-    if np.min(np.abs(sig)) < coeffs.sigma_min * (1.0 - 1e-9):
-        raise ValueError("sigma dips below its declared lower bound along the path")
-    residual = (u[1:] - u[:-1]) / dt - op.apply(u[1:]) - coeffs.f(grid.nodes, u[:-1])
-
-    tol = contact_tolerance(walls)
-    on_lower = np.abs(u[1:] - walls.k1) <= tol
-    on_upper = np.abs(u[1:] - walls.k2) <= tol
-
-    eta = np.where(on_lower, np.maximum(residual, 0.0), 0.0)
-    xi = np.where(on_upper, np.maximum(-residual, 0.0), 0.0)
-    hdot = (residual - eta + xi) / sig
-    defect = residual - sig * hdot - eta + xi
+    hdot, eta, xi, defect = (np.empty((v.steps, grid.n + 1)) for _ in range(4))
+    for rows, sig, residual, h, lower, upper in _decompose(v, coeffs, walls, dt):
+        hdot[rows], eta[rows], xi[rows] = h, lower, upper
+        defect[rows] = residual - sig * h - lower + upper
 
     times = v.times.copy()
     return RecoveredControl(
@@ -160,26 +177,35 @@ def recover_control(
     )
 
 
+def _window(v: SpaceTimeField, t1: float, t2: float) -> SpaceTimeField:
+    """The levels of v from t1 to t2, as views of its arrays."""
+    i, j = v.index_of(t1), v.index_of(t2)
+    if j <= i:
+        raise ValueError("empty restriction window")
+    return SpaceTimeField(v.grid, v.times[i : j + 1], v.values[i : j + 1])
+
+
+def _action(window: SpaceTimeField, coeffs: CoefficientSpec, walls: Walls | None) -> float:
+    """Control.action of the decomposition, with hdot**2 as the only path-sized array."""
+    sq = np.empty((window.steps, window.grid.n + 1))
+    for rows, _, _, hdot, _, _ in _decompose(window, coeffs, walls, window.dt):
+        np.square(hdot, out=sq[rows])
+    return 0.5 * float(np.diff(window.times) @ (sq @ window.grid.weights))
+
+
 def rate_I(
     v: SpaceTimeField, t1: float, t2: float, coeffs: CoefficientSpec, walls: Walls
 ) -> float:
     """Minimal action over [t1, t2]; +inf when the window is inadmissible."""
-    window = v.restrict(t1, t2)
+    window = _window(v, t1, t2)
     if not _admissible(window, walls):
         return math.inf
-    return recover_control(window, coeffs, walls, window.dt).action
+    return _action(window, coeffs, walls)
 
 
 def rate_S(v: SpaceTimeField, t1: float, t2: float, coeffs: CoefficientSpec) -> float:
     """Unreflected variant: the control must absorb the whole residual."""
-    window = v.restrict(t1, t2)
-    grid = window.grid
-    dt = window.dt
-    u = window.values
-    op = neumann_operator(grid, coeffs.alpha)
-    sig = coeffs.sigma(grid.nodes, u[:-1])
-    residual = (u[1:] - u[:-1]) / dt - op.apply(u[1:]) - coeffs.f(grid.nodes, u[:-1])
-    return Control(grid, window.times.copy(), residual / sig).action
+    return _action(_window(v, t1, t2), coeffs, None)
 
 
 def shift_concat(control: Control, T: float) -> Control:

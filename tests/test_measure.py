@@ -92,6 +92,35 @@ def test_burn_in_noise_memory_is_bounded():
     assert peak <= 16 * 2**20
 
 
+def test_samples_are_stored_in_chain_then_round_order():
+    # Chains advance together whatever the count, so a smaller count keeps a
+    # subset of the same states: 7 samples from 3 chains are rounds (3, 2, 2).
+    grid, coeffs, walls, _ = benchmark(count=7)
+    runs = {
+        count: sample_invariant(
+            coeffs, walls, 0.3, SamplingPlan(2.5, 0.05, count), seeds=[4, 5, 6], dt=1e-2
+        )
+        for count in (3, 6, 7)
+    }
+    assert np.array_equal(runs[3].samples, runs[7].samples[[0, 3, 5]])
+    assert np.array_equal(runs[6].samples, runs[7].samples[[0, 1, 3, 4, 5, 6]])
+    assert len(np.unique(runs[7].samples, axis=0)) == 7
+
+
+def test_sample_memory_is_the_samples_array():
+    # Kept rows used to go through a list, a sort and a stack: 3x the samples.
+    grid, coeffs, walls, _ = benchmark(alpha=2.0, grid_n=32)
+    plan = SamplingPlan(burn_in=2.5, thin=1e-2, count=40_000)
+    tracemalloc.start()
+    try:
+        measure = sample_invariant(coeffs, walls, 0.3, plan, seeds=range(16), dt=1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert measure.samples.shape == (40_000, grid.n + 1)
+    assert peak < 1.5 * measure.samples.nbytes
+
+
 def test_samples_respect_walls():
     grid = build_grid(16)
     coeffs = coeffs_zero(4.0)
@@ -227,6 +256,18 @@ def test_ldp_scaling_curve_rejects_bad_schedule():
         ldp_scaling_curve(
             [(np.zeros(grid.n + 1), 0.1)], (0.25, 0.5), plan, coeffs, walls, catalog={0: (0, 0, 0)}
         )
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+def test_ldp_scaling_curve_rejects_a_plan_list_of_the_wrong_length(levels, monkeypatch):
+    grid, coeffs, walls, plan = benchmark(alpha=4.0)
+
+    def no_catalog(*args, **kwargs):
+        raise AssertionError("the plan list must be checked before any quasipotential solve")
+
+    monkeypatch.setattr(wallspde.measure, "quasipotential_J", no_catalog)
+    with pytest.raises(ValueError, match=f"{levels} sampling plans for 2 noise levels"):
+        ldp_scaling_curve([(np.zeros(grid.n + 1), 0.1)], (0.5, 0.25), [plan] * levels, coeffs, walls)
 
 
 # ---------------------------------------------------------------- tightness

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import random_cosine_path, scalar_two_sided_reflection
-from wallspde.lattice import SpaceTimeField, Walls, build_grid, neumann_operator
-from wallspde.obstacle import LocalTime, check_complementarity, solve_obstacle
+from wallspde.lattice import BLOCK_VALUES, SpaceTimeField, Walls, build_grid, neumann_operator
+from wallspde.obstacle import LocalTime, ObstacleSolution, check_complementarity, solve_obstacle
 
 
 def make_field(grid, T, dt, fn):
@@ -45,7 +47,7 @@ def test_matches_scalar_skorokhod_oracle():
 
 
 def test_spectral_path_matches_scalar_skorokhod_oracle():
-    # n = 1024 is above lattice.DCT_MIN_N, so every step takes the DCT-I solve.
+    # n = 1024 is above lattice.TRIDIAGONAL_MIN_N, so every step takes the banded LU solve.
     assert skorokhod_oracle_error(1024) <= 5e-3
 
 
@@ -104,6 +106,50 @@ def test_complementarity_detects_corruption():
     assert lower > 1e-6 * (1.0 + corrupted.total_mass + sol.xi.total_mass)
 
 
+def full_array_complementarity(sol, v, walls):
+    """The whole-path formula the block-wise integrals must reproduce bit for bit."""
+    dts = np.diff(sol.z.times)
+    u = sol.z.values + v.values
+    weights = sol.z.grid.weights
+    lower = float(dts @ (((u[1:] - walls.k1) * sol.eta.density) @ weights))
+    upper = float(dts @ (((walls.k2 - u[1:]) * sol.xi.density) @ weights))
+    return abs(lower), abs(upper)
+
+
+def perturbed_solution(n, steps, seed):
+    """A forcing, and a solution whose densities are moved off complementarity."""
+    grid = build_grid(n)
+    walls = Walls.constant(grid, -0.3, 0.3)
+    rng = np.random.default_rng(seed)
+    times = 1e-3 * np.arange(steps + 1)
+    v = SpaceTimeField(grid, times, 0.02 * rng.normal(size=(steps + 1, grid.n + 1)))
+    z = SpaceTimeField(grid, times, np.clip(rng.normal(scale=0.2, size=v.values.shape), -0.25, 0.25))
+    eta, xi = (LocalTime(grid, times, rng.exponential(size=(steps, grid.n + 1))) for _ in range(2))
+    return ObstacleSolution(z=z, eta=eta, xi=xi), v, walls
+
+
+@pytest.mark.parametrize("n", [32, 2048])
+def test_blockwise_complementarity_matches_full_array_formula_bit_for_bit(n):
+    rows = BLOCK_VALUES // (n + 1)
+    for steps in (rows - 1, rows, rows + 1, 3 * rows + 2):
+        sol, v, walls = perturbed_solution(n, steps, steps)
+        lower, upper = check_complementarity(sol, v, walls)
+        assert lower > 0.0 and upper > 0.0
+        assert (lower, upper) == full_array_complementarity(sol, v, walls)
+
+
+def test_complementarity_memory_stays_bounded_at_large_n():
+    # The full-array formula held the sum, both gaps and both products, 42 MiB.
+    sol, v, walls = perturbed_solution(2048, 512, 1)
+    tracemalloc.start()
+    try:
+        check_complementarity(sol, v, walls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
 def test_local_time_rejects_non_finite_or_negative_density(bad):
     grid = build_grid(8)
@@ -111,6 +157,26 @@ def test_local_time_rejects_non_finite_or_negative_density(bad):
     density[1, 4] = bad
     with pytest.raises(ValueError, match="local-time density"):
         LocalTime(grid, np.linspace(0.0, 0.3, 4), density)
+
+
+def test_local_time_validation_reduces_without_a_mask():
+    grid = build_grid(8)
+    times = np.linspace(0.0, 0.3, 4)
+    density = np.zeros((3, grid.n + 1))
+    density[2, 0] = -np.inf
+    with pytest.raises(ValueError, match="local-time density"):
+        LocalTime(grid, times, density)
+    density[2, 0], density[0, 3] = -0.0, 1e308
+    assert LocalTime(grid, times, density).density is density
+    # An isfinite mask of a (512, 2049) density alone is 1 MiB.
+    big = np.ones((512, 2049))
+    tracemalloc.start()
+    try:
+        LocalTime(build_grid(2048), np.linspace(0.0, 0.25, 513), big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
 
 
 def test_complementarity_mesh_mismatch():

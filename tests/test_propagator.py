@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wallspde.lattice import DCT_MIN_N, Propagator, build_grid, neumann_operator
+from wallspde.lattice import TRIDIAGONAL_MIN_N, Propagator, build_grid, neumann_operator
 
 finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -153,9 +153,11 @@ def relative_error(got, expected):
     return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
 
 
+# The test_spectral_path_* names predate the banded LU solve: from
+# TRIDIAGONAL_MIN_N on, every solve is one gttrs call on a factored I - dt*A.
 @pytest.mark.parametrize("n", [512, 1024])
 def test_spectral_path_matches_reference_solve(n):
-    assert n >= DCT_MIN_N
+    assert n >= TRIDIAGONAL_MIN_N
     grid = build_grid(n)
     prop = Propagator(grid, 2.0, 1.0 / n)
     assert prop.matrix is None
@@ -196,3 +198,36 @@ def test_spectral_path_stores_no_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+def test_tridiagonal_path_matches_dense_solve_to_round_off(n):
+    grid = build_grid(n)
+    prop = Propagator(grid, 2.0, 1.0 / n)
+    assert prop.matrix is None
+    system = np.eye(n + 1) - prop.dt * neumann_operator(grid, prop.alpha).dense()
+    rng = np.random.default_rng(n + 7)
+    a = rng.normal(size=n + 1)
+    batch = rng.normal(size=(6, n + 1))
+    expected = np.linalg.solve(system, np.column_stack([a, batch.T]))
+    assert relative_error(prop.solve(a), expected[:, 0]) <= 1e-14
+    solved = prop.solve(batch)
+    assert relative_error(solved, expected[:, 1:].T) <= 1e-14
+    assert relative_error(prop.solve_transpose(a), np.linalg.solve(system.T, a)) <= 1e-14
+    for row, stepped in zip(batch, solved):
+        assert np.array_equal(prop.solve(row), stepped)
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_tridiagonal_transposed_solve_is_the_adjoint(n):
+    # The mirrored ghost rows make I - dt*A non-symmetric, so the transposed
+    # solve is a different map from the plain one.
+    grid = build_grid(n)
+    prop = Propagator(grid, 0.5, 2.0 / n)
+    system = np.eye(n + 1) - prop.dt * neumann_operator(grid, prop.alpha).dense()
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=(2, n + 1))
+    transposed = prop.solve_transpose(a)
+    assert relative_error(transposed, np.linalg.solve(system.T, a)) <= 1e-14
+    assert relative_error(transposed, prop.solve(a)) > 1e-6
+    assert float(a @ prop.solve(b)) == pytest.approx(float(transposed @ b), rel=1e-13)

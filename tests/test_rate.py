@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from conftest import coeffs_linear, coeffs_sin, coeffs_sin_statesigma, coeffs_ze
 from oracles import discrete_lq_min_action, ou_mode_quasipotential
 import wallspde.rate as rate_module
 from wallspde.dynamics import Control, solve_deterministic, solve_skeleton
-from wallspde.lattice import SpaceTimeField, Walls, build_grid
+from wallspde.lattice import BLOCK_VALUES, SpaceTimeField, Walls, build_grid, neumann_operator
 from wallspde.rate import (
     OptimizerOptions,
     _ActionProblem,
+    contact_tolerance,
     glue_path,
     infinite_horizon_check,
     level_set_distance,
@@ -163,6 +165,122 @@ def test_rate_S_zero_path():
     coeffs = coeffs_sin(2.0, 0.5)
     traj = solve_deterministic(np.zeros(grid.n + 1), coeffs, walls, 0.5, 1e-3)
     assert rate_S(traj.u, 0.0, 0.5, coeffs) <= 1e-20
+
+
+# ------------------------------------------------------------ block-wise functionals
+
+
+def full_array_recovery(v, coeffs, walls, dt):
+    """The whole-path formulas the block-wise recovery must reproduce bit for bit."""
+    u, x = v.values, v.grid.nodes
+    sig = coeffs.sigma(x, u[:-1])
+    op = neumann_operator(v.grid, coeffs.alpha)
+    residual = (u[1:] - u[:-1]) / dt - op.apply(u[1:]) - coeffs.f(x, u[:-1])
+    if walls is None:
+        return residual / sig, None, None, None
+    tol = contact_tolerance(walls)
+    eta = np.where(np.abs(u[1:] - walls.k1) <= tol, np.maximum(residual, 0.0), 0.0)
+    xi = np.where(np.abs(u[1:] - walls.k2) <= tol, np.maximum(-residual, 0.0), 0.0)
+    hdot = (residual - eta + xi) / sig
+    return hdot, eta, xi, residual - sig * hdot - eta + xi
+
+
+def full_array_action(v, t1, t2, coeffs, walls=None):
+    window = v.restrict(t1, t2)
+    if walls is not None and not walls.contains(window.values, tol=1e-9):
+        return math.inf
+    hdot = full_array_recovery(window, coeffs, walls, window.dt)[0]
+    return Control(window.grid, window.times.copy(), hdot).action
+
+
+def clipped_walk(grid, steps, dt, seed, walls):
+    """A rough path that sits on both walls at many nodes, so both forces act."""
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(scale=0.05, size=(steps + 1, grid.n + 1))
+    noise[0] = 0.0
+    values = np.clip(np.cumsum(noise, axis=0) + 0.1 * np.cos(np.pi * grid.nodes), walls.k1, walls.k2)
+    return SpaceTimeField(grid, dt * np.arange(steps + 1), values)
+
+
+@pytest.mark.parametrize("n", [32, 2048])
+def test_blockwise_functionals_match_full_array_formulas_bit_for_bit(n):
+    grid = build_grid(n)
+    walls = Walls.constant(grid, -0.2, 0.25)
+    # Reaction beats decay at both walls, so pinned nodes need a force.
+    coeffs = coeffs_sin_statesigma(0.5, 3.0, amp=0.3)
+    dt = 1e-3
+    rows = BLOCK_VALUES // (n + 1)
+    for steps in (rows - 1, rows, rows + 1, 3 * rows + 2):
+        v = clipped_walk(grid, steps, dt, steps, walls)
+        rec = recover_control(v, coeffs, walls, dt)
+        hdot, eta, xi, defect = full_array_recovery(v, coeffs, walls, dt)
+        assert rec.eta.total_mass > 0.0 and rec.xi.total_mass > 0.0
+        got = (rec.hdot.values, rec.eta.density, rec.xi.density, rec.residual)
+        assert all(np.array_equal(a, b) for a, b in zip(got, (hdot, eta, xi, defect)))
+        T = v.times[-1]
+        inner = (v.times[1], v.times[-2])
+        for t1, t2 in ((0.0, T), inner):
+            assert rate_I(v, t1, t2, coeffs, walls) == full_array_action(v, t1, t2, coeffs, walls)
+            assert rate_S(v, t1, t2, coeffs) == full_array_action(v, t1, t2, coeffs)
+
+
+def test_rate_I_is_infinite_only_for_an_inadmissible_window():
+    grid = build_grid(32)
+    walls = Walls.constant(grid, -0.2, 0.25)
+    coeffs = coeffs_sin(2.0, 0.5)
+    steps = 3 * (BLOCK_VALUES // (grid.n + 1)) + 2
+    v = clipped_walk(grid, steps, 1e-3, 5, walls)
+    late = steps - 3  # an escape in the last block, after admissible ones
+    v.values[late, 7] = 0.3
+    T = v.times[-1]
+    assert rate_I(v, 0.0, T, coeffs, walls) == math.inf
+    assert rate_I(v, v.times[late - 1], T, coeffs, walls) == math.inf
+    assert math.isfinite(rate_I(v, 0.0, v.times[late - 1], coeffs, walls))
+    v.values[late, 7] = np.nan
+    assert rate_I(v, 0.0, T, coeffs, walls) == math.inf
+
+
+def test_path_functionals_raise_on_bad_windows():
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.5, 0.5)
+    coeffs = coeffs_sin_statesigma(2.0, 0.5, amp=0.3)
+    v = clipped_walk(grid, 40, 1e-2, 3, walls)
+    T = v.times[-1]
+    # The walk stays in the band, so sigma = 1 + 0.3 sin(u) dips below 0.95 somewhere.
+    strict = dataclasses.replace(coeffs, sigma_min=0.95)
+    assert np.min(coeffs.sigma(grid.nodes, v.values[:-1])) < 0.95
+    with pytest.raises(ValueError, match="dips below"):
+        rate_I(v, 0.0, T, strict, walls)
+    with pytest.raises(ValueError, match="dips below"):
+        recover_control(v, strict, walls, 1e-2)
+    with pytest.raises(ValueError, match="lower bound must be positive"):
+        rate_I(v, 0.0, T, dataclasses.replace(coeffs, sigma_min=0.0), walls)
+    uneven = SpaceTimeField(grid, np.concatenate([v.times[:-1], [T + 5e-3]]), v.values)
+    with pytest.raises(ValueError, match="not uniform"):
+        rate_I(uneven, 0.0, T + 5e-3, coeffs, walls)
+    with pytest.raises(ValueError, match="not uniform"):
+        rate_S(uneven, 0.0, T + 5e-3, coeffs)
+    for fn in (lambda a, b: rate_I(v, a, b, coeffs, walls), lambda a, b: rate_S(v, a, b, coeffs)):
+        with pytest.raises(ValueError, match="empty restriction window"):
+            fn(0.1, 0.1)
+        with pytest.raises(ValueError, match="not on the mesh"):
+            fn(0.0, 0.105)
+
+
+def test_rate_I_memory_stays_bounded_at_large_n():
+    # The full-array formulas held about eight (512, 2049) temporaries, 66 MiB.
+    grid = build_grid(2048)
+    walls = Walls.constant(grid, -0.2, 0.25)
+    coeffs = coeffs_sin_statesigma(2.0, 0.5, amp=0.3)
+    v = clipped_walk(grid, 512, 1.0 / 2048, 11, walls)
+    tracemalloc.start()
+    try:
+        value = rate_I(v, 0.0, v.times[-1], coeffs, walls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak < 16 * 2**20
 
 
 # ------------------------------------------------------------ adjoint
