@@ -316,15 +316,16 @@ def build_plan(cfg: dict, coeffs: CoefficientSpec) -> tuple[SamplingPlan, list, 
 
 def build_optimizer_options(cfg: dict) -> OptimizerOptions:
     section = _get(cfg, "optimizer")
-    opts = OptimizerOptions(
-        horizons=tuple(_get(section, "optimizer.horizons")),
-        **{key: _get(section, f"optimizer.{key}") for key in ("dt", "maxiter", "terminal_tol", "improvement_tol")},
-    )
-    for i, horizon in enumerate(opts.horizons):
-        steps = horizon / opts.dt
-        if not math.isfinite(steps) or round(steps) < 1:
-            raise ConfigError(f"optimizer.horizons[{i}] must span a finite number, at least one, of optimizer.dt steps")
-        _check_path_size(cfg, round(steps), f"optimizer.horizons[{i}]")
+    try:
+        opts = OptimizerOptions(
+            horizons=tuple(_get(section, "optimizer.horizons")),
+            **{key: _get(section, f"optimizer.{key}") for key in ("dt", "maxiter", "terminal_tol", "improvement_tol")},
+        )
+    except ValueError as exc:  # names the field, e.g. "horizons[1] ..."
+        raise ConfigError(f"optimizer.{exc}")
+    # The horizons increase, so the last one makes the longest path.
+    last = len(opts.horizons) - 1
+    _check_path_size(cfg, round(opts.horizons[last] / opts.dt), f"optimizer.horizons[{last}]")
     return opts
 
 

@@ -17,7 +17,10 @@ is updated between L-BFGS rounds), gradients from the discrete adjoint of
 the penalized forward scheme, and an outer horizon-doubling search
 warm-started by shifting the incumbent control behind a waiting period
 (which never changes its action, so the best value is monotone in the
-horizon).  The forward pass tapes sigma along the path and the reverse
+horizon) and by carrying the terminal multiplier from stage to stage (the
+wait leaves the terminal state unchanged, so a stage after the first
+usually needs one L-BFGS round).  Each stage leaves a ``StageRecord`` on
+the result.  The forward pass tapes sigma along the path and the reverse
 sweep evaluates df_du and dsigma_du once on the stored states, so each
 gradient costs one coefficient call per derivative rather than one per step.
 """
@@ -37,6 +40,7 @@ from wallspde.obstacle import LocalTime
 __all__ = [
     "RecoveredControl",
     "QuasipotentialResult",
+    "StageRecord",
     "OptimizerOptions",
     "recover_control",
     "rate_I",
@@ -81,6 +85,25 @@ class RecoveredControl:
         return self.hdot.action
 
 
+@dataclass(frozen=True)
+class StageRecord:
+    """How one horizon stage of ``quasipotential_J`` converged.  ``nit`` and
+    ``nfev`` add up the L-BFGS rounds, ``message`` and ``gradient_norm`` are
+    the last round's, ``penalized_gap`` is the sup-norm terminal miss of the
+    penalized path and ``terminal_gap`` that of the projected path that
+    ``value`` prices."""
+
+    horizon: float
+    rounds: int
+    nit: int
+    nfev: int
+    message: str
+    value: float
+    gradient_norm: float
+    penalized_gap: float
+    terminal_gap: float
+
+
 @dataclass(eq=False)
 class QuasipotentialResult:
     value: float
@@ -91,10 +114,14 @@ class QuasipotentialResult:
     converged: bool
     gradient_norm: float
     terminal_gap: float
+    stages: tuple = ()  # one StageRecord per horizon stage run, in order
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
+    """Horizons must increase strictly, each a whole number (at least one) of
+    ``dt`` steps to within 1e-9 relative."""
+
     horizons: tuple = (1.0, 2.0, 4.0, 8.0)
     dt: float = 0.02
     delta: float = 1e-4
@@ -102,6 +129,18 @@ class OptimizerOptions:
     terminal_tol: float = 5e-3
     improvement_tol: float = 1e-3
     initial_weight: float = 1e4  # anchor toward 0 in the free-start parametrization
+
+    def __post_init__(self):
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not self.horizons:
+            raise ValueError("horizons must not be empty")
+        for i, horizon in enumerate(self.horizons):
+            if i and not horizon > self.horizons[i - 1]:
+                raise ValueError(f"horizons[{i}] = {horizon} must exceed horizons[{i - 1}] = {self.horizons[i - 1]}")
+            steps = horizon / self.dt
+            if not (math.isfinite(steps) and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps):
+                raise ValueError(f"horizons[{i}] = {horizon} is not a whole number, at least one, of dt = {self.dt} steps")
 
 
 def _checked_target(z, coeffs: CoefficientSpec, walls: Walls) -> np.ndarray:
@@ -256,7 +295,8 @@ class _ActionProblem:
     returns the states, the penalty slopes and the sigma rows it used;
     ``value_and_grad`` evaluates the coefficient derivatives once on the
     stored states, so its reverse loop is only a transposed solve and a scale
-    per step.
+    per step.  It keeps the last evaluated point and its terminal state, so
+    ``terminal`` at that point costs no forward pass.
     """
 
     def __init__(self, coeffs, walls, dt, steps, target, delta, free_start=False):
@@ -274,6 +314,7 @@ class _ActionProblem:
         self.w_pen = 0.0
         self.w_init = 0.0
         self.mu = np.zeros(self.n1)
+        self._last = None
 
     def split(self, z):
         if self.free_start:
@@ -298,9 +339,16 @@ class _ActionProblem:
         slopes = np.where(active, 1.0 / (1.0 + dt / self.delta), 1.0)
         return states, slopes, sig
 
+    def terminal(self, z):
+        """The penalized path's terminal state for the control z."""
+        if self._last is not None and np.array_equal(z, self._last[0]):
+            return self._last[1]
+        return self.forward(*self.split(z))[0][-1]
+
     def value_and_grad(self, z):
         u0, h = self.split(z)
         states, slopes, sig = self.forward(u0, h)
+        self._last = (z.copy(), states[-1].copy())
         x, u = self.grid.nodes, states[:-1]
         w, dt = self.weights, self.dt
 
@@ -328,22 +376,34 @@ def _multipliers(problem, z0, opts):
     1969): L-BFGS on the augmented Lagrangian at the one weight
     ``_PENALTY_WEIGHT``, then mu += 2*w_pen*miss, until the penalized path ends
     within ``_GAP_FRACTION * terminal_tol`` of the target with the anchor at
-    full weight, or ``_MAX_ROUNDS`` rounds have run.  Returns the last point
-    and the sup norm of its gradient."""
+    full weight, or ``_MAX_ROUNDS`` rounds have run.  Starts from the
+    problem's ``mu`` and leaves there the multiplier of the last round.
+    Returns the last point and a dict of the ``StageRecord`` fields that
+    describe the loop."""
     problem.w_pen = _PENALTY_WEIGHT
     lbfgs = {"maxiter": opts.maxiter, "ftol": 1e-14, "gtol": 1e-10}
     z = z0
     last = len(_ANCHOR_RAMP) - 1
+    nit = nfev = 0
     for k in range(_MAX_ROUNDS):
         problem.w_init = opts.initial_weight * _ANCHOR_RAMP[min(k, last)]
         result = minimize(problem.value_and_grad, z, jac=True, method="L-BFGS-B", options=lbfgs)
         z = result.x
-        miss = problem.forward(*problem.split(z))[0][-1] - problem.target
+        nit, nfev = nit + result.nit, nfev + result.nfev
+        miss = problem.terminal(z) - problem.target
+        gap = float(np.max(np.abs(miss)))
         ramped = k >= last or not problem.free_start
-        if ramped and np.max(np.abs(miss)) <= _GAP_FRACTION * opts.terminal_tol:
+        if ramped and gap <= _GAP_FRACTION * opts.terminal_tol:
             break
         problem.mu = problem.mu + 2.0 * problem.w_pen * miss
-    return z, float(np.max(np.abs(result.jac)))
+    return z, {
+        "rounds": k + 1,
+        "nit": nit,
+        "nfev": nfev,
+        "message": str(result.message),
+        "gradient_norm": float(np.max(np.abs(result.jac))),
+        "penalized_gap": gap,
+    }
 
 
 def _score_on_projected(hdot_rows, times, coeffs, walls, target, start):
@@ -367,7 +427,9 @@ def quasipotential_J(
     """Minimal action to move the reflected flow from rest at 0 to z.
 
     Outer loop doubles the horizon, warm-starting each stage from the
-    incumbent control shifted behind a waiting period, and stops once a
+    incumbent control shifted behind a waiting period and from the previous
+    stage's terminal multiplier (the wait leaves the terminal state where it
+    was, so the multiplier that held it there still fits), and stops once a
     converged stage improves on the previous converged one by less than
     ``improvement_tol`` relatively.  A stage converges when its terminal gap
     is within ``terminal_tol``; the lowest converged value wins, and a stage
@@ -391,20 +453,25 @@ def quasipotential_J(
         )
 
     best = None
+    stages = []
     prev_rows = np.zeros((0, grid.n + 1))
+    mu = np.zeros(grid.n + 1)
     prev_value = math.inf
     for horizon in opts.horizons:
         steps = round(horizon / opts.dt)
         problem = _ActionProblem(coeffs, walls, opts.dt, steps, target, opts.delta)
+        problem.mu = mu
         pad = steps - prev_rows.shape[0]
         z0 = np.vstack([np.zeros((pad, problem.n1)), prev_rows]).ravel()
-        zstar, grad_norm = _multipliers(problem, z0, opts)
+        zstar, loop = _multipliers(problem, z0, opts)
+        mu = problem.mu
         rows = zstar.reshape(steps, problem.n1)
         times = np.linspace(0.0, horizon, steps + 1)
         traj, rec, gap = _score_on_projected(
             rows, times, coeffs, walls, target, np.zeros(problem.n1)
         )
         value = rec.action
+        stages.append(StageRecord(horizon=horizon, value=value, terminal_gap=gap, **loop))
         candidate = QuasipotentialResult(
             value=value,
             horizon=horizon,
@@ -412,7 +479,7 @@ def quasipotential_J(
             control=rec.hdot,
             target=target,
             converged=gap <= opts.terminal_tol,
-            gradient_norm=grad_norm,
+            gradient_norm=loop["gradient_norm"],
             terminal_gap=gap,
         )
         if best is None or candidate.converged > best.converged or (
@@ -426,6 +493,7 @@ def quasipotential_J(
                 if improvement < opts.improvement_tol:
                     break
             prev_value = value
+    best.stages = tuple(stages)
     return best
 
 

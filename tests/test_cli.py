@@ -77,6 +77,9 @@ CORPUS = [
     ("horizons_zero", "quasipotential", qp_cfg(horizons=[0]), "optimizer.horizons", True),
     ("horizons_negative", "quasipotential", qp_cfg(horizons=[-1]), "optimizer.horizons", True),
     ("horizons_empty", "quasipotential", qp_cfg(horizons=[]), "optimizer.horizons", True),
+    ("horizons_decreasing", "quasipotential", qp_cfg(horizons=[2.0, 1.0]), "optimizer.horizons[1]", False),
+    # 1.01 is 50.5 steps of 0.02: not on the optimizer's time mesh.
+    ("horizons_off_mesh", "quasipotential", qp_cfg(horizons=[1.01], dt=0.02), "optimizer.horizons[0]", False),
     # Finite step counts whose (steps + 1, n + 1) path exceeds config.MAX_PATH_VALUES.
     ("horizons_too_long", "quasipotential", qp_cfg(horizons=[1.0, 1e12]), "optimizer.horizons[1]", False),
     ("horizon_too_long", "simulate", base_cfg(time={"dt": 1e-3, "horizon": 1e12}, **SIM), "time.horizon", False),

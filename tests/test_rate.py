@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -500,32 +501,8 @@ def test_quasipotential_without_a_converged_stage_takes_the_lowest(monkeypatch):
     assert res.value == min(value for _, value, _ in stages)
 
 
-def multiplier_log(monkeypatch):
-    """Log, per run of the multiplier loop, its rounds, its adjoint
-    evaluations and the terminal gap of the penalized path it returns."""
-    real_loop, real_minimize = rate_module._multipliers, rate_module.minimize
-    log = []
-
-    def minimize(fun, x0, **kwargs):
-        result = real_minimize(fun, x0, **kwargs)
-        log[-1]["rounds"] += 1
-        log[-1]["nfev"] += result.nfev
-        return result
-
-    def loop(problem, z0, opts):
-        log.append({"rounds": 0, "nfev": 0})
-        z, grad_norm = real_loop(problem, z0, opts)
-        miss = problem.forward(*problem.split(z))[0][-1] - problem.target
-        log[-1]["gap"] = float(np.max(np.abs(miss)))
-        return z, grad_norm
-
-    monkeypatch.setattr(rate_module, "minimize", minimize)
-    monkeypatch.setattr(rate_module, "_multipliers", loop)
-    return log
-
-
 @pytest.mark.parametrize("case", ["c08", "binding_walls_sinusoidal_state_modulated"])
-def test_multiplier_loop_meets_its_stop_rule(monkeypatch, case):
+def test_multiplier_loop_meets_its_stop_rule(case):
     grid = build_grid(32)
     if case == "c08":
         walls = Walls.constant(grid, -10.0, 10.0)
@@ -536,18 +513,96 @@ def test_multiplier_loop_meets_its_stop_rule(monkeypatch, case):
         walls = Walls.constant(grid, -0.2, 0.2)
         coeffs, target = coeffs_sin_statesigma(2.0, 0.5, amp=0.3), 0.2 * np.cos(np.pi * grid.nodes)
         opts = OptimizerOptions(horizons=(1.0, 2.0), dt=0.02, maxiter=60)
-    log = multiplier_log(monkeypatch)
     res = quasipotential_J(target, coeffs, walls, opts)
     stop = rate_module._GAP_FRACTION * opts.terminal_tol
     assert res.converged
     assert res.terminal_gap <= stop
-    assert len(log) == len(opts.horizons)
-    for stage in log:
-        assert 1 <= stage["rounds"] <= rate_module._MAX_ROUNDS
-        assert stage["gap"] <= stop
+    assert [stage.horizon for stage in res.stages] == list(opts.horizons)
+    for stage in res.stages:
+        assert 1 <= stage.rounds <= rate_module._MAX_ROUNDS
+        assert stage.penalized_gap <= stop
+    # The carried multiplier already holds the shifted control's end in place.
+    assert all(stage.rounds == 1 for stage in res.stages[1:])
     if case == "c08":
-        # The three-weight penalty continuation took 565 evaluations here.
-        assert sum(stage["nfev"] for stage in log) <= 565 // 2
+        # The three-weight penalty continuation took 565 evaluations here,
+        # and a fresh multiplier per stage 240.
+        assert sum(stage.nfev for stage in res.stages) <= 565 // 2
+        assert sum(stage.nfev for stage in res.stages) <= 180
+
+
+def test_stage_records_describe_the_result():
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -10.0, 10.0)
+    res = quasipotential_J(np.full(grid.n + 1, 0.3), coeffs_zero(1.0), walls, FAST_OPTS)
+    chosen = [stage for stage in res.stages if stage.horizon == res.horizon]
+    assert len(chosen) == 1
+    assert (chosen[0].value, chosen[0].terminal_gap) == (res.value, res.terminal_gap)
+    assert chosen[0].gradient_norm == res.gradient_norm
+    for stage in res.stages:
+        assert stage.nit <= stage.nfev
+        assert stage.message
+    assert quasipotential_J(np.zeros(grid.n + 1), coeffs_zero(1.0), walls, FAST_OPTS).stages == ()
+
+
+def test_each_stage_starts_at_the_previous_stage_multiplier(monkeypatch):
+    real = rate_module._multipliers
+    seen = []
+
+    def loop(problem, z0, opts):
+        start = problem.mu.copy()
+        z, record = real(problem, z0, opts)
+        seen.append((start, problem.mu.copy()))
+        return z, record
+
+    monkeypatch.setattr(rate_module, "_multipliers", loop)
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -10.0, 10.0)
+    quasipotential_J(np.full(grid.n + 1, 0.3), coeffs_zero(1.0), walls, FAST_OPTS)
+    assert len(seen) >= 2
+    assert not np.any(seen[0][0])
+    for (_, end), (start, _) in zip(seen, seen[1:]):
+        assert np.array_equal(start, end)
+
+
+@pytest.mark.parametrize("free_start", [False, True])
+def test_terminal_state_reuse_is_bit_identical(free_start):
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.2, 0.25)
+    steps = 30
+    problem = _ActionProblem(
+        coeffs_sin_statesigma(2.0, 0.5, amp=0.3), walls, 0.02, steps, 0.2 * np.cos(np.pi * grid.nodes), 1e-4,
+        free_start=free_start,
+    )
+    rng = np.random.default_rng(31)
+    z, other = 3.0 * rng.normal(size=(2, (steps + free_start) * (grid.n + 1)))
+    fresh = problem.forward(*problem.split(z))[0][-1]
+    problem.value_and_grad(z)
+    assert np.array_equal(problem.terminal(z), fresh)
+    # A point other than the last evaluated one runs the forward pass.
+    assert np.array_equal(problem.terminal(other), problem.forward(*problem.split(other))[0][-1])
+    assert np.array_equal(problem.terminal(z.copy()), fresh)
+
+
+@pytest.mark.parametrize(
+    "horizons, dt, key",
+    [
+        ((2.0, 1.0), 0.02, "horizons[1]"),
+        ((1.0, 1.0), 0.02, "horizons[1]"),
+        ((1.01,), 0.02, "horizons[0]"),
+        ((0.01,), 0.02, "horizons[0]"),
+        ((1e308,), 0.02, "horizons[0]"),
+        ((), 0.02, "horizons"),
+        ((1.0,), 0.0, "dt"),
+    ],
+)
+def test_optimizer_options_reject_bad_horizons(horizons, dt, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        OptimizerOptions(horizons=horizons, dt=dt)
+
+
+def test_optimizer_options_accept_horizons_within_round_off_of_the_mesh():
+    OptimizerOptions(horizons=(0.1, 0.3, 0.7), dt=0.1)
+    OptimizerOptions(horizons=(0.5, 1.0), dt=0.004)
 
 
 def test_multiplier_loop_stops_at_the_round_cap(monkeypatch):
@@ -558,7 +613,7 @@ def test_multiplier_loop_stops_at_the_round_cap(monkeypatch):
     def stuck(fun, x0, **kwargs):
         calls.append(fun)
         value, grad = fun(x0)
-        return OptimizeResult(x=x0, fun=value, jac=grad, nfev=1, nit=0)
+        return OptimizeResult(x=x0, fun=value, jac=grad, nfev=1, nit=0, message="stuck")
 
     monkeypatch.setattr(rate_module, "minimize", stuck)
     grid = build_grid(8)
@@ -567,6 +622,7 @@ def test_multiplier_loop_stops_at_the_round_cap(monkeypatch):
     opts = OptimizerOptions(horizons=(0.5, 1.0), dt=0.05, maxiter=20)
     res = quasipotential_J(target, coeffs_zero(1.0), walls, opts)
     assert len(calls) == len(opts.horizons) * rate_module._MAX_ROUNDS
+    assert [stage.rounds for stage in res.stages] == [rate_module._MAX_ROUNDS] * len(opts.horizons)
     assert not res.converged
     assert res.terminal_gap > opts.terminal_tol
     calls.clear()
