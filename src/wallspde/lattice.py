@@ -247,7 +247,8 @@ class Propagator:
     """Implicit heat step followed by restoring the walls, for one (grid, alpha, dt).
 
     The obstacle problem, the integrators, the adjoint optimizer and the
-    sampler all step with it.  States are shaped (n+1,) or (batch, n+1).
+    sampler all step with it.  States are shaped (n+1,) or (batch, n+1),
+    or for the sampler a stack of batches (levels, batch, n+1).
     Below ``TRIDIAGONAL_MIN_N`` intervals the solve multiplies by the dense
     ``backward_euler_inverse``.  From ``TRIDIAGONAL_MIN_N`` on, the
     tridiagonal I - dt*A is LU-factored once (LAPACK gttrf) and each solve,
@@ -279,19 +280,30 @@ class Propagator:
 
     def _banded(self, values: np.ndarray, trans: str) -> np.ndarray:
         # gttrs solves for the columns of a column-major b, which a C-ordered
-        # (batch, n+1) batch's transpose already is: no reordering copy.
-        x, _ = dgttrs(*self._factors, values if values.ndim == 1 else values.T, trans=trans)
-        return x if values.ndim == 1 else x.T
+        # batch's transpose already is: no reordering copy.  Each column is
+        # solved on its own, so a stack flattened into one batch keeps its bits.
+        if values.ndim == 1:
+            return dgttrs(*self._factors, values, trans=trans)[0]
+        rows = values.reshape(-1, values.shape[-1])
+        return dgttrs(*self._factors, rows.T, trans=trans)[0].T.reshape(values.shape)
 
     def solve(self, values: np.ndarray) -> np.ndarray:
-        """(I - dt*A)^{-1} applied to a state or to each row of a batch."""
+        """(I - dt*A)^{-1} applied to a state or to each row of a batch.
+
+        ``values`` is shaped (n+1,), (batch, n+1) or a stack of batches
+        (..., batch, n+1).  Every row comes out with the same bits as when
+        its batch is solved alone.
+        """
         if self.matrix is None:
             return self._banded(values, "N")
         if values.ndim == 1:
             return self.matrix @ values
         # BLAS rounds the product with a node-major copy like an (n+1, batch)
-        # product; multiplying the rows directly changes the last bits.
-        return (self.matrix @ np.ascontiguousarray(values.T)).T
+        # product; multiplying the rows directly changes the last bits.  A
+        # stack is one matmul that runs one (n+1, batch) product per batch:
+        # gemm rounding depends on the column count and offset, so folding the
+        # stack into one wide product would not keep the bits.
+        return (self.matrix @ np.ascontiguousarray(values.swapaxes(-1, -2))).swapaxes(-1, -2)
 
     def solve_transpose(self, values: np.ndarray) -> np.ndarray:
         """Transposed solve of a single state, for adjoint sweeps."""

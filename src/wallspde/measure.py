@@ -3,7 +3,14 @@
 Sampling runs the reflected stochastic flow from rest, discards a burn-in
 measured in multiples of the relaxation time 1/(alpha - c), then records
 thinned states.  Chains for distinct seeds are independent and the whole
-procedure is reproducible from the seed list.  The scaling diagnostics never
+procedure is reproducible from the seed list.  One private generator,
+``_rounds``, does all the stepping: it advances every noise level of a
+scaling curve as one stacked (levels, chains, n+1) batch, drops a level once
+its last round is kept, and draws noise through one buffer of
+``_NOISE_VALUES`` values.  ``sample_invariant`` collects its rounds for one
+level; ``ldp_scaling_curve`` only counts ball hits on them, so its memory
+does not grow with the sample count.  Both give the same bits as stepping
+each level alone.  The scaling diagnostics never
 assert limits: at finite noise they check bracket inequalities built from
 cataloged minimum-action values, statistical interval widths, and the rate's
 local modulus over the ball, plus a monotone trend of eps^2 * log p toward
@@ -21,8 +28,9 @@ from wallspde.dynamics import CoefficientSpec
 from wallspde.lattice import Grid, Propagator, Walls, holder_norm
 from wallspde.rate import OptimizerOptions, quasipotential_J
 
-# Steps of noise drawn per chain at a time, so memory does not grow with the horizon.
-_NOISE_CHUNK = 256
+# Values of noise drawn at a time (2 MiB), shared by every chain and level, so
+# memory does not grow with the horizon, the chain count or the grid.
+_NOISE_VALUES = 2**18
 
 __all__ = [
     "SamplingPlan",
@@ -48,6 +56,9 @@ class SamplingPlan:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError("need at least one sample")
+        for name in ("burn_in", "thin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.thin <= 0.0 or self.burn_in < 0.0:
             raise ValueError("burn_in must be nonnegative and thin positive")
 
@@ -89,6 +100,89 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) ->
     return max(centre - half, 0.0), min(centre + half, 1.0)
 
 
+def _finite_level(eps) -> float:
+    eps = float(eps)
+    if not math.isfinite(eps) or eps < 0.0:
+        raise ValueError(f"noise level must be finite and nonnegative, got {eps}")
+    return eps
+
+
+def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
+    """Step every noise level as one stacked batch and yield each kept round.
+
+    ``levels`` lists (eps, plan, seeds) in nonincreasing eps, every level
+    with the same number of chains; the inputs are checked by the callers.
+    The state is one (levels, chains, n+1) array and the noisy levels' eps
+    a (levels, 1, 1) column.  Each level keeps its own burn-in, thin and
+    count schedule and is dropped from the stack after its last round.
+    Yields (level, round, rows): the states of the chains that keep that
+    round, a view valid until the next step.  Chain j keeps
+    ``count // chains + (j < count % chains)`` rounds, so the keeping chains
+    are always the first ``len(rows)``.
+
+    Each level's chains draw from their own seeds' streams in blocks that
+    share a buffer of ``_NOISE_VALUES`` values (one step's worth when a step
+    needs more), and a block never runs past the next level to finish, so no
+    stream is drawn beyond its level's last step.  Chunked draws continue
+    each stream exactly as one draw would, and every per-level operation
+    has the same operands as when the level is sampled alone, so the rows
+    are bit-identical to per-level sampling.
+    """
+    grid = walls.grid
+    n1 = grid.n + 1
+    chains = len(levels[0][2])
+    burn = [round(plan.burn_in / dt) for _, plan, _ in levels]
+    thin = [max(1, round(plan.thin / dt)) for _, plan, _ in levels]
+    counts = [plan.count for _, plan, _ in levels]
+    ends = [b + -(-c // chains) * t for b, t, c in zip(burn, thin, counts)]
+    keep_at = [b + t for b, t in zip(burn, thin)]
+    rngs = [
+        [np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(0,))) for s in seeds]
+        for _, _, seeds in levels
+    ]
+    prop = Propagator(grid, coeffs.alpha, dt)
+    x = grid.nodes
+    scale = math.sqrt(dt * grid.dx)
+    step_values = max(1, sum(eps > 0.0 for eps, _, _ in levels)) * chains * n1
+    buffer = np.empty(step_values * max(1, min(_NOISE_VALUES // step_values, max(ends))))
+
+    active = list(range(len(levels)))
+    state = np.zeros((len(levels), chains, n1))
+    step = 0
+    while active:
+        # eps does not increase along the stack, so the noisy levels lead it.
+        eps = np.array([levels[lv][0] for lv in active if levels[lv][0] > 0.0], dtype=float).reshape(-1, 1, 1)
+        noisy = len(eps)
+        per_block = buffer.size // (max(noisy, 1) * chains * n1)
+        noise = buffer[: noisy * chains * per_block * n1].reshape(noisy, chains, per_block, n1)
+        finish = min(ends[lv] for lv in active)
+        next_keep = min(keep_at[lv] for lv in active)
+        while step < finish:
+            block = min(per_block, finish - step)
+            for i in range(noisy):
+                for rng, buf in zip(rngs[active[i]], noise[i]):
+                    rng.standard_normal(out=buf[:block])
+            noise[:, :, :block] *= scale
+            for k in range(block):
+                rhs = state + dt * coeffs.f(x, state)
+                if noisy:
+                    rhs[:noisy] += eps * coeffs.sigma(x, state[:noisy]) * noise[:, :, k] / grid.dx
+                prop.step(rhs, walls.k1, walls.k2, out=state)
+                step += 1
+                if step < next_keep:
+                    continue
+                for i, lv in enumerate(active):
+                    if keep_at[lv] == step:
+                        r = (step - burn[lv]) // thin[lv] - 1
+                        kept = chains if r < counts[lv] // chains else counts[lv] % chains
+                        yield lv, r, state[i, :kept]
+                        keep_at[lv] += thin[lv]
+                next_keep = min(keep_at[lv] for lv in active)
+        stay = [i for i, lv in enumerate(active) if ends[lv] > step]
+        active = [active[i] for i in stay]
+        state = state[stay]
+
+
 def sample_invariant(
     coeffs: CoefficientSpec,
     walls: Walls,
@@ -101,57 +195,33 @@ def sample_invariant(
 
     Requires the dissipativity hypothesis, which justifies measuring burn-in
     against the relaxation rate; plans shorter than 5 relaxation times are
-    rejected.  All chains advance together as rows of one state matrix, so
-    the cost per step is a single implicit solve.
+    rejected, and so is a noise level that is negative or not finite.  All
+    chains advance together as rows of one state matrix, so the cost per step
+    is a single implicit solve; this collects the rounds of the one-level
+    sampler that ``ldp_scaling_curve`` also steps, and its noise buffer holds
+    ``_NOISE_VALUES`` values whatever the horizon or chain count.  Chain j's
+    round-r state is row ``sum(per_chain[:j]) + r``: (chain, round) order.
     """
     grid = walls.grid
     coeffs.require_h(grid)
-    if eps < 0.0:
-        raise ValueError("noise level must be nonnegative")
+    eps = _finite_level(eps)
     if not seeds:
         raise ValueError("need at least one seed")
     plan.check_burn_in(coeffs)
 
     seeds = tuple(int(s) for s in seeds)
     chains = len(seeds)
-    burn_steps = round(plan.burn_in / dt)
-    thin_steps = max(1, round(plan.thin / dt))
     per_chain = [plan.count // chains + (1 if j < plan.count % chains else 0) for j in range(chains)]
-    rounds = max(per_chain)
-
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(0,))) for s in seeds
-    ]
-    prop = Propagator(grid, coeffs.alpha, dt)
-    x = grid.nodes
-    scale = math.sqrt(dt * grid.dx)
-    state = np.zeros((chains, grid.n + 1))
-    noise = np.empty((chains, min(_NOISE_CHUNK, max(burn_steps, thin_steps)), grid.n + 1))
-
-    def advance(steps: int) -> None:
-        for start in range(0, steps, noise.shape[1]):
-            block = min(noise.shape[1], steps - start)
-            if eps > 0.0:
-                # Chunked draws continue each chain's stream exactly as one draw would.
-                for rng, buf in zip(rngs, noise):
-                    rng.standard_normal(out=buf[:block])
-                noise[:, :block] *= scale
-            for k in range(block):
-                rhs = state + dt * coeffs.f(x, state)
-                if eps > 0.0:
-                    rhs = rhs + eps * coeffs.sigma(x, state) * noise[:, k] / grid.dx
-                prop.step(rhs, walls.k1, walls.k2, out=state)
-
-    advance(burn_steps)
-    # Chain j's round-r state goes to row starts[j] + r: (chain, round) order.
     starts = np.cumsum([0] + per_chain[:-1])
     samples = np.empty((plan.count, grid.n + 1))
-    for r in range(rounds):
-        advance(thin_steps)
-        for j in range(chains):
-            if r < per_chain[j]:
-                samples[starts[j] + r] = state[j]
-    return EmpiricalMeasure(samples=samples, eps=float(eps), plan=plan, seeds=seeds, grid=grid)
+    for _, r, rows in _rounds(coeffs, walls, [(eps, plan, seeds)], dt):
+        samples[starts[: len(rows)] + r] = rows
+    return EmpiricalMeasure(samples=samples, eps=eps, plan=plan, seeds=seeds, grid=grid)
+
+
+def _ball_hits(rows: np.ndarray, z_star: np.ndarray, delta: float) -> int:
+    """Rows inside the open sup-norm ball of radius ``delta`` around ``z_star``."""
+    return int(np.count_nonzero(np.max(np.abs(rows - z_star), axis=1) < delta))
 
 
 def ball_probability(
@@ -160,10 +230,9 @@ def ball_probability(
     """Empirical mass of the open sup-norm ball with a Wilson 95% interval."""
     if measure.count == 0:
         raise ValueError("empty measure")
-    if delta <= 0.0:
-        raise ValueError("ball radius must be positive")
-    z_star = np.asarray(z_star, dtype=float)
-    hits = int(np.sum(np.max(np.abs(measure.samples - z_star), axis=1) < delta))
+    if not delta > 0.0:
+        raise ValueError(f"ball radius must be positive, got {delta}")
+    hits = _ball_hits(measure.samples, np.asarray(z_star, dtype=float), delta)
     p_hat = hits / measure.count
     return p_hat, wilson_interval(hits, measure.count)
 
@@ -215,29 +284,73 @@ def ldp_scaling_curve(
     [-j_outer - slack, -j_inner + slack], with slack the rate's local modulus
     over the ball.  Zero-count targets are flagged unresolved, never
     extrapolated.
+
+    Every input is checked before any quasipotential solve or sampling step:
+    finite nonnegative noise levels, each ``z_star`` a finite (n+1,) field,
+    each ``delta`` finite and positive, a catalog entry for every target,
+    hypothesis H and each plan's burn-in heuristic.  Level ``i`` runs
+    ``chains`` chains seeded ``base_seed + 1000*i + j``; all levels step
+    together as one stacked batch and only the hits per (level, target) are
+    kept, so no samples array is built.
     """
+    grid = walls.grid
+    if len(eps_schedule) == 0:
+        raise ValueError("need at least one noise level")
+    for eps in eps_schedule:
+        _finite_level(eps)
     if np.any(np.diff(eps_schedule) >= 0.0):
         raise ValueError("eps schedule must be strictly decreasing")
     if isinstance(plans, SamplingPlan):
         plans = [plans] * len(eps_schedule)
     if len(plans) != len(eps_schedule):
         raise ValueError(f"got {len(plans)} sampling plans for {len(eps_schedule)} noise levels")
+    if chains < 1:
+        raise ValueError(f"need at least one chain, got {chains}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    balls = []
+    for t_idx, (z_star, delta) in enumerate(targets):
+        z_star = np.asarray(z_star, dtype=float)
+        if z_star.shape != (grid.n + 1,) or not np.isfinite(z_star).all():
+            raise ValueError(
+                f"target {t_idx}: z_star must be a finite field of shape ({grid.n + 1},), "
+                f"got shape {z_star.shape}"
+            )
+        if not (math.isfinite(delta) and delta > 0.0):
+            raise ValueError(f"target {t_idx}: ball radius must be finite and positive, got {delta}")
+        balls.append((z_star, delta))
+    if catalog is not None:
+        missing = [t_idx for t_idx in range(len(targets)) if t_idx not in catalog]
+        if missing:
+            raise ValueError(f"catalog has no entry for targets {missing}")
+    coeffs.require_h(grid)
+    for plan in plans:
+        plan.check_burn_in(coeffs)
+
     if catalog is None:
         catalog = {}
-        for idx, (z_star, delta) in enumerate(targets):
-            z_star = np.asarray(z_star, dtype=float)
+        for idx, (z_star, delta) in enumerate(balls):
             j_in = quasipotential_J(np.clip(z_star - delta, walls.k1, walls.k2), coeffs, walls, options).value
             j_st = quasipotential_J(z_star, coeffs, walls, options).value
             j_out = quasipotential_J(np.clip(z_star + delta, walls.k1, walls.k2), coeffs, walls, options).value
             catalog[idx] = (min(j_in, j_out, j_st), j_st, max(j_in, j_out, j_st))
 
+    levels = [
+        (float(eps), plans[e_idx], tuple(base_seed + 1000 * e_idx + j for j in range(chains)))
+        for e_idx, eps in enumerate(eps_schedule)
+    ]
+    hits = [[0] * len(targets) for _ in levels]
+    for e_idx, _, states in _rounds(coeffs, walls, levels, dt):
+        for t_idx, (z_star, delta) in enumerate(balls):
+            hits[e_idx][t_idx] += _ball_hits(states, z_star, delta)
+
     rows = []
     for e_idx, eps in enumerate(eps_schedule):
-        seeds = tuple(base_seed + 1000 * e_idx + j for j in range(chains))
-        measure = sample_invariant(coeffs, walls, eps, plans[e_idx], seeds, dt=dt)
-        for t_idx, (z_star, delta) in enumerate(targets):
+        count = plans[e_idx].count
+        for t_idx in range(len(targets)):
             j_inner, j_star, j_outer = catalog[t_idx]
-            p_hat, (lo, hi) = ball_probability(measure, np.asarray(z_star, dtype=float), delta)
+            p_hat = hits[e_idx][t_idx] / count
+            lo, hi = wilson_interval(hits[e_idx][t_idx], count)
             resolved = p_hat > 0.0
             slack = max(j_star - j_inner, j_outer - j_star)
             row = {

@@ -231,3 +231,22 @@ def test_tridiagonal_transposed_solve_is_the_adjoint(n):
     assert relative_error(transposed, np.linalg.solve(system.T, a)) <= 1e-14
     assert relative_error(transposed, prop.solve(a)) > 1e-6
     assert float(a @ prop.solve(b)) == pytest.approx(float(transposed @ b), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [32, TRIDIAGONAL_MIN_N])
+def test_stacked_solve_equals_per_batch_solves_bit_for_bit(n):
+    # The sampler solves every noise level's (chains, n+1) batch as one
+    # (levels, chains, n+1) stack; each batch must keep the bits of its own
+    # solve, whose dense product rounds with the batch's column count.
+    rng = np.random.default_rng(n)
+    prop = Propagator(build_grid(n), 3.0, 1e-3)
+    for levels, chains in ((1, 16), (3, 16), (2, 5), (4, 1)):
+        stack = rng.standard_normal((levels, chains, n + 1))
+        solved = prop.solve(stack)
+        assert solved.shape == stack.shape
+        for level in range(levels):
+            alone = prop.solve(stack[level].copy())
+            assert solved[level].tobytes() == np.ascontiguousarray(alone).tobytes()
+        # A strided stack, like a slice of a larger one, solves the same way.
+        wide = rng.standard_normal((levels, chains + 2, n + 1))
+        assert np.array_equal(prop.solve(wide[:, 1:-1]), prop.solve(wide[:, 1:-1].copy()))
