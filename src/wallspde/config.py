@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from wallspde.dynamics import CoefficientSpec, Control
-from wallspde.lattice import Grid, Walls, build_grid
+from wallspde.lattice import Grid, Walls, build_grid, mesh_steps
 from wallspde.measure import SamplingPlan
 from wallspde.rate import OptimizerOptions
 
@@ -260,10 +260,11 @@ def build_time(cfg: dict) -> tuple[float, float]:
     more than ``MAX_PATH_VALUES`` allows."""
     section = _need(cfg, "time")
     T, dt = _get(section, "time.horizon"), _get(section, "time.dt")
-    steps = T / dt
-    if not math.isfinite(steps) or round(steps) < 1 or abs(round(steps) * dt - T) > 1e-9 * (1.0 + T):
-        raise ConfigError("time.horizon must be a positive multiple of time.dt")
-    _check_path_size(cfg, round(steps), "time.horizon")
+    try:
+        steps = mesh_steps(T, dt, "time.horizon")
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    _check_path_size(cfg, steps, "time.horizon")
     return T, dt
 
 
@@ -325,7 +326,7 @@ def build_optimizer_options(cfg: dict) -> OptimizerOptions:
         raise ConfigError(f"optimizer.{exc}")
     # The horizons increase, so the last one makes the longest path.
     last = len(opts.horizons) - 1
-    _check_path_size(cfg, round(opts.horizons[last] / opts.dt), f"optimizer.horizons[{last}]")
+    _check_path_size(cfg, mesh_steps(opts.horizons[last], opts.dt), f"optimizer.horizons[{last}]")
     return opts
 
 

@@ -12,16 +12,23 @@ its restoring correction over dt gives the force densities.
 Noise normalisation: each cell increment is N(0, dt*dx) and enters the drift
 as sigma * dW / dx, so pairing the forcing with a test function under
 trapezoid weights reproduces the white-noise integral.
+
+Each stepping rule has one home that every solver and the sampler call:
+``lattice.check_dt`` and ``lattice.mesh_steps`` (the time mesh),
+``check_level`` (noise level), ``check_penalty`` (penalty), and
+``noise_generator`` with ``increment_scale`` (the noise stream).  A bad
+``dt``, horizon, noise level or penalty raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from wallspde.lattice import Grid, Propagator, SpaceTimeField, Walls
+from wallspde.lattice import Grid, Propagator, SpaceTimeField, Walls, check_dt, mesh_steps
 from wallspde.obstacle import LocalTime
 
 __all__ = [
@@ -110,7 +117,7 @@ class Control:
     @classmethod
     def from_function(cls, grid: Grid, T: float, dt: float, fn) -> "Control":
         """Sample hdot(x, t) at step starts on the uniform mesh of [0, T]."""
-        m = round(T / dt)
+        m = mesh_steps(T, dt, "T")
         times = np.linspace(0.0, T, m + 1)
         vals = np.array([fn(grid.nodes, times[k]) for k in range(m)], dtype=float)
         return cls(grid, times, vals)
@@ -134,15 +141,36 @@ class NoiseRealization:
         return replace(self, increments=-self.increments)
 
 
+def check_level(eps: float) -> float:
+    """The noise level as a float; raises unless it is finite and nonnegative."""
+    eps = float(eps)
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"noise level must be finite and nonnegative, got {eps}")
+    return eps
+
+
+def check_penalty(delta: float, eps_pen: float) -> None:
+    """Raises unless both penalty parameters are finite and positive."""
+    if not (0.0 < delta < math.inf and 0.0 < eps_pen < math.inf):
+        raise ValueError(f"penalty parameters must be positive and finite: delta={delta}, eps_pen={eps_pen}")
+
+
+def noise_generator(seed: int, stream: int = 0) -> np.random.Generator:
+    """Stream ``stream`` of ``seed``; its standard normals times ``increment_scale`` are increments."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+
+
+def increment_scale(grid: Grid, dt: float) -> float:
+    """Standard deviation sqrt(dt*dx) of one white-noise cell increment."""
+    return math.sqrt(check_dt(dt) * grid.dx)
+
+
 def sample_noise(grid: Grid, dt: float, steps: int, seed: int, stream: int = 0) -> NoiseRealization:
     """Reproducible i.i.d. increments; (seed, stream) fully determines them."""
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
-    scale = np.sqrt(dt * grid.dx)
-    draws = rng.normal(0.0, scale, size=(steps, grid.n + 1))
+    scale = increment_scale(grid, dt)
+    draws = noise_generator(seed, stream).normal(0.0, scale, size=(steps, grid.n + 1))
     return NoiseRealization(grid, float(dt), int(seed), int(stream), draws)
 
 
@@ -180,8 +208,8 @@ def step_penalized(
     state = np.asarray(state, dtype=float)
     if not np.all(np.isfinite(state)):
         raise ValueError("non-finite state")
-    if delta <= 0.0 or eps_pen <= 0.0:
-        raise ValueError("penalty parameters must be positive")
+    check_penalty(delta, eps_pen)
+    eps_noise = check_level(eps_noise)
     grid = walls.grid
     drive = None
     if hdot is not None:
@@ -251,25 +279,18 @@ def solve_skeleton(
         raise ValueError(f"unknown mode '{mode}'")
     if eps_pen is None:
         eps_pen = delta
-    if mode == "penalized" and not (0.0 < delta < np.inf and 0.0 < eps_pen < np.inf):
-        raise ValueError(f"penalty parameters must be positive and finite: delta={delta}, eps_pen={eps_pen}")
-    m = round(T / dt)
-    if abs(m * dt - T) > 1e-9 * (1.0 + T) or m < 1:
-        raise ValueError(f"horizon T={T} is not a positive multiple of dt={dt}")
+    if mode == "penalized":
+        check_penalty(delta, eps_pen)
+    m = mesh_steps(T, dt, "T")
     times = np.linspace(0.0, T, m + 1)
-    if control is not None:
-        if control.values.shape[0] < m or abs(control.times[1] - control.times[0] - dt) > 1e-12:
-            raise ValueError("mesh mismatch between control and trajectory")
-        rows = control.values
-    else:
-        rows = None
-
+    if control is not None and (control.values.shape[0] < m or abs(control.times[1] - control.times[0] - dt) > 1e-12):
+        raise ValueError("mesh mismatch between control and trajectory")
     prop = Propagator(grid, coeffs.alpha, dt)
 
     def drive_for_step(k, state):
-        if rows is None:
+        if control is None:
             return None
-        return prop.dt * coeffs.sigma(grid.nodes, state) * rows[k]
+        return prop.dt * coeffs.sigma(grid.nodes, state) * control.values[k]
 
     penalty = (delta, eps_pen) if mode == "penalized" else None
     u, eta, xi = _march(prop, coeffs, walls, u0, times, drive_for_step, penalty)
@@ -304,13 +325,10 @@ def solve_spde(
     """
     grid = walls.grid
     u0 = _check_admissible(u0, walls)
-    if eps_noise < 0.0:
-        raise ValueError("noise level must be nonnegative")
+    eps_noise = check_level(eps_noise)
+    m = mesh_steps(T, dt, "T")
     if dt > grid.dx:
         raise ValueError(f"dt too large: dt={dt} exceeds the stability heuristic dx={grid.dx}")
-    m = round(T / dt)
-    if abs(m * dt - T) > 1e-9 * (1.0 + T) or m < 1:
-        raise ValueError(f"horizon T={T} is not a positive multiple of dt={dt}")
     times = np.linspace(0.0, T, m + 1)
     if eps_noise > 0.0:
         if noise is None:
@@ -329,7 +347,7 @@ def solve_spde(
         return eps_noise * coeffs.sigma(grid.nodes, state) * increments[k] / grid.dx
 
     u, eta, xi = _march(prop, coeffs, walls, u0, times, drive_for_step)
-    return Trajectory(u, eta, xi, coeffs, "projected", eps_noise=float(eps_noise))
+    return Trajectory(u, eta, xi, coeffs, "projected", eps_noise=eps_noise)
 
 
 def local_time_energy(lt: LocalTime, alpha: float, T: float) -> float:

@@ -14,6 +14,7 @@ the tridiagonal system factored once, O(n) per step with no (n+1)^2 array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,6 +84,22 @@ class Grid:
 
 def build_grid(n: int) -> Grid:
     return Grid(n)
+
+
+def check_dt(dt: float) -> float:
+    """The step size as a float; raises unless it is finite and positive."""
+    dt = float(dt)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    return dt
+
+
+def mesh_steps(horizon: float, dt: float, name: str = "horizon") -> int:
+    """The ``dt`` steps in ``horizon``, a whole number (at least one) within 1e-9 relative."""
+    steps = horizon / check_dt(dt)
+    if not (math.isfinite(steps) and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ValueError(f"{name} = {horizon} is not a whole number, at least one, of dt = {dt} mesh steps")
+    return round(steps)
 
 
 def row_blocks(grid: Grid, rows: int) -> list[tuple[int, int]]:
@@ -179,9 +196,9 @@ class Operator:
 
 
 def neumann_operator(grid: Grid, alpha: float) -> Operator:
-    """Build the shifted Neumann Laplacian.  Rejects negative alpha."""
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    """Build the shifted Neumann Laplacian.  Rejects alpha that is negative or not finite."""
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
     n1 = grid.n + 1
     inv2 = 1.0 / grid.dx**2
     main = np.full(n1, -2.0 * inv2 - alpha)
@@ -236,8 +253,7 @@ def backward_euler_inverse(grid: Grid, alpha: float, dt: float) -> np.ndarray:
     cheap; it costs O(n^2) memory and an O(n^3) build, so finer grids take
     the factored tridiagonal path instead.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = check_dt(dt)
     op = neumann_operator(grid, alpha)
     n1 = grid.n + 1
     return np.linalg.inv(np.eye(n1) - dt * op.dense())
@@ -259,11 +275,7 @@ class Propagator:
     def __init__(self, grid: Grid, alpha: float, dt: float):
         self.grid = grid
         self.alpha = float(alpha)
-        self.dt = float(dt)
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        if alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        self.dt = check_dt(dt)
         if grid.n < TRIDIAGONAL_MIN_N:
             self.matrix = backward_euler_inverse(grid, alpha, dt)
         else:
@@ -417,7 +429,8 @@ class SpaceTimeField:
         return k
 
     def restrict(self, t1: float, t2: float) -> "SpaceTimeField":
+        """The levels from t1 to t2, as views of this field's arrays."""
         i, j = self.index_of(t1), self.index_of(t2)
         if j <= i:
             raise ValueError("empty restriction window")
-        return SpaceTimeField(self.grid, self.times[i : j + 1].copy(), self.values[i : j + 1].copy())
+        return SpaceTimeField(self.grid, self.times[i : j + 1], self.values[i : j + 1])

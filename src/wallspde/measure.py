@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wallspde.dynamics import CoefficientSpec
-from wallspde.lattice import Grid, Propagator, Walls, holder_norm
+from wallspde.dynamics import CoefficientSpec, check_level, increment_scale, noise_generator
+from wallspde.lattice import Grid, Propagator, Walls, check_dt, holder_norm
 from wallspde.rate import OptimizerOptions, quasipotential_J
 
 # Values of noise drawn at a time (2 MiB), shared by every chain and level, so
@@ -100,13 +100,6 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) ->
     return max(centre - half, 0.0), min(centre + half, 1.0)
 
 
-def _finite_level(eps) -> float:
-    eps = float(eps)
-    if not math.isfinite(eps) or eps < 0.0:
-        raise ValueError(f"noise level must be finite and nonnegative, got {eps}")
-    return eps
-
-
 def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
     """Step every noise level as one stacked batch and yield each kept round.
 
@@ -130,19 +123,17 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
     """
     grid = walls.grid
     n1 = grid.n + 1
+    # Built first, so that dt is checked before it divides the plan times.
+    prop = Propagator(grid, coeffs.alpha, dt)
+    scale = increment_scale(grid, dt)
     chains = len(levels[0][2])
     burn = [round(plan.burn_in / dt) for _, plan, _ in levels]
     thin = [max(1, round(plan.thin / dt)) for _, plan, _ in levels]
     counts = [plan.count for _, plan, _ in levels]
     ends = [b + -(-c // chains) * t for b, t, c in zip(burn, thin, counts)]
     keep_at = [b + t for b, t in zip(burn, thin)]
-    rngs = [
-        [np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(0,))) for s in seeds]
-        for _, _, seeds in levels
-    ]
-    prop = Propagator(grid, coeffs.alpha, dt)
+    rngs = [[noise_generator(s) for s in seeds] for _, _, seeds in levels]
     x = grid.nodes
-    scale = math.sqrt(dt * grid.dx)
     step_values = max(1, sum(eps > 0.0 for eps, _, _ in levels)) * chains * n1
     buffer = np.empty(step_values * max(1, min(_NOISE_VALUES // step_values, max(ends))))
 
@@ -204,7 +195,7 @@ def sample_invariant(
     """
     grid = walls.grid
     coeffs.require_h(grid)
-    eps = _finite_level(eps)
+    eps = check_level(eps)
     if not seeds:
         raise ValueError("need at least one seed")
     plan.check_burn_in(coeffs)
@@ -297,7 +288,7 @@ def ldp_scaling_curve(
     if len(eps_schedule) == 0:
         raise ValueError("need at least one noise level")
     for eps in eps_schedule:
-        _finite_level(eps)
+        check_level(eps)
     if np.any(np.diff(eps_schedule) >= 0.0):
         raise ValueError("eps schedule must be strictly decreasing")
     if isinstance(plans, SamplingPlan):
@@ -306,8 +297,7 @@ def ldp_scaling_curve(
         raise ValueError(f"got {len(plans)} sampling plans for {len(eps_schedule)} noise levels")
     if chains < 1:
         raise ValueError(f"need at least one chain, got {chains}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    check_dt(dt)
     balls = []
     for t_idx, (z_star, delta) in enumerate(targets):
         z_star = np.asarray(z_star, dtype=float)

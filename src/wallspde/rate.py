@@ -34,7 +34,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from wallspde.dynamics import CoefficientSpec, Control, Trajectory, solve_skeleton
-from wallspde.lattice import Propagator, SpaceTimeField, Walls, neumann_operator, row_blocks
+from wallspde.lattice import Propagator, SpaceTimeField, Walls, mesh_steps, neumann_operator, row_blocks
 from wallspde.obstacle import LocalTime
 
 __all__ = [
@@ -57,13 +57,16 @@ __all__ = [
 # Method of multipliers (see _multipliers).  A weight of 1e3 keeps each
 # L-BFGS round well conditioned; the stop gap, terminal_tol/50, is what an
 # inner solve capped by maxiter still reaches.  In the free-start
-# parametrization round k anchors u0 with initial_weight * _ANCHOR_RAMP[k]
-# (the last entry from then on): a full anchor from the first round makes
-# that round ill conditioned.
+# parametrization round k anchors u0 toward 0 with _ANCHOR_WEIGHT *
+# _ANCHOR_RAMP[k] (the last entry from then on): a full anchor from the
+# first round makes that round ill conditioned.  The forward map is the
+# scheme penalized at delta = eps_pen = _PENALTY_DELTA.
 _PENALTY_WEIGHT = 1e3
 _GAP_FRACTION = 0.02
 _MAX_ROUNDS = 10
+_ANCHOR_WEIGHT = 1e4
 _ANCHOR_RAMP = (1e-4, 1e-2, 1.0)
+_PENALTY_DELTA = 1e-4
 
 
 def contact_tolerance(walls: Walls) -> float:
@@ -124,23 +127,17 @@ class OptimizerOptions:
 
     horizons: tuple = (1.0, 2.0, 4.0, 8.0)
     dt: float = 0.02
-    delta: float = 1e-4
     maxiter: int = 500
     terminal_tol: float = 5e-3
     improvement_tol: float = 1e-3
-    initial_weight: float = 1e4  # anchor toward 0 in the free-start parametrization
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.horizons:
             raise ValueError("horizons must not be empty")
         for i, horizon in enumerate(self.horizons):
             if i and not horizon > self.horizons[i - 1]:
                 raise ValueError(f"horizons[{i}] = {horizon} must exceed horizons[{i - 1}] = {self.horizons[i - 1]}")
-            steps = horizon / self.dt
-            if not (math.isfinite(steps) and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps):
-                raise ValueError(f"horizons[{i}] = {horizon} is not a whole number, at least one, of dt = {self.dt} steps")
+            mesh_steps(horizon, self.dt, f"horizons[{i}]")
 
 
 def _checked_target(z, coeffs: CoefficientSpec, walls: Walls) -> np.ndarray:
@@ -216,14 +213,6 @@ def recover_control(
     )
 
 
-def _window(v: SpaceTimeField, t1: float, t2: float) -> SpaceTimeField:
-    """The levels of v from t1 to t2, as views of its arrays."""
-    i, j = v.index_of(t1), v.index_of(t2)
-    if j <= i:
-        raise ValueError("empty restriction window")
-    return SpaceTimeField(v.grid, v.times[i : j + 1], v.values[i : j + 1])
-
-
 def _action(window: SpaceTimeField, coeffs: CoefficientSpec, walls: Walls | None) -> float:
     """Control.action of the decomposition, with hdot**2 as the only path-sized array."""
     sq = np.empty((window.steps, window.grid.n + 1))
@@ -236,7 +225,7 @@ def rate_I(
     v: SpaceTimeField, t1: float, t2: float, coeffs: CoefficientSpec, walls: Walls
 ) -> float:
     """Minimal action over [t1, t2]; +inf when the window is inadmissible."""
-    window = _window(v, t1, t2)
+    window = v.restrict(t1, t2)
     if not _admissible(window, walls):
         return math.inf
     return _action(window, coeffs, walls)
@@ -244,21 +233,17 @@ def rate_I(
 
 def rate_S(v: SpaceTimeField, t1: float, t2: float, coeffs: CoefficientSpec) -> float:
     """Unreflected variant: the control must absorb the whole residual."""
-    return _action(_window(v, t1, t2), coeffs, None)
+    return _action(v.restrict(t1, t2), coeffs, None)
 
 
 def shift_concat(control: Control, T: float) -> Control:
     """Prepend a waiting period of length T (zero control); action invariant."""
-    if T < 0.0:
-        raise ValueError("shift must be nonnegative")
     if control.values.shape[0] == 0:
         raise ValueError("empty control")
-    dt = control.times[1] - control.times[0]
-    pad = round(T / dt)
-    if abs(pad * dt - T) > 1e-9 * (1.0 + T):
-        raise ValueError(f"mesh mismatch: shift T={T} is not a multiple of dt={dt}")
-    if pad == 0:
+    if T == 0.0:
         return Control(control.grid, control.times.copy(), control.values.copy())
+    dt = control.times[1] - control.times[0]
+    pad = mesh_steps(T, dt, "shift T")
     n1 = control.grid.n + 1
     values = np.vstack([np.zeros((pad, n1)), control.values])
     times = np.concatenate([dt * np.arange(pad), control.times + pad * dt])
@@ -386,7 +371,7 @@ def _multipliers(problem, z0, opts):
     last = len(_ANCHOR_RAMP) - 1
     nit = nfev = 0
     for k in range(_MAX_ROUNDS):
-        problem.w_init = opts.initial_weight * _ANCHOR_RAMP[min(k, last)]
+        problem.w_init = _ANCHOR_WEIGHT * _ANCHOR_RAMP[min(k, last)]
         result = minimize(problem.value_and_grad, z, jac=True, method="L-BFGS-B", options=lbfgs)
         z = result.x
         nit, nfev = nit + result.nit, nfev + result.nfev
@@ -458,8 +443,8 @@ def quasipotential_J(
     mu = np.zeros(grid.n + 1)
     prev_value = math.inf
     for horizon in opts.horizons:
-        steps = round(horizon / opts.dt)
-        problem = _ActionProblem(coeffs, walls, opts.dt, steps, target, opts.delta)
+        steps = mesh_steps(horizon, opts.dt)
+        problem = _ActionProblem(coeffs, walls, opts.dt, steps, target, _PENALTY_DELTA)
         problem.mu = mu
         pad = steps - prev_rows.shape[0]
         z0 = np.vstack([np.zeros((pad, problem.n1)), prev_rows]).ravel()
@@ -509,8 +494,8 @@ def infinite_horizon_check(
     target = _checked_target(z, coeffs, walls)
     opts = opts or OptimizerOptions()
     horizon = opts.horizons[-1]
-    steps = round(horizon / opts.dt)
-    problem = _ActionProblem(coeffs, walls, opts.dt, steps, target, opts.delta, free_start=True)
+    steps = mesh_steps(horizon, opts.dt)
+    problem = _ActionProblem(coeffs, walls, opts.dt, steps, target, _PENALTY_DELTA, free_start=True)
     z0 = np.zeros(problem.n1 + steps * problem.n1)
     zstar, _ = _multipliers(problem, z0, opts)
     u0, rows = problem.split(zstar)

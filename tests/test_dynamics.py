@@ -26,6 +26,13 @@ def test_noise_determinism():
     assert np.array_equal(a.increments, b.increments)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-3])
+def test_noise_rejects_a_bad_dt(dt):
+    # A NaN or infinite dt gave NaN or infinite increments.
+    with pytest.raises(ValueError, match=f"dt must be finite and positive, got {dt}"):
+        sample_noise(build_grid(16), dt, 10, seed=1)
+
+
 def test_noise_mean_clt_bound():
     grid = build_grid(32)
     dt = 1e-3
@@ -133,10 +140,15 @@ def test_penalized_step_rejects_nonfinite():
 
 
 @pytest.mark.parametrize(
-    "delta, eps_pen", [(-1.0, None), (-1e-3, None), (0.0, None), (np.nan, None), (np.inf, None), (1e-3, -1e-3), (1e-3, 0.0)]
+    "delta, eps_pen",
+    [
+        (-1.0, None), (-1e-3, None), (0.0, None), (np.nan, None), (np.inf, None), (1e-3, -1e-3), (1e-3, 0.0),
+        (1e-3, np.nan), (1e-3, np.inf),
+    ],
 )
 def test_penalized_skeleton_rejects_bad_penalty(delta, eps_pen):
-    # At the parent delta=-1 returned a path reaching 1.89 and delta=-1e-3 one holding inf.
+    # delta=-1 once returned a path reaching 1.89 and delta=-1e-3 one holding
+    # inf; step_penalized took a NaN or infinite delta or eps_pen.
     grid = build_grid(16)
     walls = Walls.constant(grid, -0.2, 0.2)
     control = Control.from_function(grid, 0.1, 1e-3, lambda x, t: np.full_like(x, 4.0))
@@ -145,6 +157,54 @@ def test_penalized_skeleton_rejects_bad_penalty(delta, eps_pen):
             np.zeros(grid.n + 1), control, coeffs_zero(2.0), walls, 0.1, 1e-3,
             mode="penalized", delta=delta, eps_pen=eps_pen,
         )
+    with pytest.raises(ValueError, match="penalty parameters"):
+        step_penalized(np.zeros(grid.n + 1), walls, delta, delta if eps_pen is None else eps_pen, coeffs_zero(2.0), 1e-3)
+
+
+@pytest.mark.parametrize(
+    "T, dt, message",
+    [
+        (np.inf, 1e-3, "T = inf is not a whole number"),
+        (np.nan, 1e-3, "T = nan is not a whole number"),
+        (-0.1, 1e-3, "T = -0.1 is not a whole number"),
+        (0.1005, 1e-3, "T = 0.1005 is not a whole number"),
+        (1.5e-12, 1e-12, "T = 1.5e-12 is not a whole number"),
+        (0.1, 0.0, "dt must be finite and positive, got 0.0"),
+        (0.1, -1e-3, "dt must be finite and positive, got -0.001"),
+        (0.1, np.nan, "dt must be finite and positive, got nan"),
+        (0.1, np.inf, "dt must be finite and positive, got inf"),
+    ],
+)
+def test_solvers_reject_a_bad_time_mesh(T, dt, message):
+    # T=inf raised OverflowError and dt=0 ZeroDivisionError in both solvers;
+    # T=1.5e-12 at dt=1e-12 ran two steps of 7.5e-13.
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.5, 0.5)
+    u0 = np.zeros(grid.n + 1)
+    with pytest.raises(ValueError, match=message):
+        solve_skeleton(u0, None, coeffs_zero(2.0), walls, T, dt)
+    with pytest.raises(ValueError, match=message):
+        solve_spde(u0, 0.1, coeffs_zero(2.0), walls, T, dt, seed=1)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -0.1])
+def test_spde_rejects_a_bad_noise_level(eps):
+    # eps=nan ran with no noise and reported eps_noise=nan; eps=inf failed late.
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.5, 0.5)
+    u0 = np.zeros(grid.n + 1)
+    with pytest.raises(ValueError, match=f"noise level .* got {eps}"):
+        solve_spde(u0, eps, coeffs_zero(2.0), walls, 0.1, 1e-2, seed=1)
+    with pytest.raises(ValueError, match=f"noise level .* got {eps}"):
+        step_penalized(u0, walls, 1e-3, 1e-3, coeffs_zero(2.0), 1e-2, noise_increment=np.ones(grid.n + 1), eps_noise=eps)
+
+
+def test_control_rejects_a_horizon_off_its_mesh():
+    # T=1.05 at dt=0.1 used to build ten rows and times 0.105 apart.
+    grid = build_grid(8)
+    with pytest.raises(ValueError, match="T = 1.05 is not a whole number"):
+        Control.from_function(grid, 1.05, 0.1, lambda x, t: np.ones_like(x))
+    assert Control.from_function(grid, 0.3, 0.1, lambda x, t: np.ones_like(x)).values.shape == (3, grid.n + 1)
 
 
 # ---------------------------------------------------------------- skeleton

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from wallspde.lattice import (
+    TRIDIAGONAL_MIN_N,
+    Propagator,
     SpaceTimeField,
     Walls,
     backward_euler_inverse,
@@ -64,6 +66,24 @@ def test_operator_zero_field():
 def test_operator_rejects_negative_alpha():
     with pytest.raises(ValueError, match="alpha"):
         neumann_operator(build_grid(8), -1.0)
+
+
+@pytest.mark.parametrize("n", [16, TRIDIAGONAL_MIN_N])
+@pytest.mark.parametrize(
+    "alpha, dt, message",
+    [
+        (1.0, np.nan, "dt must be finite and positive, got nan"),
+        (1.0, np.inf, "dt must be finite and positive, got inf"),
+        (1.0, 0.0, "dt must be finite and positive, got 0.0"),
+        (np.nan, 1e-3, "alpha must be finite and nonnegative, got nan"),
+        (np.inf, 1e-3, "alpha must be finite and nonnegative, got inf"),
+        (-1.0, 1e-3, "alpha must be finite and nonnegative, got -1.0"),
+    ],
+)
+def test_propagator_rejects_bad_inputs(n, alpha, dt, message):
+    # A NaN or infinite dt, or a NaN alpha, built an all-NaN dense propagator.
+    with pytest.raises(ValueError, match=message):
+        Propagator(build_grid(n), alpha, dt)
 
 
 def test_operator_symmetric_under_trapezoid_inner_product():
@@ -228,5 +248,6 @@ def test_space_time_field_restrict():
     assert sub.times[0] == pytest.approx(0.2)
     assert sub.times[-1] == pytest.approx(0.7)
     assert sub.sup_norm() == pytest.approx(0.7)
+    assert np.shares_memory(sub.values, field.values)
     with pytest.raises(ValueError, match="mesh"):
         field.restrict(0.15, 0.7)

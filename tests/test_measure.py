@@ -6,9 +6,9 @@ import pytest
 from scipy.stats import ks_2samp
 
 import wallspde.measure
-from conftest import coeffs_sin_statesigma, coeffs_zero
+from conftest import coeffs_sin, coeffs_sin_statesigma, coeffs_zero
 from oracles import sample_stationary_gaussian, wilson_reference
-from wallspde.dynamics import CoefficientSpec
+from wallspde.dynamics import CoefficientSpec, solve_spde
 from wallspde.lattice import Propagator, Walls, build_grid, holder_norm
 from wallspde.measure import (
     EmpiricalMeasure,
@@ -51,6 +51,22 @@ def test_wilson_bounds():
 
 
 # ---------------------------------------------------------------- sampling
+
+
+@pytest.mark.parametrize("coeffs", [coeffs_sin(2.0, 0.5), coeffs_sin_statesigma(2.0, 0.5)], ids=["sigma_one", "sigma_state"])
+def test_sampler_steps_the_spde_scheme(coeffs):
+    """One chain with seed s keeps the rows that solve_spde(seed=s, stream=0)
+    passes at the kept times, bit for bit, walls binding."""
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.3, 0.4)
+    dt, burn, thin, count, seed = 1e-2, 400, 30, 12, 7
+    plan = SamplingPlan(burn_in=burn * dt, thin=thin * dt, count=count)
+    measure = sample_invariant(coeffs, walls, 0.8, plan, seeds=[seed], dt=dt)
+    steps = burn + count * thin
+    path = solve_spde(np.zeros(grid.n + 1), 0.8, coeffs, walls, steps * dt, dt, seed=seed, stream=0)
+    kept = path.u.values[burn + thin :: thin]
+    assert path.eta.total_mass > 0.0 and path.xi.total_mass > 0.0
+    assert np.array_equal(measure.samples, kept)
 
 
 def test_zero_noise_collapses_to_attractor():
@@ -497,11 +513,19 @@ def test_ldp_scaling_curve_memory_does_not_grow_with_the_count():
 # ---------------------------------------------------------------- input checks
 
 
-@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.1])
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.1, -float("inf")])
 def test_sample_invariant_rejects_a_bad_noise_level(eps):
     grid, coeffs, walls, plan = benchmark(count=10)
     with pytest.raises(ValueError, match=f"noise level .* got {eps}"):
         sample_invariant(coeffs, walls, eps, plan, seeds=[1], dt=1e-2)
+
+
+@pytest.mark.parametrize("dt", [0.0, float("nan")])
+def test_sample_invariant_rejects_a_bad_dt(dt):
+    # dt=0 raised ZeroDivisionError and dt=nan a float conversion error.
+    grid, coeffs, walls, plan = benchmark(count=10)
+    with pytest.raises(ValueError, match=f"dt must be finite and positive, got {dt}"):
+        sample_invariant(coeffs, walls, 0.3, plan, seeds=[1], dt=dt)
 
 
 @pytest.mark.parametrize("field", ["burn_in", "thin"])

@@ -593,6 +593,10 @@ def test_terminal_state_reuse_is_bit_identical(free_start):
         ((1e308,), 0.02, "horizons[0]"),
         ((), 0.02, "horizons"),
         ((1.0,), 0.0, "dt"),
+        ((1.0,), math.nan, "dt"),
+        ((1.0,), math.inf, "dt"),
+        ((math.nan,), 0.02, "horizons[0]"),
+        ((-1.0,), 0.02, "horizons[0]"),
     ],
 )
 def test_optimizer_options_reject_bad_horizons(horizons, dt, key):
@@ -656,7 +660,7 @@ def test_free_start_ends_at_the_full_anchor(monkeypatch):
     walls = Walls.constant(grid, -10.0, 10.0)
     target = np.full(grid.n + 1, 0.01)
     value = infinite_horizon_check(target, coeffs_zero(1.0), walls, FAST_OPTS)
-    assert anchors[-1] == FAST_OPTS.initial_weight
+    assert anchors[-1] == rate_module._ANCHOR_WEIGHT
     oracle = ou_mode_quasipotential(grid, 1.0, target)
     assert abs(value - oracle) / oracle <= 0.05
 
@@ -713,6 +717,14 @@ def test_shift_concat_identity_and_action():
         assert np.all(shifted.values[: round(T / 0.01)] == 0.0)
     with pytest.raises(ValueError, match="mesh"):
         shift_concat(control, 0.005)
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, -0.5, 0.005])
+def test_shift_concat_rejects_a_wait_off_the_mesh(T):
+    # shift_concat(c, inf) raised OverflowError.
+    control = smooth_control(build_grid(8), 1.0, 0.01)
+    with pytest.raises(ValueError, match=f"shift T = {T} is not a whole number"):
+        shift_concat(control, T)
 
 
 def test_glue_path_junction():
