@@ -14,10 +14,11 @@ as sigma * dW / dx, so pairing the forcing with a test function under
 trapezoid weights reproduces the white-noise integral.
 
 Each stepping rule has one home that every solver and the sampler call:
-``lattice.check_dt`` and ``lattice.mesh_steps`` (the time mesh),
+``lattice.check_dt``, ``lattice.mesh_steps``, ``lattice.check_times``,
+``lattice.uniform_step`` and ``lattice.match_dt`` (the time mesh),
 ``check_level`` (noise level), ``check_penalty`` (penalty), and
 ``noise_generator`` with ``increment_scale`` (the noise stream).  A bad
-``dt``, horizon, noise level or penalty raises ``ValueError``.
+``dt``, horizon, time mesh, noise level or penalty raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from wallspde.lattice import Grid, Propagator, SpaceTimeField, Walls, check_dt, mesh_steps
+from wallspde.lattice import (
+    Grid,
+    Propagator,
+    SpaceTimeField,
+    Walls,
+    check_dt,
+    check_times,
+    match_dt,
+    mesh_steps,
+    uniform_step,
+)
 from wallspde.obstacle import LocalTime
 
 __all__ = [
@@ -94,11 +105,16 @@ class Control:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = check_times(self.times)
         self.values = np.asarray(self.values, dtype=float)
         expected = (len(self.times) - 1, self.grid.n + 1)
         if self.values.shape != expected:
             raise ValueError(f"control shaped {self.values.shape}, expected {expected}")
+
+    @property
+    def dt(self) -> float:
+        """Uniform step size; raises when the mesh is not uniform."""
+        return uniform_step(self.times)
 
     @property
     def l2_norm_sq(self) -> float:
@@ -283,8 +299,10 @@ def solve_skeleton(
         check_penalty(delta, eps_pen)
     m = mesh_steps(T, dt, "T")
     times = np.linspace(0.0, T, m + 1)
-    if control is not None and (control.values.shape[0] < m or abs(control.times[1] - control.times[0] - dt) > 1e-12):
-        raise ValueError("mesh mismatch between control and trajectory")
+    if control is not None:
+        match_dt(control.times, dt, "control")
+        if control.values.shape[0] < m:
+            raise ValueError(f"control time mesh has {control.values.shape[0]} steps, fewer than the trajectory's {m}")
     prop = Propagator(grid, coeffs.alpha, dt)
 
     def drive_for_step(k, state):
@@ -333,8 +351,10 @@ def solve_spde(
     if eps_noise > 0.0:
         if noise is None:
             noise = sample_noise(grid, dt, m, seed, stream)
-        if noise.steps < m or abs(noise.dt - dt) > 1e-12:
-            raise ValueError("mesh mismatch between noise realization and trajectory")
+        # Increments start at t = 0, so a realization's mesh is [0, noise.dt, ...].
+        match_dt(np.array([0.0, noise.dt]), dt, "noise realization")
+        if noise.steps < m:
+            raise ValueError(f"noise realization time mesh has {noise.steps} steps, fewer than the trajectory's {m}")
         increments = noise.increments
     else:
         increments = None
@@ -357,6 +377,8 @@ def local_time_energy(lt: LocalTime, alpha: float, T: float) -> float:
     with the weight at step ends.  Diagnostic: stays of order
     1 + l2_norm_sq(control) uniformly in T for skeleton runs.
     """
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     grid = lt.grid
     mask = lt.times[1:] <= T + 1e-12
     dts = np.diff(lt.times)[mask]

@@ -10,6 +10,13 @@ restoration that every solver steps with.  The step has two paths chosen by
 ``grid.n`` alone: below ``TRIDIAGONAL_MIN_N`` a dense inverse, whose matvec is
 the cheapest solve on coarse grids; at or above it one banded LU solve with
 the tridiagonal system factored once, O(n) per step with no (n+1)^2 array.
+
+The time mesh lives here too.  ``check_dt`` accepts a step and ``mesh_steps``
+a horizon.  ``check_times`` validates the times of every path, control and
+force density.  ``uniform_step`` gives the step of a uniform mesh, and
+``match_dt`` checks that step against a solver's ``dt``.  Steps are compared
+to within 1e-12 * (1 + max|t|), which grows with the mesh because a level's
+round-off grows with its time.
 """
 
 from __future__ import annotations
@@ -100,6 +107,45 @@ def mesh_steps(horizon: float, dt: float, name: str = "horizon") -> int:
     if not (math.isfinite(steps) and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps):
         raise ValueError(f"{name} = {horizon} is not a whole number, at least one, of dt = {dt} mesh steps")
     return round(steps)
+
+
+def check_times(times) -> np.ndarray:
+    """The times as a float array; raises unless they are one-dimensional,
+    at least two levels, finite and strictly increasing."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 2:
+        raise ValueError("need at least two time levels")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    if np.any(np.diff(times) <= 0.0):
+        raise ValueError("times must be strictly increasing")
+    return times
+
+
+def _step_tolerance(times: np.ndarray) -> float:
+    return 1e-12 * (1.0 + float(np.max(np.abs(times))))
+
+
+def uniform_step(times: np.ndarray) -> float:
+    """The step ``times[1] - times[0]`` of checked times; raises unless every
+    step equals it to within 1e-12 * (1 + max|t|)."""
+    diffs = np.diff(times)
+    dt = float(diffs[0])
+    if np.max(np.abs(diffs - dt)) > _step_tolerance(times):
+        raise ValueError("time mesh is not uniform")
+    return dt
+
+
+def match_dt(times: np.ndarray, dt: float, name: str) -> float:
+    """The uniform step of ``name``'s checked times; raises unless it equals
+    the solver's ``dt`` to within the tolerance of ``uniform_step``."""
+    try:
+        step = uniform_step(times)
+    except ValueError as err:
+        raise ValueError(f"{name} {err}") from None
+    if not abs(step - dt) <= _step_tolerance(times):
+        raise ValueError(f"dt={dt} does not match the {name} time mesh (dt={step})")
+    return step
 
 
 def row_blocks(grid: Grid, rows: int) -> list[tuple[int, int]]:
@@ -195,10 +241,14 @@ class Operator:
         return mat
 
 
-def neumann_operator(grid: Grid, alpha: float) -> Operator:
-    """Build the shifted Neumann Laplacian.  Rejects alpha that is negative or not finite."""
+def _check_alpha(alpha: float) -> None:
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+
+
+def neumann_operator(grid: Grid, alpha: float) -> Operator:
+    """Build the shifted Neumann Laplacian.  Rejects alpha that is negative or not finite."""
+    _check_alpha(alpha)
     n1 = grid.n + 1
     inv2 = 1.0 / grid.dx**2
     main = np.full(n1, -2.0 * inv2 - alpha)
@@ -235,10 +285,9 @@ def heat_kernel(grid: Grid, alpha: float, t: float) -> np.ndarray:
     round-off because the kernel is an exact eigen-expansion of the discrete
     operator.
     """
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    if t <= 0.0:
-        raise ValueError(f"kernel time must be positive, got {t}")
+    _check_alpha(alpha)
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"kernel time must be finite and positive, got {t}")
     lam, basis = cosine_eigensystem(grid)
     decay = np.exp((lam - alpha) * t)
     return (basis * decay) @ basis.T
@@ -386,14 +435,8 @@ class SpaceTimeField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = check_times(self.times)
         self.values = np.asarray(self.values, dtype=float)
-        if self.times.ndim != 1 or len(self.times) < 2:
-            raise ValueError("need at least two time levels")
-        if not np.isfinite(self.times).all():
-            raise ValueError("times must be finite")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
         expected = (len(self.times), self.grid.n + 1)
         if self.values.shape != expected:
             raise ValueError(f"field values shaped {self.values.shape}, expected {expected}")
@@ -405,11 +448,7 @@ class SpaceTimeField:
     @property
     def dt(self) -> float:
         """Uniform step size; raises when the mesh is not uniform."""
-        diffs = np.diff(self.times)
-        dt = float(diffs[0])
-        if np.max(np.abs(diffs - dt)) > 1e-12 * (1.0 + dt):
-            raise ValueError("time mesh is not uniform")
-        return dt
+        return uniform_step(self.times)
 
     @property
     def initial(self) -> np.ndarray:

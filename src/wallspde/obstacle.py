@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wallspde.lattice import Grid, Propagator, SpaceTimeField, Walls, row_blocks
+from wallspde.lattice import Grid, Propagator, SpaceTimeField, Walls, check_times, match_dt, row_blocks
 
 __all__ = ["LocalTime", "ObstacleSolution", "solve_obstacle", "check_complementarity"]
 
@@ -38,7 +38,7 @@ class LocalTime:
     density: np.ndarray
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = check_times(self.times)
         self.density = np.asarray(self.density, dtype=float)
         expected = (len(self.times) - 1, self.grid.n + 1)
         if self.density.shape != expected:
@@ -67,8 +67,7 @@ class ObstacleSolution:
 def solve_obstacle(v: SpaceTimeField, walls: Walls, alpha: float, dt: float) -> ObstacleSolution:
     """Reflected correction z and force densities for the forcing path v."""
     grid = v.grid
-    if abs(v.dt - dt) > 1e-12 * (1.0 + dt):
-        raise ValueError(f"dt={dt} does not match the forcing time mesh (dt={v.dt})")
+    match_dt(v.times, dt, "forcing")
     if not walls.contains(v.initial, tol=1e-12):
         raise ValueError("inadmissible initial condition: v(.,0) must lie between the walls")
 
@@ -102,8 +101,9 @@ def check_complementarity(
     below 1e-6 * (1 + total local-time mass) for a valid solution.
     """
     grid = sol.z.grid
-    if v.values.shape != sol.z.values.shape or np.max(np.abs(v.times - sol.z.times)) > 1e-12:
-        raise ValueError("mesh mismatch between solution and forcing")
+    if v.values.shape != sol.z.values.shape:
+        raise ValueError(f"forcing shaped {v.values.shape} is off the solution mesh {sol.z.values.shape}")
+    match_dt(v.times, sol.z.dt, "forcing")
     dts = np.diff(sol.z.times)
     z, forcing = sol.z.values[1:], v.values[1:]
     # One path-sized buffer for each product in turn, filled block by block.

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from wallspde.dynamics import CoefficientSpec, Control, Trajectory, solve_skeleton
-from wallspde.lattice import Propagator, SpaceTimeField, Walls, mesh_steps, neumann_operator, row_blocks
+from wallspde.lattice import Propagator, SpaceTimeField, Walls, match_dt, mesh_steps, neumann_operator, row_blocks
 from wallspde.obstacle import LocalTime
 
 __all__ = [
@@ -194,8 +194,7 @@ def recover_control(
     reaction and sigma at the old one, contact detected at the new level.
     """
     grid = v.grid
-    if abs(v.dt - dt) > 1e-12 * (1.0 + dt):
-        raise ValueError(f"dt={dt} does not match the path time mesh (dt={v.dt})")
+    match_dt(v.times, dt, "path")
     if not _admissible(v, walls):
         raise ValueError("path leaves the walls: no admissible decomposition")
 
@@ -238,11 +237,9 @@ def rate_S(v: SpaceTimeField, t1: float, t2: float, coeffs: CoefficientSpec) -> 
 
 def shift_concat(control: Control, T: float) -> Control:
     """Prepend a waiting period of length T (zero control); action invariant."""
-    if control.values.shape[0] == 0:
-        raise ValueError("empty control")
     if T == 0.0:
         return Control(control.grid, control.times.copy(), control.values.copy())
-    dt = control.times[1] - control.times[0]
+    dt = control.dt
     pad = mesh_steps(T, dt, "shift T")
     n1 = control.grid.n + 1
     values = np.vstack([np.zeros((pad, n1)), control.values])
@@ -256,8 +253,7 @@ def glue_path(u0_flow: Trajectory, tail: Trajectory) -> SpaceTimeField:
     head, back = u0_flow.u, tail.u
     if head.grid.n != back.grid.n:
         raise ValueError("mesh mismatch: grids differ")
-    if abs(head.dt - back.dt) > 1e-12:
-        raise ValueError("mesh mismatch: time steps differ")
+    match_dt(back.times, head.dt, "tail path")
     jump = float(np.max(np.abs(head.final - back.initial)))
     if jump > 1e-10:
         raise ValueError(f"glued segments disagree at the junction (jump={jump:.3e})")
@@ -394,9 +390,8 @@ def _multipliers(problem, z0, opts):
 def _score_on_projected(hdot_rows, times, coeffs, walls, target, start):
     """Re-run the converged control through the projected scheme and price it
     by recovery, so the reported value is an action of an exact decomposition."""
-    grid = walls.grid
-    dt = times[1] - times[0]
-    control = Control(grid, times.copy(), hdot_rows.copy())
+    control = Control(walls.grid, times.copy(), hdot_rows.copy())
+    dt = control.dt
     traj = solve_skeleton(start, control, coeffs, walls, times[-1] - times[0], dt)
     rec = recover_control(traj.u, coeffs, walls, dt)
     gap = float(np.max(np.abs(traj.u.final - target)))
@@ -521,7 +516,7 @@ def stability_bound_check(
     """
     from wallspde.dynamics import solve_deterministic
 
-    dt = hbar.times[1] - hbar.times[0]
+    dt = hbar.dt
     flow = solve_deterministic(np.asarray(z, dtype=float), coeffs, walls, T, dt)
     psi = solve_skeleton(np.zeros(walls.grid.n + 1), hbar, coeffs, walls, T0, dt)
     psibar = solve_skeleton(flow.u.final, hbar, coeffs, walls, T0, dt)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from itertools import chain, repeat
 from pathlib import Path
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from wallspde.dynamics import Trajectory
-from wallspde.lattice import SpaceTimeField, build_grid
+from wallspde.lattice import SpaceTimeField, build_grid, check_dt
 
 __all__ = [
     "format_float",
@@ -109,8 +108,10 @@ def read_field_snapshot(path: str | Path) -> SpaceTimeField:
     grid = build_grid(n)
     if not abs(grid.dx - dx) <= 1e-12:
         raise ValueError(f"snapshot dx={dx} inconsistent with n={n}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"snapshot dt={dt} must be finite and positive")
+    try:
+        check_dt(dt)
+    except ValueError:
+        raise ValueError(f"snapshot dt={dt} must be finite and positive") from None
     if m < 1:
         raise ValueError(f"snapshot has m={m} steps, need at least one")
     count = (m + 1) * (n + 1)

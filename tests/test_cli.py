@@ -9,6 +9,7 @@ import pytest
 
 from wallspde.config import ConfigError, MAX_PATH_VALUES, build_run, config_hash, schema_path, validate_config
 from wallspde.rate import quasipotential_J
+from wallspde.snapshots import read_field_snapshot
 
 
 def run_cli(*argv):
@@ -205,6 +206,25 @@ def test_simulate_zero_noise_matches_zero_control_skeleton(tmp_path):
     assert run_cli("skeleton", "--config", str(skel_cfg), "--out", str(out_skel), "--deterministic").returncode == 0
     assert (out_sim / "trajectory.bin").read_bytes() == (out_skel / "trajectory.bin").read_bytes()
     assert (out_sim / "trajectory.csv").read_bytes() == (out_skel / "trajectory.csv").read_bytes()
+
+
+def test_skeleton_on_a_long_mesh_writes_its_artifacts(tmp_path):
+    # The 82000-step linspace mesh used to fail its own uniformity check after
+    # the solve: exit 1, an empty trajectory.bin and no manifest.
+    cfg = {
+        "grid": {"n": 4},
+        "time": {"dt": 0.1, "horizon": 8200},
+        "coefficients": {"alpha": 2.0, "f": "zero", "sigma": "one"},
+        "walls": {"kind": "constant", "k1": -0.5, "k2": 0.5},
+        "control": {"kind": "zero"},
+    }
+    out = tmp_path / "out"
+    proc = run_cli("skeleton", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out), "--deterministic")
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "manifest.json").is_file()
+    field = read_field_snapshot(out / "trajectory.bin")
+    assert field.steps == 82000
+    assert field.dt == 0.1
 
 
 def test_cli_deterministic_reruns_are_byte_identical(tmp_path):

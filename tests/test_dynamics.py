@@ -207,6 +207,36 @@ def test_control_rejects_a_horizon_off_its_mesh():
     assert Control.from_function(grid, 0.3, 0.1, lambda x, t: np.ones_like(x)).values.shape == (3, grid.n + 1)
 
 
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([0.0, np.nan, 0.2], "finite"),
+        ([0.0, 0.2, 0.1], "strictly increasing"),
+        ([0.0], "at least two time levels"),
+    ],
+)
+def test_control_and_local_time_reject_bad_times(times, message):
+    # All three meshes used to build both a Control and a LocalTime.
+    from wallspde.obstacle import LocalTime
+
+    grid = build_grid(8)
+    rows = np.zeros((len(times) - 1, grid.n + 1))
+    with pytest.raises(ValueError, match=message):
+        Control(grid, np.array(times), rows)
+    with pytest.raises(ValueError, match=message):
+        LocalTime(grid, np.array(times), rows)
+
+
+def test_skeleton_rejects_a_control_uneven_after_its_first_step():
+    # Stepped as a dt=0.1 control while Control.action priced the real times.
+    grid = build_grid(8)
+    walls = Walls.constant(grid, -0.5, 0.5)
+    control = Control(grid, np.array([0.0, 0.1, 0.5, 0.6]), np.ones((3, grid.n + 1)))
+    assert control.action == pytest.approx(0.3)
+    with pytest.raises(ValueError, match="control time mesh is not uniform"):
+        solve_skeleton(np.zeros(grid.n + 1), control, coeffs_zero(2.0), walls, 0.3, 0.1)
+
+
 # ---------------------------------------------------------------- skeleton
 
 
@@ -446,3 +476,15 @@ def test_local_time_energy_weight_monotone_beyond_support():
     energies = [local_time_energy(traj.xi, coeffs.alpha, T) for T in (1.0, 2.0, 4.0)]
     assert energies[0] > 0.0
     assert energies[0] >= energies[1] >= energies[2]
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
+def test_local_time_energy_rejects_a_non_finite_horizon(T):
+    # T=nan returned 0.0 for a unit density whose energy at T=1 is 0.664.
+    from wallspde.obstacle import LocalTime
+
+    grid = build_grid(8)
+    lt = LocalTime(grid, np.linspace(0.0, 1.0, 11), np.ones((10, grid.n + 1)))
+    assert local_time_energy(lt, 1.0, 1.0) == pytest.approx(0.664, abs=1e-3)
+    with pytest.raises(ValueError, match=f"T must be finite, got {T}"):
+        local_time_energy(lt, 1.0, T)

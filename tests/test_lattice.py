@@ -11,8 +11,10 @@ from wallspde.lattice import (
     cosine_eigensystem,
     heat_kernel,
     holder_norm,
+    match_dt,
     neumann_operator,
 )
+from wallspde.dynamics import Control
 
 
 def test_build_grid_uniform_partition():
@@ -177,6 +179,21 @@ def test_heat_kernel_rejects_bad_time():
         heat_kernel(build_grid(8), 1.0, -0.1)
 
 
+@pytest.mark.parametrize(
+    "alpha, t, message",
+    [
+        (np.nan, 0.1, "alpha must be finite and nonnegative, got nan"),
+        (np.inf, 0.1, "alpha must be finite and nonnegative, got inf"),
+        (1.0, np.nan, "kernel time must be finite and positive, got nan"),
+        (1.0, np.inf, "kernel time must be finite and positive, got inf"),
+    ],
+)
+def test_heat_kernel_rejects_non_finite_inputs(alpha, t, message):
+    # A NaN alpha or t returned a kernel that was NaN everywhere.
+    with pytest.raises(ValueError, match=message):
+        heat_kernel(build_grid(8), alpha, t)
+
+
 def test_backward_euler_inverse_row_sums():
     grid = build_grid(16)
     alpha, dt = 2.0, 1e-3
@@ -237,6 +254,46 @@ def test_space_time_field_validation():
 def test_space_time_field_rejects_non_finite_times(times):
     with pytest.raises(ValueError, match="finite"):
         SpaceTimeField(build_grid(4), np.array(times), np.zeros((3, 5)))
+
+
+# 163841 steps of 0.1: the last level's round-off exceeded the old fixed
+# bound 1e-12 * (1 + dt), so the field's own linspace mesh was "not uniform".
+LONG_MESH = np.linspace(0.0, 16384.1, 163842)
+
+
+def test_long_mesh_has_a_uniform_step():
+    grid = build_grid(4)
+    field = SpaceTimeField(grid, LONG_MESH, np.zeros((len(LONG_MESH), 5)))
+    control = Control(grid, LONG_MESH, np.zeros((len(LONG_MESH) - 1, 5)))
+    assert field.dt == control.dt == LONG_MESH[1] - LONG_MESH[0]
+    assert field.dt == pytest.approx(0.1, rel=1e-12)
+
+
+def test_long_mesh_with_one_moved_level_is_not_uniform():
+    grid = build_grid(4)
+    times = LONG_MESH.copy()
+    times[81_920] += 1e-6 * 0.1
+    field = SpaceTimeField(grid, times, np.zeros((len(times), 5)))
+    control = Control(grid, times, np.zeros((len(times) - 1, 5)))
+    with pytest.raises(ValueError, match="not uniform"):
+        field.dt
+    with pytest.raises(ValueError, match="not uniform"):
+        control.dt
+
+
+@pytest.mark.parametrize("scale, ok", [(1.0 + 4e-16, True), (1.0 - 4e-16, True), (1.0 + 1e-6, False), (1.0 - 1e-6, False)])
+def test_match_dt_passes_round_off_and_rejects_a_real_offset(scale, ok):
+    times = np.linspace(0.0, 1.0, 101) * scale
+    if ok:
+        assert match_dt(times, 0.01, "forcing") == times[1] - times[0]
+    else:
+        with pytest.raises(ValueError, match="dt=0.01 does not match the forcing time mesh"):
+            match_dt(times, 0.01, "forcing")
+
+
+def test_match_dt_names_an_uneven_mesh():
+    with pytest.raises(ValueError, match="control time mesh is not uniform"):
+        match_dt(np.array([0.0, 0.1, 0.5, 0.6]), 0.1, "control")
 
 
 def test_space_time_field_restrict():

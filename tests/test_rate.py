@@ -10,8 +10,9 @@ from scipy.optimize import OptimizeResult
 from conftest import coeffs_linear, coeffs_sin, coeffs_sin_statesigma, coeffs_zero
 from oracles import discrete_lq_min_action, ou_mode_quasipotential
 import wallspde.rate as rate_module
-from wallspde.dynamics import Control, solve_deterministic, solve_skeleton
+from wallspde.dynamics import Control, sample_noise, solve_deterministic, solve_skeleton, solve_spde
 from wallspde.lattice import BLOCK_VALUES, SpaceTimeField, Walls, build_grid, neumann_operator
+from wallspde.obstacle import check_complementarity, solve_obstacle
 from wallspde.rate import (
     OptimizerOptions,
     _ActionProblem,
@@ -743,6 +744,45 @@ def test_glue_path_junction():
     bad_tail = solve_skeleton(np.zeros(grid.n + 1), hbar, coeffs, walls, 0.5, dt)
     with pytest.raises(ValueError, match="junction"):
         glue_path(flow, bad_tail)
+
+
+def _mesh_case(name, scale):
+    """Call ``name`` with a mesh whose step is ``scale`` times the solver's dt = 0.01."""
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.5, 0.5)
+    coeffs = coeffs_zero(2.0)
+    T, dt = 0.1, 0.01
+    times = np.linspace(0.0, T, 11)
+    zero = np.zeros(grid.n + 1)
+    field = SpaceTimeField(grid, times * scale, np.zeros((11, grid.n + 1)))
+    if name == "solve_skeleton":
+        solve_skeleton(zero, Control.zero(grid, times * scale), coeffs, walls, T, dt)
+    elif name == "solve_spde":
+        solve_spde(zero, 0.1, coeffs, walls, T, dt, noise=sample_noise(grid, dt * scale, 10, seed=1))
+    elif name == "solve_obstacle":
+        solve_obstacle(field, walls, 1.0, dt)
+    elif name == "recover_control":
+        recover_control(field, coeffs, walls, dt)
+    elif name == "glue_path":
+        flow = solve_deterministic(zero, coeffs, walls, T, dt)
+        tail = solve_skeleton(zero, None, coeffs, walls, T, dt)
+        glue_path(flow, dataclasses.replace(tail, u=SpaceTimeField(grid, times * scale, tail.u.values)))
+    else:
+        unscaled = SpaceTimeField(grid, times, field.values)
+        check_complementarity(solve_obstacle(unscaled, walls, 1.0, dt), field, walls)
+
+
+@pytest.mark.parametrize(
+    "name", ["solve_skeleton", "solve_spde", "solve_obstacle", "recover_control", "glue_path", "check_complementarity"]
+)
+@pytest.mark.parametrize("scale, ok", [(1.0 + 4e-16, True), (1.0 - 4e-16, True), (1.0 + 1e-6, False), (1.0 - 1e-6, False)])
+def test_mesh_step_comparison(name, scale, ok):
+    # A step off by round-off passes; one off by 1e-6 relative raises.
+    if ok:
+        _mesh_case(name, scale)
+    else:
+        with pytest.raises(ValueError, match="does not match the .* time mesh"):
+            _mesh_case(name, scale)
 
 
 def test_stability_bound_zero_start():
