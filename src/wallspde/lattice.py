@@ -10,6 +10,10 @@ restoration that every solver steps with.  The step has two paths chosen by
 ``grid.n`` alone: below ``TRIDIAGONAL_MIN_N`` a dense inverse, whose matvec is
 the cheapest solve on coarse grids; at or above it one banded LU solve with
 the tridiagonal system factored once, O(n) per step with no (n+1)^2 array.
+Only that banded branch needs scipy, so ``Propagator`` imports LAPACK's
+``gttrf``/``gttrs`` there, when a grid that fine is first built: loading
+``scipy.linalg`` takes longer than a coarse-grid run's whole set-up, and
+``import wallspde`` and every coarse-grid run would otherwise pay for it.
 
 The time mesh lives here too.  ``check_dt`` accepts a step and ``mesh_steps``
 a horizon.  ``check_times`` validates the times of every path, control and
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 __all__ = [
     "Grid",
@@ -102,11 +105,16 @@ def check_dt(dt: float) -> float:
 
 
 def mesh_steps(horizon: float, dt: float, name: str = "horizon") -> int:
-    """The ``dt`` steps in ``horizon``, a whole number (at least one) within 1e-9 relative."""
+    """The ``dt`` steps in ``horizon``: a whole number, at least one, to within
+    1e-9 relative, whose mesh ``linspace(0, horizon, steps + 1)`` has a step
+    that ``match_dt`` accepts as ``dt``."""
     steps = horizon / check_dt(dt)
     if not (math.isfinite(steps) and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps):
         raise ValueError(f"{name} = {horizon} is not a whole number, at least one, of dt = {dt} mesh steps")
-    return round(steps)
+    steps = round(steps)
+    if not abs(horizon / steps - dt) <= _step_tolerance(horizon):
+        raise ValueError(f"{name} = {horizon} makes a mesh step {horizon / steps} that does not match dt = {dt}")
+    return steps
 
 
 def check_times(times) -> np.ndarray:
@@ -122,7 +130,8 @@ def check_times(times) -> np.ndarray:
     return times
 
 
-def _step_tolerance(times: np.ndarray) -> float:
+def _step_tolerance(times) -> float:
+    """Step tolerance for a mesh of ``times``, or of a mesh from 0 to a horizon."""
     return 1e-12 * (1.0 + float(np.max(np.abs(times))))
 
 
@@ -328,7 +337,10 @@ class Propagator:
         if grid.n < TRIDIAGONAL_MIN_N:
             self.matrix = backward_euler_inverse(grid, alpha, dt)
         else:
+            from scipy.linalg.lapack import dgttrf, dgttrs
+
             self.matrix = None
+            self._gttrs = dgttrs
             op = neumann_operator(grid, alpha)
             *factors, info = dgttrf(-self.dt * op.lower, 1.0 - self.dt * op.main, -self.dt * op.upper)
             if info != 0:
@@ -344,9 +356,9 @@ class Propagator:
         # batch's transpose already is: no reordering copy.  Each column is
         # solved on its own, so a stack flattened into one batch keeps its bits.
         if values.ndim == 1:
-            return dgttrs(*self._factors, values, trans=trans)[0]
+            return self._gttrs(*self._factors, values, trans=trans)[0]
         rows = values.reshape(-1, values.shape[-1])
-        return dgttrs(*self._factors, rows.T, trans=trans)[0].T.reshape(values.shape)
+        return self._gttrs(*self._factors, rows.T, trans=trans)[0].T.reshape(values.shape)
 
     def solve(self, values: np.ndarray) -> np.ndarray:
         """(I - dt*A)^{-1} applied to a state or to each row of a batch.

@@ -23,6 +23,10 @@ usually needs one L-BFGS round).  Each stage leaves a ``StageRecord`` on
 the result.  The forward pass tapes sigma along the path and the reverse
 sweep evaluates df_du and dsigma_du once on the stored states, so each
 gradient costs one coefficient call per derivative rather than one per step.
+
+The L-BFGS solver is scipy's, and only the two optimizers need it, so
+``minimize`` loads ``scipy.optimize`` on its first call: the path rates,
+control recovery, ``import wallspde`` and every simulation never load it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from wallspde.dynamics import CoefficientSpec, Control, Trajectory, solve_skeleton
 from wallspde.lattice import Propagator, SpaceTimeField, Walls, match_dt, mesh_steps, neumann_operator, row_blocks
@@ -67,6 +70,14 @@ _MAX_ROUNDS = 10
 _ANCHOR_WEIGHT = 1e4
 _ANCHOR_RAMP = (1e-4, 1e-2, 1.0)
 _PENALTY_DELTA = 1e-4
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, loaded on the first call; a module-level
+    name, so a test can put a stand-in solver in its place."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def contact_tolerance(walls: Walls) -> float:
@@ -123,7 +134,7 @@ class QuasipotentialResult:
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Horizons must increase strictly, each a whole number (at least one) of
-    ``dt`` steps to within 1e-9 relative."""
+    ``dt`` steps as ``lattice.mesh_steps`` counts them."""
 
     horizons: tuple = (1.0, 2.0, 4.0, 8.0)
     dt: float = 0.02

@@ -103,6 +103,18 @@ CORPUS = [
     ),
     ("simulate_dt_coarse", "simulate", base_cfg(time={"dt": 0.1, "horizon": 0.2}, **SIM), "time.dt", False),
     ("horizon_off_mesh", "skeleton", base_cfg(time={"dt": 0.03, "horizon": 0.1}, **SKEL), "time.horizon", False),
+    # 200.0000001 steps of 0.01: whole to 1e-9 relative, but its mesh steps 0.010000000005.
+    (
+        "horizon_off_step",
+        "skeleton",
+        base_cfg(
+            grid={"n": 8},
+            time={"dt": 0.01, "horizon": 2.000000001},
+            control={"kind": "uniform_decay", "amplitude": 2.0, "beta": 1.0},
+        ),
+        "time.horizon",
+        False,
+    ),
     ("initial_outside", "simulate", base_cfg(initial={"kind": "constant", "value": 0.9}, **SIM), "initial", False),
     (
         "sigma_amplitude_one",

@@ -12,6 +12,7 @@ from wallspde.lattice import (
     heat_kernel,
     holder_norm,
     match_dt,
+    mesh_steps,
     neumann_operator,
 )
 from wallspde.dynamics import Control
@@ -294,6 +295,25 @@ def test_match_dt_passes_round_off_and_rejects_a_real_offset(scale, ok):
 def test_match_dt_names_an_uneven_mesh():
     with pytest.raises(ValueError, match="control time mesh is not uniform"):
         match_dt(np.array([0.0, 0.1, 0.5, 0.6]), 0.1, "control")
+
+
+# 2.000000001 is 200.0000001 steps of 0.01, within 1e-9 relative of 200, but
+# its linspace mesh steps 0.010000000005, which match_dt refuses as 0.01.
+@pytest.mark.parametrize(
+    "horizon, dt, ok",
+    [(2.0, 0.01, True), (0.3, 0.1, True), (16384.1, 0.1, True), (1.0, 1e-3, True), (2.000000001, 0.01, False)],
+)
+def test_mesh_steps_accepts_exactly_the_horizons_whose_mesh_matches_dt(horizon, dt, ok):
+    steps = round(horizon / dt)
+    times = np.linspace(0.0, horizon, steps + 1)
+    if ok:
+        assert mesh_steps(horizon, dt) == steps
+        match_dt(times, dt, "path")
+    else:
+        with pytest.raises(ValueError, match=f"horizon = {horizon} makes a mesh step"):
+            mesh_steps(horizon, dt)
+        with pytest.raises(ValueError, match="does not match the path time mesh"):
+            match_dt(times, dt, "path")
 
 
 def test_space_time_field_restrict():
