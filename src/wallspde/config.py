@@ -3,17 +3,19 @@ registry.
 
 ``config_schema.json`` states every per-key rule (type, enum, range, array
 items) and every default; ``_get`` applies them, and the ``build_*``
-functions are the only readers of a config.  What the schema cannot say (a
-horizon on the step mesh, fields between the walls, a long enough burn-in)
-is checked by the builder that owns the value.  Coefficient functions come
-from a closed registry rather than arbitrary expressions so the declared
-Lipschitz/lower/upper bounds are actually true and runs stay reproducible.
-Validation failures raise ``ConfigError`` with the offending dotted key in
-the message; the CLI maps them to exit code 2.
+functions are the only readers of a config.  Each rule the schema cannot
+say (a horizon on the step mesh, fields between the walls, hypothesis H, a
+long enough burn-in) is checked by the library function that owns it, and
+``config`` only names the key: ``_naming`` turns that function's
+``ValueError`` into a ``ConfigError`` naming the dotted key, which the CLI
+maps to exit code 2.  Coefficient functions come from a closed registry
+rather than arbitrary expressions so the declared Lipschitz/lower/upper
+bounds are actually true and runs stay reproducible.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -26,9 +28,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from wallspde.dynamics import CoefficientSpec, Control
+from wallspde.dynamics import CoefficientSpec, Control, check_noise_step
 from wallspde.lattice import Grid, Walls, build_grid, mesh_steps
-from wallspde.measure import SamplingPlan
+from wallspde.measure import SamplingPlan, _check_schedule, _plan_per_level
 from wallspde.rate import OptimizerOptions
 
 __all__ = [
@@ -159,10 +161,16 @@ def _need(section: dict, dotted: str):
     return value
 
 
-def _between_walls(field: np.ndarray, walls: Walls, key: str) -> np.ndarray:
-    if not walls.contains(field, tol=1e-12):
-        raise ConfigError(f"{key} must lie between walls.k1 and walls.k2")
-    return field
+@contextlib.contextmanager
+def _naming(key: str, sep: str = ": "):
+    """Re-raise a library ``ValueError`` as a ``ConfigError`` reading ``key + sep + message``;
+    ``sep="."`` where the message starts with the field's name within ``key``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{key}{sep}{exc}") from None
 
 
 def build_coefficients(section: dict) -> CoefficientSpec:
@@ -219,12 +227,8 @@ def build_walls(section: dict, grid: Grid) -> Walls:
     profiles = kind == "profiles"
     if isinstance(k1, list) != profiles or isinstance(k2, list) != profiles:
         raise ConfigError(f"walls.k1 and walls.k2 must be {'arrays' if profiles else 'numbers'} for walls.kind {kind}")
-    if not profiles:
-        return Walls.constant(grid, k1, k2)
-    try:
-        return Walls.from_profiles(grid, np.array(k1), np.array(k2))
-    except ValueError as exc:
-        raise ConfigError(f"walls.k1/walls.k2: {exc}")
+    with _naming("walls.k1/walls.k2"):
+        return Walls.from_profiles(grid, np.array(k1), np.array(k2)) if profiles else Walls.constant(grid, k1, k2)
 
 
 def _field_from_spec(section: dict, grid: Grid, prefix: str) -> np.ndarray:
@@ -260,18 +264,16 @@ def build_time(cfg: dict) -> tuple[float, float]:
     more than ``MAX_PATH_VALUES`` allows."""
     section = _need(cfg, "time")
     T, dt = _get(section, "time.horizon"), _get(section, "time.dt")
-    try:
-        steps = mesh_steps(T, dt, "time.horizon")
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    with _naming("time", sep="."):
+        steps = mesh_steps(T, dt, "horizon")
     _check_path_size(cfg, steps, "time.horizon")
     return T, dt
 
 
 def build_noise(cfg: dict, grid: Grid, dt: float) -> tuple[float, int, int]:
     """(eps, seed, stream); the stochastic step must not exceed dx."""
-    if dt > grid.dx:
-        raise ConfigError(f"time.dt must not exceed 1/grid.n = {grid.dx} for simulate")
+    with _naming("time.dt"):
+        check_noise_step(grid, dt)
     section = _need(cfg, "noise")
     return tuple(_get(section, f"noise.{key}") for key in ("eps", "seed", "stream"))
 
@@ -308,22 +310,18 @@ def build_plan(cfg: dict, coeffs: CoefficientSpec) -> tuple[SamplingPlan, list, 
     plan = SamplingPlan.default(coeffs, _get(section, "sampling.count"))
     given = {key: _get(section, f"sampling.{key}") for key in ("burn_in", "thin")}
     plan = replace(plan, **{key: value for key, value in given.items() if value is not None})
-    try:
+    with _naming("sampling.burn_in"):
         plan.check_burn_in(coeffs)
-    except ValueError as exc:
-        raise ConfigError(f"sampling.burn_in: {exc}")
     return plan, _get(section, "sampling.seeds"), _get(section, "sampling.eps"), _get(section, "sampling.dt")
 
 
 def build_optimizer_options(cfg: dict) -> OptimizerOptions:
     section = _get(cfg, "optimizer")
-    try:
+    with _naming("optimizer", sep="."):  # the options name the field, e.g. "horizons[1] ..."
         opts = OptimizerOptions(
             horizons=tuple(_get(section, "optimizer.horizons")),
             **{key: _get(section, f"optimizer.{key}") for key in ("dt", "maxiter", "terminal_tol", "improvement_tol")},
         )
-    except ValueError as exc:  # names the field, e.g. "horizons[1] ..."
-        raise ConfigError(f"optimizer.{exc}")
     # The horizons increase, so the last one makes the longest path.
     last = len(opts.horizons) - 1
     _check_path_size(cfg, mesh_steps(opts.horizons[last], opts.dt), f"optimizer.horizons[{last}]")
@@ -337,20 +335,20 @@ def build_diagnose(cfg: dict, grid: Grid, coeffs: CoefficientSpec, walls: Walls)
     targets = []
     for i, entry in enumerate(_get(section, "diagnose.targets")):
         key = f"diagnose.targets[{i}]"
-        field = _between_walls(_field_from_spec(entry, grid, key), walls, key)
-        targets.append((field, _get(entry, f"{key}.delta")))
+        with _naming(key):
+            targets.append((walls.check(_field_from_spec(entry, grid, key), "field"), _get(entry, f"{key}.delta")))
     schedule = _get(section, "diagnose.eps_schedule")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigError("diagnose.eps_schedule must be strictly decreasing")
+    with _naming("diagnose.eps_schedule"):
+        _check_schedule(schedule)
     counts = _get(section, "diagnose.counts")
     if counts is None:
         counts = [_node("diagnose.counts")["items"]["default"]] * len(schedule)
-    if len(counts) != len(schedule):
-        raise ConfigError("diagnose.counts must match diagnose.eps_schedule in length")
+    with _naming("diagnose.counts"):
+        plans = _plan_per_level([SamplingPlan.default(coeffs, count) for count in counts], len(schedule))
     return {
         "targets": targets,
         "eps_schedule": schedule,
-        "plans": [SamplingPlan.default(coeffs, count) for count in counts],
+        "plans": plans,
         **{key: _get(section, f"diagnose.{key}") for key in ("base_seed", "dt", "chains", "gamma", "radii")},
     }
 
@@ -372,19 +370,20 @@ def build_run(cfg: dict, command: str) -> SimpleNamespace:
     run.walls = build_walls(_need(cfg, "walls"), grid)
     if command in ("simulate", "skeleton", "rate"):
         run.T, run.dt = build_time(cfg)
-        run.u0 = _between_walls(build_initial(cfg, grid), run.walls, "initial")
+        with _naming("initial"):
+            run.u0 = run.walls.check(build_initial(cfg, grid), "field")
     if command == "simulate":
         run.eps, run.seed, run.stream = build_noise(cfg, grid, run.dt)
     if command in ("skeleton", "rate"):
         run.control = build_control(cfg, grid, run.T, run.dt)
         run.penalty = build_penalty(cfg)
     if command == "quasipotential":
-        run.target = _between_walls(build_target(cfg, grid), run.walls, "target")
+        with _naming("target"):
+            run.target = run.walls.check(build_target(cfg, grid), "field")
         run.opts = build_optimizer_options(cfg)
-    if command in ("invariant", "diagnose") and not run.coeffs.satisfies_h(grid):
-        raise ConfigError(
-            "coefficients.c must stay below coefficients.alpha for invariant-measure commands"
-        )
+    if command in ("invariant", "diagnose"):
+        with _naming("coefficients.c"):
+            run.coeffs.require_h(grid)
     if command == "invariant":
         run.plan, run.seeds, run.eps, run.dt = build_plan(cfg, run.coeffs)
     if command == "diagnose":

@@ -16,9 +16,10 @@ trapezoid weights reproduces the white-noise integral.
 Each stepping rule has one home that every solver and the sampler call:
 ``lattice.check_dt``, ``lattice.mesh_steps``, ``lattice.check_times``,
 ``lattice.uniform_step`` and ``lattice.match_dt`` (the time mesh),
-``check_level`` (noise level), ``check_penalty`` (penalty), and
-``noise_generator`` with ``increment_scale`` (the noise stream).  A bad
-``dt``, horizon, time mesh, noise level or penalty raises ``ValueError``.
+``check_noise_step`` (stochastic step), ``check_level`` (noise level),
+``check_penalty`` (penalty), and ``noise_generator`` with
+``increment_scale`` (the noise stream).  A bad ``dt``, horizon, time mesh,
+noise level or penalty raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from wallspde.lattice import (
     Propagator,
     SpaceTimeField,
     Walls,
+    _step_tolerance,
     check_dt,
     check_times,
     match_dt,
@@ -82,14 +84,10 @@ class CoefficientSpec:
     def alpha1(self) -> float:
         return self.alpha - self.lipschitz_c
 
-    def satisfies_h(self, grid: Grid) -> bool:
-        if self.lipschitz_c >= self.alpha:
-            return False
-        at_zero = np.asarray(self.f(grid.nodes, np.zeros(grid.n + 1)))
-        return bool(np.max(np.abs(at_zero)) <= 1e-12)
-
     def require_h(self, grid: Grid) -> None:
-        if not self.satisfies_h(grid):
+        """Raises unless hypothesis H holds: lipschitz_c < alpha and |f(x, 0)| <= 1e-12."""
+        at_zero = self.f(grid.nodes, np.zeros(grid.n + 1))
+        if not (self.lipschitz_c < self.alpha and np.max(np.abs(at_zero)) <= 1e-12):
             raise ValueError(
                 "hypothesis H required: need f(x, 0) = 0 and lipschitz_c < alpha "
                 f"(c={self.lipschitz_c}, alpha={self.alpha})"
@@ -163,6 +161,12 @@ def check_level(eps: float) -> float:
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"noise level must be finite and nonnegative, got {eps}")
     return eps
+
+
+def check_noise_step(grid: Grid, dt: float) -> None:
+    """Raises unless the stochastic step dt is finite, positive and at most dx."""
+    if check_dt(dt) > grid.dx:
+        raise ValueError(f"dt too large: dt={dt} exceeds the stability heuristic dx={grid.dx}")
 
 
 def check_penalty(delta: float, eps_pen: float) -> None:
@@ -245,15 +249,6 @@ def _cached_propagator(grid: Grid, alpha: float, dt: float) -> Propagator:
     return Propagator(grid, alpha, dt)
 
 
-def _check_admissible(u0: np.ndarray, walls: Walls) -> np.ndarray:
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (walls.grid.n + 1,):
-        raise ValueError(f"initial state shaped {u0.shape}, expected ({walls.grid.n + 1},)")
-    if not walls.contains(u0, tol=1e-12):
-        raise ValueError("inadmissible initial state: must lie between the walls")
-    return u0
-
-
 def _march(prop, coeffs, walls, u0, times, drive_for_step, penalty=None):
     """Step u0 across ``times``; returns the path and its lower and upper force densities."""
     grid = prop.grid
@@ -290,7 +285,7 @@ def solve_skeleton(
     terms; the two agree in the limit delta = eps_pen -> 0.
     """
     grid = walls.grid
-    u0 = _check_admissible(u0, walls)
+    u0 = walls.check(u0, "initial state")
     if mode not in ("projected", "penalized"):
         raise ValueError(f"unknown mode '{mode}'")
     if eps_pen is None:
@@ -342,11 +337,10 @@ def solve_spde(
     unconditionally stable.
     """
     grid = walls.grid
-    u0 = _check_admissible(u0, walls)
+    u0 = walls.check(u0, "initial state")
     eps_noise = check_level(eps_noise)
     m = mesh_steps(T, dt, "T")
-    if dt > grid.dx:
-        raise ValueError(f"dt too large: dt={dt} exceeds the stability heuristic dx={grid.dx}")
+    check_noise_step(grid, dt)
     times = np.linspace(0.0, T, m + 1)
     if eps_noise > 0.0:
         if noise is None:
@@ -380,7 +374,7 @@ def local_time_energy(lt: LocalTime, alpha: float, T: float) -> float:
     if not math.isfinite(T):
         raise ValueError(f"T must be finite, got {T}")
     grid = lt.grid
-    mask = lt.times[1:] <= T + 1e-12
+    mask = lt.times[1:] <= T + _step_tolerance(lt.times)
     dts = np.diff(lt.times)[mask]
     weight = np.exp(-alpha * (T - lt.times[1:][mask]))
     sq = (lt.density[mask] ** 2) @ grid.weights

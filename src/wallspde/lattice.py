@@ -20,7 +20,8 @@ a horizon.  ``check_times`` validates the times of every path, control and
 force density.  ``uniform_step`` gives the step of a uniform mesh, and
 ``match_dt`` checks that step against a solver's ``dt``.  Steps are compared
 to within 1e-12 * (1 + max|t|), which grows with the mesh because a level's
-round-off grows with its time.
+round-off grows with its time.  Every field a solver starts from or aims
+at passes ``Walls.check``.
 """
 
 from __future__ import annotations
@@ -193,6 +194,17 @@ class Walls:
     def contains(self, values: np.ndarray, tol: float = 0.0) -> bool:
         return bool(np.all(values >= self.k1 - tol) and np.all(values <= self.k2 + tol))
 
+    def check(self, values, name: str) -> np.ndarray:
+        """``values`` as floats; raises unless it is a finite (n+1,) field between the walls to 1e-12."""
+        values = np.asarray(values, dtype=float)
+        npts = self.grid.n + 1
+        if values.shape != (npts,) or not np.isfinite(values).all():
+            got = f"shape {values.shape}" if values.shape != (npts,) else "non-finite values"
+            raise ValueError(f"{name} must be a finite field of shape ({npts},), got {got}")
+        if not self.contains(values, tol=1e-12):
+            raise ValueError(f"{name} is inadmissible: it must lie between the walls")
+        return values
+
     @classmethod
     def constant(cls, grid: Grid, k1: float, k2: float) -> "Walls":
         npts = grid.n + 1
@@ -278,12 +290,8 @@ def cosine_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """
     basis = np.cos(np.pi * np.outer(grid.nodes, np.arange(grid.n + 1)))
     basis /= np.sqrt(grid.weights @ basis**2)
-    return _cosine_eigenvalues(grid), basis
-
-
-def _cosine_eigenvalues(grid: Grid) -> np.ndarray:
     k = np.arange(grid.n + 1)
-    return -4.0 * np.sin(0.5 * np.pi * k / grid.n) ** 2 / grid.dx**2
+    return -4.0 * np.sin(0.5 * np.pi * k / grid.n) ** 2 / grid.dx**2, basis
 
 
 def heat_kernel(grid: Grid, alpha: float, t: float) -> np.ndarray:

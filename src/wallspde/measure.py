@@ -100,6 +100,35 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) ->
     return max(centre - half, 0.0), min(centre + half, 1.0)
 
 
+def _check_schedule(eps_schedule) -> None:
+    """Raises unless the schedule has at least one noise level and strictly decreases."""
+    if len(eps_schedule) == 0:
+        raise ValueError("need at least one noise level")
+    if np.any(np.diff(eps_schedule) >= 0.0):
+        raise ValueError("eps schedule must be strictly decreasing")
+
+
+def _plan_per_level(plans, levels: int) -> list:
+    """One sampling plan per noise level; a single plan serves every level."""
+    plans = [plans] * levels if isinstance(plans, SamplingPlan) else plans
+    if len(plans) != levels:
+        raise ValueError(f"got {len(plans)} sampling plans for {levels} noise levels")
+    return plans
+
+
+def _check_sampler(coeffs: CoefficientSpec, grid: Grid, levels, plans, chains: int, dt: float) -> list:
+    """The noise levels as floats; raises unless dt, hypothesis H, every level,
+    every plan's burn-in and the chain count are valid."""
+    check_dt(dt)
+    coeffs.require_h(grid)
+    levels = [check_level(eps) for eps in levels]
+    for plan in plans:
+        plan.check_burn_in(coeffs)
+    if chains < 1:
+        raise ValueError(f"need at least one chain, got {chains}")
+    return levels
+
+
 def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
     """Step every noise level as one stacked batch and yield each kept round.
 
@@ -123,7 +152,6 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
     """
     grid = walls.grid
     n1 = grid.n + 1
-    # Built first, so that dt is checked before it divides the plan times.
     prop = Propagator(grid, coeffs.alpha, dt)
     scale = increment_scale(grid, dt)
     chains = len(levels[0][2])
@@ -185,23 +213,19 @@ def sample_invariant(
     """Thinned states of the stochastic flow started at rest.
 
     Requires the dissipativity hypothesis, which justifies measuring burn-in
-    against the relaxation rate; plans shorter than 5 relaxation times are
-    rejected, and so is a noise level that is negative or not finite.  All
-    chains advance together as rows of one state matrix, so the cost per step
-    is a single implicit solve; this collects the rounds of the one-level
-    sampler that ``ldp_scaling_curve`` also steps, and its noise buffer holds
-    ``_NOISE_VALUES`` values whatever the horizon or chain count.  Chain j's
-    round-r state is row ``sum(per_chain[:j]) + r``: (chain, round) order.
+    against the relaxation rate; ``_check_sampler`` rejects plans shorter
+    than 5 relaxation times, an empty seed list and a noise level that is
+    negative or not finite.  All chains advance together as rows of one state
+    matrix, so the cost per step is a single implicit solve; this collects
+    the rounds of the one-level sampler that ``ldp_scaling_curve`` also
+    steps, and its noise buffer holds ``_NOISE_VALUES`` values whatever the
+    horizon or chain count.  Chain j's round-r state is row
+    ``sum(per_chain[:j]) + r``: (chain, round) order.
     """
     grid = walls.grid
-    coeffs.require_h(grid)
-    eps = check_level(eps)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    plan.check_burn_in(coeffs)
-
     seeds = tuple(int(s) for s in seeds)
     chains = len(seeds)
+    (eps,) = _check_sampler(coeffs, grid, [eps], [plan], chains, dt)
     per_chain = [plan.count // chains + (1 if j < plan.count % chains else 0) for j in range(chains)]
     starts = np.cumsum([0] + per_chain[:-1])
     samples = np.empty((plan.count, grid.n + 1))
@@ -277,45 +301,25 @@ def ldp_scaling_curve(
     extrapolated.
 
     Every input is checked before any quasipotential solve or sampling step:
-    finite nonnegative noise levels, each ``z_star`` a finite (n+1,) field,
-    each ``delta`` finite and positive, a catalog entry for every target,
-    hypothesis H and each plan's burn-in heuristic.  Level ``i`` runs
-    ``chains`` chains seeded ``base_seed + 1000*i + j``; all levels step
-    together as one stacked batch and only the hits per (level, target) are
-    kept, so no samples array is built.
+    a strictly decreasing schedule with one plan per level, the inputs of
+    ``_check_sampler``, each ``z_star`` a field between the walls, each
+    ``delta`` finite and positive and a catalog entry for every target.
+    Level ``i`` runs ``chains`` chains seeded ``base_seed + 1000*i + j``; all
+    levels step together as one stacked batch and only the hits per (level,
+    target) are kept, so no samples array is built.
     """
-    grid = walls.grid
-    if len(eps_schedule) == 0:
-        raise ValueError("need at least one noise level")
-    for eps in eps_schedule:
-        check_level(eps)
-    if np.any(np.diff(eps_schedule) >= 0.0):
-        raise ValueError("eps schedule must be strictly decreasing")
-    if isinstance(plans, SamplingPlan):
-        plans = [plans] * len(eps_schedule)
-    if len(plans) != len(eps_schedule):
-        raise ValueError(f"got {len(plans)} sampling plans for {len(eps_schedule)} noise levels")
-    if chains < 1:
-        raise ValueError(f"need at least one chain, got {chains}")
-    check_dt(dt)
+    _check_schedule(eps_schedule)
+    plans = _plan_per_level(plans, len(eps_schedule))
+    eps_levels = _check_sampler(coeffs, walls.grid, eps_schedule, plans, chains, dt)
     balls = []
     for t_idx, (z_star, delta) in enumerate(targets):
-        z_star = np.asarray(z_star, dtype=float)
-        if z_star.shape != (grid.n + 1,) or not np.isfinite(z_star).all():
-            raise ValueError(
-                f"target {t_idx}: z_star must be a finite field of shape ({grid.n + 1},), "
-                f"got shape {z_star.shape}"
-            )
+        z_star = walls.check(z_star, f"target {t_idx}: z_star")
         if not (math.isfinite(delta) and delta > 0.0):
             raise ValueError(f"target {t_idx}: ball radius must be finite and positive, got {delta}")
         balls.append((z_star, delta))
-    if catalog is not None:
-        missing = [t_idx for t_idx in range(len(targets)) if t_idx not in catalog]
-        if missing:
-            raise ValueError(f"catalog has no entry for targets {missing}")
-    coeffs.require_h(grid)
-    for plan in plans:
-        plan.check_burn_in(coeffs)
+    missing = [t_idx for t_idx in range(len(targets)) if catalog is not None and t_idx not in catalog]
+    if missing:
+        raise ValueError(f"catalog has no entry for targets {missing}")
 
     if catalog is None:
         catalog = {}
@@ -326,8 +330,8 @@ def ldp_scaling_curve(
             catalog[idx] = (min(j_in, j_out, j_st), j_st, max(j_in, j_out, j_st))
 
     levels = [
-        (float(eps), plans[e_idx], tuple(base_seed + 1000 * e_idx + j for j in range(chains)))
-        for e_idx, eps in enumerate(eps_schedule)
+        (eps, plans[e_idx], tuple(base_seed + 1000 * e_idx + j for j in range(chains)))
+        for e_idx, eps in enumerate(eps_levels)
     ]
     hits = [[0] * len(targets) for _ in levels]
     for e_idx, _, states in _rounds(coeffs, walls, levels, dt):

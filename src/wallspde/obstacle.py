@@ -68,8 +68,7 @@ def solve_obstacle(v: SpaceTimeField, walls: Walls, alpha: float, dt: float) -> 
     """Reflected correction z and force densities for the forcing path v."""
     grid = v.grid
     match_dt(v.times, dt, "forcing")
-    if not walls.contains(v.initial, tol=1e-12):
-        raise ValueError("inadmissible initial condition: v(.,0) must lie between the walls")
+    walls.check(v.initial, "initial condition v(., 0)")
 
     m = v.steps
     n1 = grid.n + 1

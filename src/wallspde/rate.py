@@ -156,10 +156,7 @@ def _checked_target(z, coeffs: CoefficientSpec, walls: Walls) -> np.ndarray:
     for name in ("df_du", "dsigma_du"):
         if getattr(coeffs, name) is None:
             raise ValueError(f"the adjoint gradient needs coeffs.{name}, which is not set")
-    target = np.asarray(z, dtype=float)
-    if not walls.contains(target, tol=1e-12):
-        raise ValueError("target must lie between the walls")
-    return target
+    return walls.check(z, "target")
 
 
 def _admissible(v: SpaceTimeField, walls: Walls, tol: float = 1e-9) -> bool:

@@ -89,6 +89,25 @@ CORPUS = [
     ("penalty_number", "skeleton", base_cfg(penalty=3, **SKEL), "penalty", True),
     ("eps_negative", "diagnose", diagnose_cfg(eps_schedule=[0.5, -0.1]), "diagnose.eps_schedule", True),
     ("eps_strings", "diagnose", diagnose_cfg(eps_schedule=["a", "b"]), "diagnose.eps_schedule", True),
+    ("eps_increasing", "diagnose", diagnose_cfg(eps_schedule=[0.35, 0.5]), "diagnose.eps_schedule", False),
+    ("counts_length", "diagnose", diagnose_cfg(counts=[10, 10, 10]), "diagnose.counts", False),
+    (
+        "diagnose_target_outside",
+        "diagnose",
+        diagnose_cfg(targets=[{"kind": "constant", "value": 0.6, "delta": 0.1}]),
+        "diagnose.targets[0]",
+        False,
+    ),
+    (
+        "c_not_below_alpha",
+        "invariant",
+        base_cfg(
+            coefficients={"alpha": 2.0, "f": "sinusoidal", "c": 2.0, "sigma": "one"},
+            sampling={"count": 10, "eps": 0.2},
+        ),
+        "coefficients.c",
+        False,
+    ),
     ("counts_zero", "diagnose", diagnose_cfg(counts=[0, 4]), "diagnose.counts", True),
     ("chains_zero", "diagnose", diagnose_cfg(chains=0), "diagnose.chains", True),
     ("chains_string", "diagnose", diagnose_cfg(chains="x"), "diagnose.chains", True),

@@ -488,3 +488,14 @@ def test_local_time_energy_rejects_a_non_finite_horizon(T):
     assert local_time_energy(lt, 1.0, 1.0) == pytest.approx(0.664, abs=1e-3)
     with pytest.raises(ValueError, match=f"T must be finite, got {T}"):
         local_time_energy(lt, 1.0, T)
+
+
+def test_local_time_energy_keeps_the_level_at_T_on_a_long_mesh():
+    # linspace puts the level at T = 7701.5 at 7701.500000000002; an absolute
+    # 1e-12 bound dropped it and returned 7701.4.
+    from wallspde.obstacle import LocalTime
+
+    grid = build_grid(4)
+    times = np.linspace(0.0, 112534 * 0.1, 112535)
+    lt = LocalTime(grid, times, np.ones((len(times) - 1, grid.n + 1)))
+    assert local_time_energy(lt, 0.0, 7701.5) == pytest.approx(7701.5, abs=1e-6)

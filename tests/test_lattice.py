@@ -15,7 +15,12 @@ from wallspde.lattice import (
     mesh_steps,
     neumann_operator,
 )
-from wallspde.dynamics import Control
+import wallspde.measure
+from conftest import coeffs_zero
+from wallspde.dynamics import Control, solve_skeleton, solve_spde
+from wallspde.measure import SamplingPlan, ldp_scaling_curve
+from wallspde.obstacle import solve_obstacle
+from wallspde.rate import infinite_horizon_check, quasipotential_J
 
 
 def test_build_grid_uniform_partition():
@@ -236,6 +241,59 @@ def test_walls_profile_second_derivative():
     walls = Walls.from_profiles(grid, k1, k2)
     exact = 0.2 * np.pi**2 * np.cos(np.pi * x)
     assert np.allclose(walls.d2k1[1:-1], exact[1:-1], atol=2e-2)
+
+
+def _forcing_from(field):
+    """A two-level forcing path that starts at ``field``, on its own grid."""
+    grid = build_grid(len(field) - 1)
+    return SpaceTimeField(grid, np.array([0.0, 1e-2]), np.vstack([field, np.zeros(grid.n + 1)]))
+
+
+# Every caller that takes a field the walls must hold, as (field, coeffs, walls) -> result.
+BAND_CALLERS = {
+    "solve_skeleton": lambda z, coeffs, walls: solve_skeleton(z, None, coeffs, walls, 0.1, 1e-2),
+    "solve_spde": lambda z, coeffs, walls: solve_spde(z, 0.1, coeffs, walls, 0.1, 1e-2, seed=1),
+    "solve_obstacle": lambda z, coeffs, walls: solve_obstacle(_forcing_from(z), walls, coeffs.alpha, 1e-2),
+    "quasipotential_J": quasipotential_J,
+    "infinite_horizon_check": infinite_horizon_check,
+    "ldp_scaling_curve": lambda z, coeffs, walls: ldp_scaling_curve(
+        [(z, 0.1)], (0.5, 0.25), SamplingPlan.default(coeffs, 10), coeffs, walls, chains=2, dt=1e-2
+    ),
+}
+BAD_FIELDS = {
+    "outside": (np.full(9, 0.5), "inadmissible: it must lie between the walls"),
+    "nan": (np.where(np.arange(9) == 3, np.nan, 0.1), r"must be a finite field of shape \(9,\), got non-finite"),
+    "short": (np.zeros(5), r"must be a finite field of shape \(9,\), got shape \(5,\)"),
+    # One value broadcasts against the walls unless the shape is checked.
+    "one_value": (np.zeros(1), r"got shape \(1,\)"),
+}
+
+
+@pytest.mark.parametrize(
+    "caller, bad",
+    # A forcing path lives on a grid of n >= 4, so it cannot start from one value.
+    [(c, b) for c in BAND_CALLERS for b in BAD_FIELDS if (c, b) != ("solve_obstacle", "one_value")],
+)
+def test_every_field_caller_checks_the_wall_band(caller, bad, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the field must be checked before any solve or sampling step")
+
+    monkeypatch.setattr(wallspde.measure, "quasipotential_J", no_work)
+    monkeypatch.setattr(wallspde.measure, "_rounds", no_work)
+    walls = Walls.constant(build_grid(8), -0.2, 0.2)
+    field, message = BAD_FIELDS[bad]
+    with pytest.raises(ValueError, match=message):
+        BAND_CALLERS[caller](field, coeffs_zero(2.0), walls)
+
+
+def test_walls_check_accepts_the_walls_themselves():
+    grid = build_grid(8)
+    walls = Walls.from_profiles(grid, -0.2 - 0.1 * grid.nodes, np.full(grid.n + 1, 0.3))
+    for field in (walls.k1, walls.k2, walls.k2 + 1e-13):
+        checked = walls.check(list(field), "field")
+        assert checked.dtype == float and np.array_equal(checked, field)
+    with pytest.raises(ValueError, match="field is inadmissible"):
+        walls.check(walls.k2 + 1e-11, "field")
 
 
 def test_space_time_field_validation():

@@ -568,6 +568,12 @@ BAD_CURVES = {
         dict(targets=[(np.full(33, 0.1), 0.1), (np.full(33, np.nan), 0.1)]),
         "target 1: z_star must be a finite",
     ),
+    "target_outside": (dict(targets=[(np.full(33, 11.0), 0.1)]), "target 0: z_star is inadmissible"),
+    # A catalog used to let the same target through to sampling.
+    "target_outside_catalog": (
+        dict(targets=[(np.full(33, 0.1), 0.1), (np.full(33, -11.0), 0.1)], catalog={0: (0, 0, 0), 1: (0, 0, 0)}),
+        "target 1: z_star is inadmissible",
+    ),
     "delta_nan": (dict(targets=[(np.zeros(33), float("nan"))]), "target 0: ball radius .* got nan"),
     "delta_inf": (dict(targets=[(np.zeros(33), float("inf"))]), "target 0: ball radius .* got inf"),
     "delta_zero": (dict(targets=[(np.zeros(33), 0.0)]), "target 0: ball radius .* got 0.0"),
