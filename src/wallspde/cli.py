@@ -245,7 +245,6 @@ def _run_selftest(out, args) -> int:
         alpha=2.0,
         lipschitz_c=0.0,
         sigma_min=1.0,
-        bound=1.0,
         df_du=lambda x, u: np.zeros_like(u),
         dsigma_du=lambda x, u: np.zeros_like(u),
     )

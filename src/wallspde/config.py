@@ -9,8 +9,8 @@ long enough burn-in) is checked by the library function that owns it, and
 ``config`` only names the key: ``_naming`` turns that function's
 ``ValueError`` into a ``ConfigError`` naming the dotted key, which the CLI
 maps to exit code 2.  Coefficient functions come from a closed registry
-rather than arbitrary expressions so the declared Lipschitz/lower/upper
-bounds are actually true and runs stay reproducible.
+rather than arbitrary expressions so the declared Lipschitz constant and
+lower bound on sigma are actually true and runs stay reproducible.
 """
 
 from __future__ import annotations
@@ -182,7 +182,6 @@ def build_coefficients(section: dict) -> CoefficientSpec:
         c = 0.0
         f = lambda x, u: np.zeros_like(u)
         df = lambda x, u: np.zeros_like(u)
-        f_bound = 0.0
     else:
         c = _need(section, "coefficients.c")
         if f_kind == "linear":
@@ -191,34 +190,22 @@ def build_coefficients(section: dict) -> CoefficientSpec:
         else:
             f = lambda x, u: c * np.sin(u)
             df = lambda x, u: c * np.cos(u)
-        f_bound = c
 
     if sigma_kind == "one":
         sigma = lambda x, u: np.ones_like(u)
         dsigma = lambda x, u: np.zeros_like(u)
-        m, sig_bound = 1.0, 1.0
+        m = 1.0
     elif sigma_kind == "cosine_profile":
         sigma = lambda x, u: 0.75 + 0.25 * np.cos(np.pi * x) + 0.0 * u
         dsigma = lambda x, u: np.zeros_like(u)
-        m, sig_bound = 0.5, 1.0
+        m = 0.5
     else:
         amp = _get(section, "coefficients.sigma_amplitude")
         sigma = lambda x, u: 1.0 + amp * np.sin(u)
         dsigma = lambda x, u: amp * np.cos(u)
-        m, sig_bound = 1.0 - amp, 1.0 + amp
+        m = 1.0 - amp
 
-    return CoefficientSpec(
-        f=f,
-        sigma=sigma,
-        alpha=alpha,
-        lipschitz_c=c,
-        sigma_min=m,
-        bound=max(f_bound, sig_bound),
-        df_du=df,
-        dsigma_du=dsigma,
-        f_name=f_kind,
-        sigma_name=sigma_kind,
-    )
+    return CoefficientSpec(f=f, sigma=sigma, alpha=alpha, lipschitz_c=c, sigma_min=m, df_du=df, dsigma_du=dsigma)
 
 
 def build_walls(section: dict, grid: Grid) -> Walls:

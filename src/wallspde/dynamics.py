@@ -39,6 +39,7 @@ from wallspde.lattice import (
     check_dt,
     check_times,
     match_dt,
+    match_grid,
     mesh_steps,
     uniform_step,
 )
@@ -60,13 +61,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSpec:
-    """Reaction f(x, u), noise amplitude sigma(x, u), and declared bounds.
+    """Reaction f(x, u), noise amplitude sigma(x, u) and the constants the solvers check.
 
-    ``lipschitz_c`` bounds the u-Lipschitz constant of f, ``sigma_min`` is a
-    positive lower bound on |sigma|, ``bound`` dominates |f| and |sigma| on
-    the admissible band.  The dissipativity hypothesis (``f(x, 0) = 0`` and
-    ``lipschitz_c < alpha``) makes 0 an exponentially attracting rest point
-    with rate alpha - lipschitz_c.
+    ``lipschitz_c`` bounds the u-Lipschitz constant of f and ``sigma_min`` is
+    a positive lower bound on |sigma|; ``df_du`` and ``dsigma_du`` are the
+    u-derivatives that the adjoint gradient needs.  The dissipativity
+    hypothesis (``f(x, 0) = 0`` and ``lipschitz_c < alpha``, checked by
+    ``require_h``) makes 0 an exponentially attracting rest point with rate
+    alpha - lipschitz_c.
     """
 
     f: callable
@@ -74,11 +76,8 @@ class CoefficientSpec:
     alpha: float
     lipschitz_c: float
     sigma_min: float
-    bound: float
     df_du: callable | None = None
     dsigma_du: callable | None = None
-    f_name: str = "custom"
-    sigma_name: str = "custom"
 
     @property
     def alpha1(self) -> float:
@@ -143,8 +142,6 @@ class NoiseRealization:
 
     grid: Grid
     dt: float
-    seed: int
-    stream: int
     increments: np.ndarray
 
     @property
@@ -191,20 +188,16 @@ def sample_noise(grid: Grid, dt: float, steps: int, seed: int, stream: int = 0) 
         raise ValueError(f"need at least one step, got {steps}")
     scale = increment_scale(grid, dt)
     draws = noise_generator(seed, stream).normal(0.0, scale, size=(steps, grid.n + 1))
-    return NoiseRealization(grid, float(dt), int(seed), int(stream), draws)
+    return NoiseRealization(grid, float(dt), draws)
 
 
 @dataclass(eq=False)
 class Trajectory:
-    """Reflected path together with its force densities and run metadata."""
+    """Reflected path together with its lower and upper force densities."""
 
     u: SpaceTimeField
     eta: LocalTime
     xi: LocalTime
-    coeffs: CoefficientSpec
-    mode: str
-    eps_noise: float | None = None
-    control: Control | None = None
 
 
 def step_penalized(
@@ -238,9 +231,10 @@ def step_penalized(
         kick = eps_noise * coeffs.sigma(grid.nodes, state) * noise_increment / grid.dx
         drive = kick if drive is None else drive + kick
     prop = _cached_propagator(grid, coeffs.alpha, dt)
-    one_step = np.array([0.0, dt])
-    path, _, _ = _march(prop, coeffs, walls, state, one_step, lambda k, u: drive, (delta, eps_pen))
-    return path.final
+    rhs = state + prop.dt * coeffs.f(grid.nodes, state)
+    if drive is not None:
+        rhs = rhs + drive
+    return prop.step(rhs, walls.k1, walls.k2, penalty=(delta, eps_pen))[0]
 
 
 @lru_cache(maxsize=8)
@@ -295,6 +289,7 @@ def solve_skeleton(
     m = mesh_steps(T, dt, "T")
     times = np.linspace(0.0, T, m + 1)
     if control is not None:
+        match_grid(grid, control.grid, "control")
         match_dt(control.times, dt, "control")
         if control.values.shape[0] < m:
             raise ValueError(f"control time mesh has {control.values.shape[0]} steps, fewer than the trajectory's {m}")
@@ -306,8 +301,7 @@ def solve_skeleton(
         return prop.dt * coeffs.sigma(grid.nodes, state) * control.values[k]
 
     penalty = (delta, eps_pen) if mode == "penalized" else None
-    u, eta, xi = _march(prop, coeffs, walls, u0, times, drive_for_step, penalty)
-    return Trajectory(u, eta, xi, coeffs, mode, control=control)
+    return Trajectory(*_march(prop, coeffs, walls, u0, times, drive_for_step, penalty))
 
 
 def solve_deterministic(
@@ -345,6 +339,7 @@ def solve_spde(
     if eps_noise > 0.0:
         if noise is None:
             noise = sample_noise(grid, dt, m, seed, stream)
+        match_grid(grid, noise.grid, "noise realization")
         # Increments start at t = 0, so a realization's mesh is [0, noise.dt, ...].
         match_dt(np.array([0.0, noise.dt]), dt, "noise realization")
         if noise.steps < m:
@@ -360,8 +355,7 @@ def solve_spde(
             return None
         return eps_noise * coeffs.sigma(grid.nodes, state) * increments[k] / grid.dx
 
-    u, eta, xi = _march(prop, coeffs, walls, u0, times, drive_for_step)
-    return Trajectory(u, eta, xi, coeffs, "projected", eps_noise=eps_noise)
+    return Trajectory(*_march(prop, coeffs, walls, u0, times, drive_for_step))
 
 
 def local_time_energy(lt: LocalTime, alpha: float, T: float) -> float:

@@ -20,8 +20,10 @@ a horizon.  ``check_times`` validates the times of every path, control and
 force density.  ``uniform_step`` gives the step of a uniform mesh, and
 ``match_dt`` checks that step against a solver's ``dt``.  Steps are compared
 to within 1e-12 * (1 + max|t|), which grows with the mesh because a level's
-round-off grows with its time.  Every field a solver starts from or aims
-at passes ``Walls.check``.
+round-off grows with its time.  ``match_grid`` checks that an input's grid
+has the solver's ``n``.  Every field a solver starts from or aims at passes
+``Walls.check``, which adds the wall band to ``check_field``'s finite
+(n+1,) rule.
 """
 
 from __future__ import annotations
@@ -158,6 +160,12 @@ def match_dt(times: np.ndarray, dt: float, name: str) -> float:
     return step
 
 
+def match_grid(grid: Grid, other: Grid, name: str) -> None:
+    """Raises unless ``name``'s grid ``other`` has the ``n`` of the solver's ``grid``."""
+    if other.n != grid.n:
+        raise ValueError(f"the {name} grid has n={other.n}, which does not match n={grid.n}")
+
+
 def row_blocks(grid: Grid, rows: int) -> list[tuple[int, int]]:
     """(start, stop) ranges covering ``rows`` rows of (n+1) values in blocks of
     about ``BLOCK_VALUES`` values, for path-wide reductions."""
@@ -165,15 +173,23 @@ def row_blocks(grid: Grid, rows: int) -> list[tuple[int, int]]:
     return [(k, min(k + size, rows)) for k in range(0, rows, size)]
 
 
+def check_field(grid: Grid, values, name: str) -> np.ndarray:
+    """``values`` as floats; raises unless it is a finite (n+1,) field on ``grid``."""
+    values = np.asarray(values, dtype=float)
+    npts = grid.n + 1
+    if values.shape != (npts,) or not np.isfinite(values).all():
+        got = f"shape {values.shape}" if values.shape != (npts,) else "non-finite values"
+        raise ValueError(f"{name} must be a finite field of shape ({npts},), got {got}")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class Walls:
-    """Lower/upper wall profiles with K1 < 0 < K2 node-wise."""
+    """Lower and upper wall profiles ``k1`` < 0 < ``k2``, one value per node of ``grid``."""
 
     grid: Grid
     k1: np.ndarray
     k2: np.ndarray
-    d2k1: np.ndarray
-    d2k2: np.ndarray
 
     def __post_init__(self) -> None:
         npts = self.grid.n + 1
@@ -196,31 +212,18 @@ class Walls:
 
     def check(self, values, name: str) -> np.ndarray:
         """``values`` as floats; raises unless it is a finite (n+1,) field between the walls to 1e-12."""
-        values = np.asarray(values, dtype=float)
-        npts = self.grid.n + 1
-        if values.shape != (npts,) or not np.isfinite(values).all():
-            got = f"shape {values.shape}" if values.shape != (npts,) else "non-finite values"
-            raise ValueError(f"{name} must be a finite field of shape ({npts},), got {got}")
+        values = check_field(self.grid, values, name)
         if not self.contains(values, tol=1e-12):
             raise ValueError(f"{name} is inadmissible: it must lie between the walls")
         return values
 
     @classmethod
     def constant(cls, grid: Grid, k1: float, k2: float) -> "Walls":
-        npts = grid.n + 1
-        return cls(
-            grid,
-            np.full(npts, float(k1)),
-            np.full(npts, float(k2)),
-            np.zeros(npts),
-            np.zeros(npts),
-        )
+        return cls(grid, np.full(grid.n + 1, float(k1)), np.full(grid.n + 1, float(k2)))
 
     @classmethod
     def from_profiles(cls, grid: Grid, k1: np.ndarray, k2: np.ndarray) -> "Walls":
-        k1 = np.asarray(k1, dtype=float)
-        k2 = np.asarray(k2, dtype=float)
-        return cls(grid, k1, k2, _mirrored_laplacian(grid, k1), _mirrored_laplacian(grid, k2))
+        return cls(grid, np.asarray(k1, dtype=float), np.asarray(k2, dtype=float))
 
 
 def _mirrored_laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wallspde.dynamics import CoefficientSpec, check_level, increment_scale, noise_generator
-from wallspde.lattice import Grid, Propagator, Walls, check_dt, holder_norm
+from wallspde.lattice import Grid, Propagator, Walls, check_dt, check_field, holder_norm
 from wallspde.rate import OptimizerOptions, quasipotential_J
 
 # Values of noise drawn at a time (2 MiB), shared by every chain and level, so
@@ -234,6 +234,14 @@ def sample_invariant(
     return EmpiricalMeasure(samples=samples, eps=eps, plan=plan, seeds=seeds, grid=grid)
 
 
+def _check_radius(delta: float, name: str = "ball radius") -> None:
+    """Raises unless the ball radius ``delta`` is finite and positive."""
+    if not delta > 0.0:
+        raise ValueError(f"{name} must be positive, got {delta}")
+    if delta == math.inf:
+        raise ValueError(f"{name} must be finite, got {delta}")
+
+
 def _ball_hits(rows: np.ndarray, z_star: np.ndarray, delta: float) -> int:
     """Rows inside the open sup-norm ball of radius ``delta`` around ``z_star``."""
     return int(np.count_nonzero(np.max(np.abs(rows - z_star), axis=1) < delta))
@@ -242,12 +250,16 @@ def _ball_hits(rows: np.ndarray, z_star: np.ndarray, delta: float) -> int:
 def ball_probability(
     measure: EmpiricalMeasure, z_star: np.ndarray, delta: float
 ) -> tuple[float, tuple[float, float]]:
-    """Empirical mass of the open sup-norm ball with a Wilson 95% interval."""
+    """Empirical mass of the open sup-norm ball with a Wilson 95% interval.
+
+    The centre must be a finite (n+1,) field on ``measure.grid`` and the
+    radius finite and positive.
+    """
     if measure.count == 0:
         raise ValueError("empty measure")
-    if not delta > 0.0:
-        raise ValueError(f"ball radius must be positive, got {delta}")
-    hits = _ball_hits(measure.samples, np.asarray(z_star, dtype=float), delta)
+    z_star = check_field(measure.grid, z_star, "ball centre")
+    _check_radius(delta)
+    hits = _ball_hits(measure.samples, z_star, delta)
     p_hat = hits / measure.count
     return p_hat, wilson_interval(hits, measure.count)
 
@@ -314,8 +326,7 @@ def ldp_scaling_curve(
     balls = []
     for t_idx, (z_star, delta) in enumerate(targets):
         z_star = walls.check(z_star, f"target {t_idx}: z_star")
-        if not (math.isfinite(delta) and delta > 0.0):
-            raise ValueError(f"target {t_idx}: ball radius must be finite and positive, got {delta}")
+        _check_radius(delta, f"target {t_idx}: ball radius")
         balls.append((z_star, delta))
     missing = [t_idx for t_idx in range(len(targets)) if catalog is not None and t_idx not in catalog]
     if missing:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wallspde.lattice import Grid, Propagator, SpaceTimeField, Walls, check_times, match_dt, row_blocks
+from wallspde.lattice import Grid, Propagator, SpaceTimeField, Walls, check_times, match_dt, match_grid, row_blocks
 
 __all__ = ["LocalTime", "ObstacleSolution", "solve_obstacle", "check_complementarity"]
 
@@ -100,6 +100,7 @@ def check_complementarity(
     below 1e-6 * (1 + total local-time mass) for a valid solution.
     """
     grid = sol.z.grid
+    match_grid(grid, walls.grid, "walls")
     if v.values.shape != sol.z.values.shape:
         raise ValueError(f"forcing shaped {v.values.shape} is off the solution mesh {sol.z.values.shape}")
     match_dt(v.times, sol.z.dt, "forcing")

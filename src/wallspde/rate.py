@@ -37,7 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from wallspde.dynamics import CoefficientSpec, Control, Trajectory, solve_skeleton
-from wallspde.lattice import Propagator, SpaceTimeField, Walls, match_dt, mesh_steps, neumann_operator, row_blocks
+from wallspde.lattice import (
+    Propagator,
+    SpaceTimeField,
+    Walls,
+    match_dt,
+    match_grid,
+    mesh_steps,
+    neumann_operator,
+    row_blocks,
+)
 from wallspde.obstacle import LocalTime
 
 __all__ = [
@@ -202,6 +211,7 @@ def recover_control(
     reaction and sigma at the old one, contact detected at the new level.
     """
     grid = v.grid
+    match_grid(walls.grid, grid, "path")
     match_dt(v.times, dt, "path")
     if not _admissible(v, walls):
         raise ValueError("path leaves the walls: no admissible decomposition")
@@ -232,6 +242,7 @@ def rate_I(
     v: SpaceTimeField, t1: float, t2: float, coeffs: CoefficientSpec, walls: Walls
 ) -> float:
     """Minimal action over [t1, t2]; +inf when the window is inadmissible."""
+    match_grid(walls.grid, v.grid, "path")
     window = v.restrict(t1, t2)
     if not _admissible(window, walls):
         return math.inf
@@ -259,8 +270,7 @@ def glue_path(u0_flow: Trajectory, tail: Trajectory) -> SpaceTimeField:
     """Concatenate a relaxation segment with a controlled tail started at its
     terminal state; the duplicate junction row is dropped after checking it."""
     head, back = u0_flow.u, tail.u
-    if head.grid.n != back.grid.n:
-        raise ValueError("mesh mismatch: grids differ")
+    match_grid(head.grid, back.grid, "tail path")
     match_dt(back.times, head.dt, "tail path")
     jump = float(np.max(np.abs(head.final - back.initial)))
     if jump > 1e-10:

@@ -11,11 +11,8 @@ def coeffs_zero(alpha):
         alpha=alpha,
         lipschitz_c=0.0,
         sigma_min=1.0,
-        bound=1.0,
         df_du=lambda x, u: np.zeros_like(u),
         dsigma_du=lambda x, u: np.zeros_like(u),
-        f_name="zero",
-        sigma_name="one",
     )
 
 
@@ -27,11 +24,8 @@ def coeffs_linear(alpha, c):
         alpha=alpha,
         lipschitz_c=abs(c),
         sigma_min=1.0,
-        bound=1.0,
         df_du=lambda x, u: np.full_like(u, c),
         dsigma_du=lambda x, u: np.zeros_like(u),
-        f_name="linear",
-        sigma_name="one",
     )
 
 
@@ -43,11 +37,8 @@ def coeffs_sin(alpha, c):
         alpha=alpha,
         lipschitz_c=abs(c),
         sigma_min=1.0,
-        bound=abs(c) + 1.0,
         df_du=lambda x, u: c * np.cos(u),
         dsigma_du=lambda x, u: np.zeros_like(u),
-        f_name="sinusoidal",
-        sigma_name="one",
     )
 
 
@@ -59,11 +50,8 @@ def coeffs_sin_statesigma(alpha, c, amp=0.3):
         alpha=alpha,
         lipschitz_c=abs(c),
         sigma_min=1.0 - amp,
-        bound=1.0 + amp + abs(c),
         df_du=lambda x, u: c * np.cos(u),
         dsigma_du=lambda x, u: amp * np.cos(u),
-        f_name="sinusoidal",
-        sigma_name="state_modulated",
     )
 
 
@@ -75,9 +63,6 @@ def coeffs_cosine_sigma(alpha, c=0.0):
         alpha=alpha,
         lipschitz_c=abs(c),
         sigma_min=0.5,
-        bound=1.0,
         df_du=lambda x, u: np.full_like(u, c),
         dsigma_du=lambda x, u: np.zeros_like(u),
-        f_name="linear",
-        sigma_name="cosine_profile",
     )

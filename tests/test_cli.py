@@ -120,6 +120,8 @@ CORPUS = [
         "walls.k1",
         True,
     ),
+    # An empty profile raised IndexError while the walls took its second difference.
+    ("profile_empty", "skeleton", base_cfg(walls={"kind": "profiles", "k1": [], "k2": []}, **SKEL), "walls.k1", False),
     ("simulate_dt_coarse", "simulate", base_cfg(time={"dt": 0.1, "horizon": 0.2}, **SIM), "time.dt", False),
     ("horizon_off_mesh", "skeleton", base_cfg(time={"dt": 0.03, "horizon": 0.1}, **SKEL), "time.horizon", False),
     # 200.0000001 steps of 0.01: whole to 1e-9 relative, but its mesh steps 0.010000000005.
@@ -327,6 +329,7 @@ def test_invariant_command_writes_summary(tmp_path):
     assert abs(summary["spatial_mean_variance"] / (0.09 / 4.0) - 1.0) <= 0.3
 
 
+@pytest.mark.slow
 def test_diagnose_command_writes_table(tmp_path):
     cfg = {
         "grid": {"n": 16},

@@ -131,6 +131,22 @@ def test_penalized_step_reduces_to_heat_step():
     assert 3.5 <= errs[0] / errs[1] <= 4.5  # second order in dt per step
 
 
+@pytest.mark.parametrize("n", [16, 512])
+def test_penalized_step_is_one_penalized_skeleton_step(n):
+    # n=16 takes the dense solve and n=512 the banded one; the control pushes
+    # the state through both walls, so both penalty terms act.
+    grid = build_grid(n)
+    walls = Walls.constant(grid, -0.2, 0.3)
+    coeffs = coeffs_sin(2.0, 0.5)
+    dt = 1e-3
+    u0 = 0.15 * np.cos(np.pi * grid.nodes)
+    control = Control.from_function(grid, dt, dt, lambda x, t: 200.0 * np.cos(np.pi * x))
+    path = solve_skeleton(u0, control, coeffs, walls, dt, dt, mode="penalized", delta=1e-4, eps_pen=2e-4).u
+    stepped = step_penalized(u0, walls, 1e-4, 2e-4, coeffs, dt, hdot=control.values[0])
+    assert np.any(stepped < walls.k1) and np.any(stepped > walls.k2)
+    assert np.array_equal(stepped, path.values[1])
+
+
 def test_penalized_step_rejects_nonfinite():
     grid = build_grid(8)
     walls = Walls.constant(grid, -1.0, 1.0)

@@ -233,16 +233,6 @@ def test_walls_validation():
         Walls.constant(grid, -1.0, -0.5)
 
 
-def test_walls_profile_second_derivative():
-    grid = build_grid(32)
-    x = grid.nodes
-    k1 = -1.0 - 0.2 * np.cos(np.pi * x)
-    k2 = 1.0 + 0.1 * x * (1 - x)
-    walls = Walls.from_profiles(grid, k1, k2)
-    exact = 0.2 * np.pi**2 * np.cos(np.pi * x)
-    assert np.allclose(walls.d2k1[1:-1], exact[1:-1], atol=2e-2)
-
-
 def _forcing_from(field):
     """A two-level forcing path that starts at ``field``, on its own grid."""
     grid = build_grid(len(field) - 1)

@@ -100,6 +100,7 @@ def test_noise_chunking_keeps_seed_streams(monkeypatch):
     assert np.array_equal(whole.samples, chunked.samples)
 
 
+@pytest.mark.slow
 def test_burn_in_noise_memory_is_bounded():
     # 64 chains over 20k burn-in steps would need 338 MB of noise drawn up front.
     grid, coeffs, walls, _ = benchmark(alpha=2.0, grid_n=32)
@@ -191,6 +192,22 @@ def test_ball_probability_rejects_a_bad_radius(delta):
     measure = sample_invariant(coeffs, walls, 0.3, plan, seeds=[1], dt=1e-2)
     with pytest.raises(ValueError, match=f"radius must be positive, got {delta}"):
         ball_probability(measure, np.zeros(grid.n + 1), delta)
+
+
+@pytest.mark.parametrize(
+    "centre, delta, message",
+    [
+        (np.zeros(9), math.inf, "ball radius must be finite, got inf"),
+        (np.zeros(1), 0.5, r"ball centre must be a finite field of shape \(9,\), got shape \(1,\)"),
+        (np.full(9, np.nan), 0.5, r"ball centre must be a finite field of shape \(9,\), got non-finite values"),
+    ],
+)
+def test_ball_probability_rejects_a_bad_centre_or_radius(centre, delta, message):
+    # These returned mass 1.0, 1.0 (the centre broadcast) and 0.0 without an error.
+    grid = build_grid(8)
+    measure = EmpiricalMeasure(np.zeros((4, grid.n + 1)), 0.3, SamplingPlan(1.0, 1.0, 4), (1,), grid)
+    with pytest.raises(ValueError, match=message):
+        ball_probability(measure, centre, delta)
 
 
 def test_ball_probability_monotone_in_delta():
@@ -554,7 +571,7 @@ def hot_coeffs(alpha):
     """f(x, 0) = 1: hypothesis H fails."""
     return CoefficientSpec(
         f=lambda x, u: np.ones_like(u), sigma=lambda x, u: np.ones_like(u),
-        alpha=alpha, lipschitz_c=0.0, sigma_min=1.0, bound=1.0,
+        alpha=alpha, lipschitz_c=0.0, sigma_min=1.0,
     )
 
 

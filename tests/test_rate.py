@@ -684,6 +684,7 @@ def test_infinite_horizon_zero_target():
     assert value <= 1e-6
 
 
+@pytest.mark.slow
 def test_parametrizations_agree_on_random_targets():
     grid = build_grid(12)
     walls = Walls.constant(grid, -1.0, 1.0)
@@ -783,6 +784,41 @@ def test_mesh_step_comparison(name, scale, ok):
     else:
         with pytest.raises(ValueError, match="does not match the .* time mesh"):
             _mesh_case(name, scale)
+
+
+def _grid_case(name):
+    """Call ``name`` with walls on an n=8 grid and its other input on an n=16 grid."""
+    coarse, fine = build_grid(8), build_grid(16)
+    walls = Walls.constant(coarse, -0.5, 0.5)
+    coeffs = coeffs_zero(2.0)
+    T, dt = 0.1, 0.01
+    times = np.linspace(0.0, T, 11)
+    field = SpaceTimeField(fine, times, np.zeros((11, fine.n + 1)))
+    zero = np.zeros(coarse.n + 1)
+    if name == "solve_skeleton":
+        solve_skeleton(zero, Control.zero(fine, times), coeffs, walls, T, dt)
+    elif name == "solve_spde":
+        solve_spde(zero, 0.1, coeffs, walls, T, dt, noise=sample_noise(fine, dt, 10, seed=1))
+    elif name == "recover_control":
+        recover_control(field, coeffs, walls, dt)
+    elif name == "rate_I":
+        rate_I(field, 0.0, T, coeffs, walls)
+    elif name == "glue_path":
+        flow = solve_deterministic(zero, coeffs, walls, T, dt)
+        tail = solve_skeleton(np.zeros(fine.n + 1), None, coeffs, Walls.constant(fine, -0.5, 0.5), T, dt)
+        glue_path(flow, tail)
+    else:
+        check_complementarity(solve_obstacle(field, Walls.constant(fine, -0.5, 0.5), 1.0, dt), field, walls)
+
+
+@pytest.mark.parametrize(
+    "name", ["solve_skeleton", "solve_spde", "recover_control", "rate_I", "glue_path", "check_complementarity"]
+)
+def test_inputs_on_another_grid_are_named(name):
+    # These raised numpy's "operands could not be broadcast together" error,
+    # or for glue_path "grids differ" without either grid's n.
+    with pytest.raises(ValueError, match=r"grid has n=(8|16), which does not match n=(8|16)"):
+        _grid_case(name)
 
 
 def test_stability_bound_zero_start():

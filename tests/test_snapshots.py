@@ -102,8 +102,6 @@ def _synthetic_traj(n, steps, seed=0, density_frac=0.02):
         u=SpaceTimeField(grid, times, rng.normal(size=(steps + 1, n + 1))),
         eta=LocalTime(grid, times, eta),
         xi=LocalTime(grid, times, xi),
-        coeffs=coeffs_sin(2.0, 0.5),
-        mode="synthetic",
     )
 
 
