@@ -10,6 +10,7 @@ failure, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -151,6 +152,7 @@ def _run_quasipotential(cfg, run, out):
         "gradient_norm": result.gradient_norm,
         "terminal_gap": result.terminal_gap,
         "converged": result.converged,
+        "stages": [dataclasses.asdict(stage) for stage in result.stages],
     }
     write_json_record(record, out / "quasipotential.json")
     write_field_snapshot(result.path, out / "path.bin")

@@ -23,6 +23,12 @@ usually needs one L-BFGS round).  Each stage leaves a ``StageRecord`` on
 the result.  The forward pass tapes sigma along the path and the reverse
 sweep evaluates df_du and dsigma_du once on the stored states, so each
 gradient costs one coefficient call per derivative rather than one per step.
+L-BFGS assumes a Euclidean metric (Liu & Nocedal 1989), so it runs on the
+W-half-scaled control y = h / sqrt(dx / w), node-wise 1 inside and sqrt 2 at
+the two end nodes.  There the action 0.5*dt*sum(w h^2) is 0.5*dt*dx*|y|^2,
+a multiple of the identity, and the solver's curvature pairs go to the
+terminal constraint rather than to the factor-2 split of the trapezoid
+weights between the end nodes and the interior.
 
 The L-BFGS solver is scipy's, and only the two optimizers need it, so
 ``minimize`` loads ``scipy.optimize`` on its first call: the path rates,
@@ -111,8 +117,9 @@ class RecoveredControl:
 @dataclass(frozen=True)
 class StageRecord:
     """How one horizon stage of ``quasipotential_J`` converged.  ``nit`` and
-    ``nfev`` add up the L-BFGS rounds, ``message`` and ``gradient_norm`` are
-    the last round's, ``penalized_gap`` is the sup-norm terminal miss of the
+    ``nfev`` add up the L-BFGS rounds, ``message`` and ``gradient_norm`` (the
+    sup norm of the gradient with respect to the control) are the last
+    round's, ``penalized_gap`` is the sup-norm terminal miss of the
     penalized path and ``terminal_gap`` that of the projected path that
     ``value`` prices."""
 
@@ -143,7 +150,9 @@ class QuasipotentialResult:
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Horizons must increase strictly, each a whole number (at least one) of
-    ``dt`` steps as ``lattice.mesh_steps`` counts them."""
+    ``dt`` steps as ``lattice.mesh_steps`` counts them.  ``maxiter`` is a
+    whole number, at least one; ``terminal_tol`` is finite and positive and
+    ``improvement_tol`` finite and nonnegative."""
 
     horizons: tuple = (1.0, 2.0, 4.0, 8.0)
     dt: float = 0.02
@@ -158,6 +167,12 @@ class OptimizerOptions:
             if i and not horizon > self.horizons[i - 1]:
                 raise ValueError(f"horizons[{i}] = {horizon} must exceed horizons[{i - 1}] = {self.horizons[i - 1]}")
             mesh_steps(horizon, self.dt, f"horizons[{i}]")
+        if not (math.isfinite(self.maxiter) and self.maxiter >= 1 and int(self.maxiter) == self.maxiter):
+            raise ValueError(f"maxiter must be a whole number, at least 1, got {self.maxiter}")
+        if not (math.isfinite(self.terminal_tol) and self.terminal_tol > 0.0):
+            raise ValueError(f"terminal_tol must be finite and positive, got {self.terminal_tol}")
+        if not (math.isfinite(self.improvement_tol) and self.improvement_tol >= 0.0):
+            raise ValueError(f"improvement_tol must be finite and nonnegative, got {self.improvement_tol}")
 
 
 def _checked_target(z, coeffs: CoefficientSpec, walls: Walls) -> np.ndarray:
@@ -296,6 +311,11 @@ class _ActionProblem:
     stored states, so its reverse loop is only a transposed solve and a scale
     per step.  It keeps the last evaluated point and its terminal state, so
     ``terminal`` at that point costs no forward pass.
+
+    ``scaled_value_and_grad`` is the same function of y = z / ``scale``, with
+    ``scale`` = sqrt(dx / w) on every row, u0 included: the coordinates in
+    which L-BFGS runs, where the action and the u0 anchor w_init*sum(w u0^2)
+    weigh every coordinate alike.
     """
 
     def __init__(self, coeffs, walls, dt, steps, target, delta, free_start=False):
@@ -313,6 +333,7 @@ class _ActionProblem:
         self.w_pen = 0.0
         self.w_init = 0.0
         self.mu = np.zeros(self.n1)
+        self.scale = np.tile(np.sqrt(self.grid.dx / self.weights), steps + free_start)
         self._last = None
 
     def split(self, z):
@@ -369,6 +390,11 @@ class _ActionProblem:
             return value, np.concatenate([grad0, grad_h.ravel()])
         return value, grad_h.ravel()
 
+    def scaled_value_and_grad(self, y):
+        """``value_and_grad`` at z = y * scale, with the chain-rule gradient."""
+        value, grad = self.value_and_grad(y * self.scale)
+        return value, grad * self.scale
+
 
 def _multipliers(problem, z0, opts):
     """Method of multipliers for the terminal constraint (Hestenes 1969; Powell
@@ -377,17 +403,20 @@ def _multipliers(problem, z0, opts):
     within ``_GAP_FRACTION * terminal_tol`` of the target with the anchor at
     full weight, or ``_MAX_ROUNDS`` rounds have run.  Starts from the
     problem's ``mu`` and leaves there the multiplier of the last round.
+    L-BFGS sees the control in the problem's scaled coordinates; z0, the
+    returned point and the recorded gradient norm are in control coordinates.
     Returns the last point and a dict of the ``StageRecord`` fields that
     describe the loop."""
     problem.w_pen = _PENALTY_WEIGHT
     lbfgs = {"maxiter": opts.maxiter, "ftol": 1e-14, "gtol": 1e-10}
-    z = z0
+    y = z0 / problem.scale
     last = len(_ANCHOR_RAMP) - 1
     nit = nfev = 0
     for k in range(_MAX_ROUNDS):
         problem.w_init = _ANCHOR_WEIGHT * _ANCHOR_RAMP[min(k, last)]
-        result = minimize(problem.value_and_grad, z, jac=True, method="L-BFGS-B", options=lbfgs)
-        z = result.x
+        result = minimize(problem.scaled_value_and_grad, y, jac=True, method="L-BFGS-B", options=lbfgs)
+        y = result.x
+        z = y * problem.scale
         nit, nfev = nit + result.nit, nfev + result.nfev
         miss = problem.terminal(z) - problem.target
         gap = float(np.max(np.abs(miss)))
@@ -400,7 +429,7 @@ def _multipliers(problem, z0, opts):
         "nit": nit,
         "nfev": nfev,
         "message": str(result.message),
-        "gradient_norm": float(np.max(np.abs(result.jac))),
+        "gradient_norm": float(np.max(np.abs(result.jac / problem.scale))),
         "penalized_gap": gap,
     }
 

@@ -288,6 +288,18 @@ def test_quasipotential_command_hits_benchmark(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "timestamp" not in manifest
     assert manifest["command"] == "quasipotential"
+    keys = {"horizon", "rounds", "nit", "nfev", "message", "value", "gradient_norm", "penalized_gap", "terminal_gap"}
+    stages = record["stages"]
+    assert [stage["horizon"] for stage in stages] == cfg["optimizer"]["horizons"][: len(stages)]
+    assert all(set(stage) == keys for stage in stages)
+    assert [stage["value"] for stage in stages if stage["horizon"] == record["horizon"]] == [record["value"]]
+    # The stage records are deterministic: a rerun writes the same bytes.
+    again = tmp_path / "again"
+    proc = run_cli("quasipotential", "--config", str(path), "--out", str(again), "--deterministic")
+    assert proc.returncode == 0, proc.stderr
+    rerun = json.loads((again / "quasipotential.json").read_text())["stages"]
+    assert sum(stage["nfev"] for stage in rerun) == sum(stage["nfev"] for stage in stages)
+    assert dir_bytes(again) == dir_bytes(out)
 
 
 def test_quasipotential_exit_3_says_why(tmp_path):
