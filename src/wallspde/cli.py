@@ -199,7 +199,7 @@ def _run_diagnose(cfg, run, out):
     for row in diag.rows:
         cells = ("" if row[c] is None else format_float(row[c]) for c in cols)
         lines.append(",".join([str(row["target_id"]), *cells]))
-    (out / "diagnostics.csv").write_text("\n".join(lines) + "\n")
+    (out / "diagnostics.csv").write_bytes(("\n".join(lines) + "\n").encode())
 
     tightness = None
     if run.gamma is not None:
@@ -257,6 +257,17 @@ def _run_selftest(out, args) -> int:
 
     spde = solve_spde(np.zeros(grid.n + 1), 0.0, coeffs, walls, 0.2, 1e-3, seed=1)
     checks["zero_noise_degenerate"] = bool(spde.u.sup_norm() == 0.0)
+
+    # The CSV cell speller against format_float where it is easiest to get
+    # wrong: next to powers of ten, on exact ties, and outside its range.
+    from wallspde.snapshots import _spelled
+
+    edges = [float(f"1e{k}") for k in range(-12, 18)]
+    ties = [2.0**-25, 3 * 2.0**-25, 1234567890123456.25, 1234567890123456.75]
+    outside = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e300]
+    sample = np.array(edges + [np.nextafter(v, d) for v in edges for d in (0.0, np.inf)] + ties + outside)
+    sample = np.concatenate([sample, -sample])
+    checks["csv_spelling"] = _spelled(sample) == [format_float(v) for v in sample]
 
     passed = all(checks.values())
     record = {"checks": checks, "passed": passed}

@@ -7,7 +7,8 @@ reaction and drive terms to the previous state and hands the result to
 ``lattice.Propagator.step``, which does the implicit linear solve and
 restores the walls by clipping onto [K1, K2] (projected mode, the
 production default) or by the closed-form implicit penalty (penalized mode);
-its restoring correction over dt gives the force densities.
+its restoring correction over dt, split after the last step by
+``Propagator.restoring_forces``, gives the force densities.
 
 Noise normalisation: each cell increment is N(0, dt*dx) and enters the drift
 as sigma * dW / dx, so pairing the forcing with a test function under
@@ -248,15 +249,16 @@ def _march(prop, coeffs, walls, u0, times, drive_for_step, penalty=None):
     grid = prop.grid
     m, n1 = len(times) - 1, grid.n + 1
     u = np.empty((m + 1, n1))
-    eta = np.zeros((m, n1))
-    xi = np.zeros((m, n1))
+    eta = np.empty((m, n1))
+    xi = np.empty((m, n1))
     u[0] = u0
     for k in range(m):
         drive = drive_for_step(k, u[k])
         rhs = u[k] + prop.dt * coeffs.f(grid.nodes, u[k])
         if drive is not None:
             rhs = rhs + drive
-        prop.step(rhs, walls.k1, walls.k2, penalty=penalty, out=u[k + 1], forces=(eta[k], xi[k]))
+        prop.step(rhs, walls.k1, walls.k2, penalty=penalty, out=u[k + 1], free=eta[k])
+    prop.restoring_forces(u[1:], eta, xi)
     return SpaceTimeField(grid, times, u), LocalTime(grid, times, eta), LocalTime(grid, times, xi)
 
 

@@ -402,7 +402,7 @@ class Propagator:
         hi: np.ndarray,
         penalty: tuple[float, float] | None = None,
         out: np.ndarray | None = None,
-        forces: tuple[np.ndarray, np.ndarray] | None = None,
+        free: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Solve for ``rhs``, then restore the band [lo, hi] given as (n+1,) profiles.
 
@@ -411,12 +411,14 @@ class Propagator:
         ``penalty = (delta, eps_pen)`` the stiff terms (u - lo)^- / delta and
         (u - hi)^+ / eps_pen are integrated implicitly per node in closed form,
         written only where a wall is crossed; each wall's closed form is
-        computed only when some node crosses it.  ``forces = (lower, upper)``
-        receive the restoring correction over dt, split into its two
-        nonnegative parts.  Returns the new state and, in penalty mode, the
-        mask of nodes where the penalty acted.
+        computed only when some node crosses it.  ``free`` receives the
+        solved value before the walls are restored, for ``restoring_forces``.
+        Returns the new state and, in penalty mode, the mask of nodes where
+        the penalty acted.
         """
         y = self.solve(rhs)
+        if free is not None:
+            free[...] = y
         if penalty is None:
             out, active = np.minimum(np.maximum(y, lo, out=out), hi, out=out), None
         else:
@@ -429,11 +431,21 @@ class Propagator:
             if np.count_nonzero(above):
                 np.copyto(out, (y + r2 * hi) / (1.0 + r2), where=above)
             active = below | above
-        if forces is not None:
-            corr = (out - y) / self.dt
-            np.maximum(corr, 0.0, out=forces[0])
-            np.maximum(-corr, 0.0, out=forces[1])
         return out, active
+
+    def restoring_forces(self, new: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
+        """Force densities of steps taken with ``free=lower[k]``, in place.
+
+        On entry row k of ``lower`` holds step k's free value and row k of
+        ``new`` its restored state.  On return ``lower`` and ``upper`` hold
+        the two nonnegative parts of the restoring correction over dt.  The
+        arithmetic runs in place, so no path-sized temporary appears, and
+        each value has the bits of a step that split its own correction.
+        """
+        corr = np.subtract(new, lower, out=lower)
+        corr /= self.dt
+        np.maximum(np.negative(corr, out=upper), 0.0, out=upper)
+        np.maximum(corr, 0.0, out=corr)
 
 
 def holder_norm(grid: Grid, values: np.ndarray, gamma: float) -> float:

@@ -74,12 +74,13 @@ def solve_obstacle(v: SpaceTimeField, walls: Walls, alpha: float, dt: float) -> 
     n1 = grid.n + 1
     prop = Propagator(grid, alpha, dt)
     z = np.zeros((m + 1, n1))
-    eta = np.zeros((m, n1))
-    xi = np.zeros((m, n1))
+    eta = np.empty((m, n1))
+    xi = np.empty((m, n1))
     for k in range(m):
         lo = walls.k1 - v.values[k + 1]
         hi = walls.k2 - v.values[k + 1]
-        prop.step(z[k], lo, hi, out=z[k + 1], forces=(eta[k], xi[k]))
+        prop.step(z[k], lo, hi, out=z[k + 1], free=eta[k])
+    prop.restoring_forces(z[1:], eta, xi)
 
     times = v.times.copy()
     return ObstacleSolution(

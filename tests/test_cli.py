@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wallspde import snapshots
+from wallspde.cli import main
 from wallspde.config import ConfigError, MAX_PATH_VALUES, build_run, config_hash, schema_path, validate_config
 from wallspde.rate import quasipotential_J
 from wallspde.snapshots import read_field_snapshot
@@ -408,7 +410,21 @@ def test_selftest_command(tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads((out / "selftest.json").read_text())
     assert record["passed"]
+    assert record["checks"]["csv_spelling"]
     assert "PASS" in proc.stdout
+
+
+def test_selftest_fails_on_a_wrong_csv_spelling(tmp_path, monkeypatch, capsys):
+    spell = snapshots._spell17
+
+    def off_by_one(values):
+        cells = spell(values)
+        cells[cells == ord("7")] = ord("8")
+        return cells
+
+    monkeypatch.setattr(snapshots, "_spell17", off_by_one)
+    assert main(["selftest", "--out", str(tmp_path / "out")]) == 1
+    assert "FAIL csv_spelling" in capsys.readouterr().out
 
 
 def test_python_dash_m_wallspde_runs_the_cli(tmp_path):

@@ -34,7 +34,9 @@ def step_cases(draw):
 
 def step_with_forces(prop, rhs, lo, hi, penalty):
     lower, upper = np.empty_like(rhs), np.empty_like(rhs)
-    new, active = prop.step(rhs, lo, hi, penalty=penalty, forces=(lower, upper))
+    new, active = prop.step(rhs, lo, hi, penalty=penalty, free=lower)
+    assert np.array_equal(lower, prop.solve(rhs))
+    prop.restoring_forces(*np.atleast_2d(new, lower, upper))
     return new, active, lower, upper
 
 
@@ -139,6 +141,22 @@ def test_batch_rows_step_like_single_states(case):
     for row, expected in zip(batch, new):
         single, _ = prop.step(row, lo, hi, penalty=penalty)
         assert np.max(np.abs(single - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_restoring_forces_split_each_step_alone(n):
+    grid = build_grid(n)
+    prop = Propagator(grid, 2.0, 1e-3)
+    rows = 300
+    rng = np.random.default_rng(n)
+    new = rng.normal(size=(rows, n + 1))
+    free = np.where(rng.random((rows, n + 1)) < 0.5, new, rng.normal(size=(rows, n + 1)))
+    lower, upper = free.copy(), np.empty_like(free)
+    prop.restoring_forces(new, lower, upper)
+    for k in range(rows):
+        corr = (new[k] - free[k]) / prop.dt
+        assert np.array_equal(lower[k], np.maximum(corr, 0.0))
+        assert np.array_equal(upper[k], np.maximum(-corr, 0.0))
 
 
 def test_transposed_solve_is_the_adjoint():

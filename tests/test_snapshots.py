@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,65 @@ def test_format_float_matches_format_17g():
     values = bits.view(np.float64).tolist()
     values += [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, 1e-300, 0.1, 3]
     assert [format_float(v) for v in values] == [format(float(v), ".17g") for v in values]
+
+
+def _assert_kernel_matches(values):
+    values = np.asarray(values, dtype=float)
+    assert snapshots._spelled(values) == [format(v, ".17g") for v in values.ravel().tolist()]
+
+
+def _counting_fallback(monkeypatch):
+    calls = []
+    fallback = snapshots._format17
+    monkeypatch.setattr(snapshots, "_format17", lambda v: calls.append(v) or fallback(v))
+    return calls
+
+
+def test_kernel_matches_format_17g_on_random_bits():
+    bits = np.random.default_rng(12).integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+    _assert_kernel_matches(bits.view(np.float64))
+
+
+def test_kernel_matches_next_to_powers_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-12, 18)])
+    _assert_kernel_matches(np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+
+def test_kernel_matches_on_exact_ties():
+    # Doubles whose exact decimal expansion has 18 significant digits: the
+    # 17-digit rounding is a tie, settled to the even digit.
+    # m / 2**q with m odd is m * 5**q / 10**q: 18 digits when m * 5**q has them.
+    rng = np.random.default_rng(13)
+    ties = []
+    for q in range(2, 26):
+        lo, hi = -(-(10**17) // 5**q), min(10**18 // 5**q, 2**53)
+        ties += [float(m | 1) / 2**q for m in rng.integers(lo, hi - 1, size=40)]
+    assert all(len(Decimal(v).as_tuple().digits) == 18 and Decimal(v).as_tuple().digits[-1] == 5 for v in ties)
+    _assert_kernel_matches(ties + [-v for v in ties])
+
+
+def test_kernel_matches_on_special_values():
+    tiny = np.finfo(float).tiny
+    subnormals = [5e-324, tiny / 3, tiny - 5e-324, np.nextafter(tiny, 0.0)]
+    specials = [0.0, np.nan, np.inf, 1e-12, 1e16, 1e300, np.finfo(float).max] + subnormals
+    _assert_kernel_matches(specials + [-v for v in specials])
+
+
+def test_kernel_block_of_only_fallback_cells(monkeypatch):
+    calls = _counting_fallback(monkeypatch)
+    block = np.array([0.0, -0.0, np.nan, -np.inf, 5e-324, -1e-12, 1e16, 2.0**-25, 1234567890123456.25] * 7)
+    _assert_kernel_matches(block)
+    assert len(calls) == block.size
+
+
+def test_kernel_settles_most_cells_itself(monkeypatch):
+    if snapshots._MARGIN >= 0.5:
+        pytest.skip("long double is a plain double here: every cell goes to format_float")
+    calls = _counting_fallback(monkeypatch)
+    values = np.random.default_rng(14).normal(size=(100, 100))
+    _assert_kernel_matches(values)
+    # A fraction lands within the margin of 1/2 with probability 2 * _MARGIN.
+    assert len(calls) < 4 * snapshots._MARGIN * values.size
 
 
 def test_trajectory_csv_memory_does_not_grow_with_horizon(tmp_path):
