@@ -4,17 +4,17 @@ Sampling runs the reflected stochastic flow from rest, discards a burn-in
 measured in multiples of the relaxation time 1/(alpha - c), then records
 thinned states.  Chains for distinct seeds are independent and the whole
 procedure is reproducible from the seed list.  One private generator,
-``_rounds``, does all the stepping: it advances every noise level of a
-scaling curve as one stacked (levels, chains, n+1) batch, drops a level once
-its last round is kept, and draws noise through one buffer of
-``_NOISE_VALUES`` values.  ``sample_invariant`` collects its rounds for one
-level; ``ldp_scaling_curve`` only counts ball hits on them, so its memory
-does not grow with the sample count.  Both give the same bits as stepping
-each level alone.  The scaling diagnostics never
-assert limits: at finite noise they check bracket inequalities built from
-cataloged minimum-action values, statistical interval widths, and the rate's
-local modulus over the ball, plus a monotone trend of eps^2 * log p toward
-the bracket as the noise decreases.
+``_rounds``, does all the stepping with ``dynamics._Scheme``: it advances
+every noise level of a scaling curve as one stacked (levels, chains, n+1)
+batch, drops a level once its last round is kept, and draws noise through
+one buffer of ``_NOISE_VALUES`` values.  ``sample_invariant`` collects its
+rounds for one level; ``ldp_scaling_curve`` only counts ball hits on them,
+so its memory does not grow with the sample count.  Both give the same bits
+as stepping each level alone.  The scaling diagnostics never assert limits:
+at finite noise they check bracket inequalities built from cataloged
+minimum-action values, statistical interval widths, and the rate's local
+modulus over the ball, plus a monotone trend of eps^2 * log p toward the
+bracket as the noise decreases.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wallspde.dynamics import CoefficientSpec, check_level, increment_scale, noise_generator
-from wallspde.lattice import Grid, Propagator, Walls, check_dt, check_field, holder_norm
+from wallspde.dynamics import CoefficientSpec, _Scheme, check_level, increment_scale, noise_generator
+from wallspde.lattice import Grid, Walls, check_dt, check_field, holder_norm
 from wallspde.rate import OptimizerOptions, quasipotential_J
 
 # Values of noise drawn at a time (2 MiB), shared by every chain and level, so
@@ -41,7 +41,6 @@ __all__ = [
     "ball_probability",
     "ldp_scaling_curve",
     "tightness_probe",
-    "spearman_rho",
 ]
 
 
@@ -152,7 +151,7 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
     """
     grid = walls.grid
     n1 = grid.n + 1
-    prop = Propagator(grid, coeffs.alpha, dt)
+    advance = _Scheme(coeffs, grid, dt).step
     scale = increment_scale(grid, dt)
     chains = len(levels[0][2])
     burn = [round(plan.burn_in / dt) for _, plan, _ in levels]
@@ -161,7 +160,6 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
     ends = [b + -(-c // chains) * t for b, t, c in zip(burn, thin, counts)]
     keep_at = [b + t for b, t in zip(burn, thin)]
     rngs = [[noise_generator(s) for s in seeds] for _, _, seeds in levels]
-    x = grid.nodes
     step_values = max(1, sum(eps > 0.0 for eps, _, _ in levels)) * chains * n1
     buffer = np.empty(step_values * max(1, min(_NOISE_VALUES // step_values, max(ends))))
 
@@ -183,10 +181,7 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
                     rng.standard_normal(out=buf[:block])
             noise[:, :, :block] *= scale
             for k in range(block):
-                rhs = state + dt * coeffs.f(x, state)
-                if noisy:
-                    rhs[:noisy] += eps * coeffs.sigma(x, state[:noisy]) * noise[:, :, k] / grid.dx
-                prop.step(rhs, walls.k1, walls.k2, out=state)
+                advance(state, walls, increment=noise[:, :, k] if noisy else None, eps=eps, out=state)
                 step += 1
                 if step < next_keep:
                     continue

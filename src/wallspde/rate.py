@@ -1,12 +1,12 @@
 """Minimum-action machinery: control recovery, path rates, quasipotential.
 
-Control recovery inverts the time-stepping stencil: the discrete residual
-r = (u_next - u_prev)/dt - A u_next - f(., u_prev) equals sigma * hdot plus
-the force densities, so away from the walls hdot = r / sigma reproduces the
-generating control of a forward run exactly.  On contact sets the split is
-ambiguous; the recovery takes the pointwise least-squares choice, putting as
-much of the residual as admissible into the one-signed force and the rest
-into the control.  Recovery and the path rates walk the path in row blocks
+Control recovery inverts the scheme, ``dynamics._Scheme``: its residual r
+equals sigma * hdot plus the force densities, so away from the walls
+hdot = r / sigma reproduces the generating control of a forward run
+exactly.  On contact sets the split is ambiguous; the recovery takes the
+pointwise least-squares choice, putting as much of the residual as
+admissible into the one-signed force and the rest into the control.
+Recovery and the path rates walk the path in row blocks
 (``lattice.row_blocks``), node-wise, so they keep the whole-path formulas'
 bits without whole-path temporaries.
 
@@ -14,15 +14,15 @@ The quasipotential minimises the control action over a horizon subject to
 hitting a target, with the terminal constraint enforced by the method of
 multipliers (an augmented Lagrangian at one penalty weight whose multiplier
 is updated between L-BFGS rounds), gradients from the discrete adjoint of
-the penalized forward scheme, and an outer horizon-doubling search
-warm-started by shifting the incumbent control behind a waiting period
-(which never changes its action, so the best value is monotone in the
-horizon) and by carrying the terminal multiplier from stage to stage (the
-wait leaves the terminal state unchanged, so a stage after the first
-usually needs one L-BFGS round).  Each stage leaves a ``StageRecord`` on
-the result.  The forward pass tapes sigma along the path and the reverse
-sweep evaluates df_du and dsigma_du once on the stored states, so each
-gradient costs one coefficient call per derivative rather than one per step.
+the penalized scheme, and an outer horizon-doubling search warm-started by
+shifting the incumbent control behind a waiting period (which never changes
+its action, so the best value is monotone in the horizon) and by carrying
+the terminal multiplier from stage to stage (the wait leaves the terminal
+state unchanged, so a stage after the first usually needs one L-BFGS
+round).  Each stage leaves a ``StageRecord`` on the result.  The forward
+pass tapes sigma along the path and the reverse sweep takes the scheme's
+linearization once on the stored states, so each gradient costs one
+coefficient call per derivative rather than one per step.
 L-BFGS assumes a Euclidean metric (Liu & Nocedal 1989), so it runs on the
 W-half-scaled control y = h / sqrt(dx / w), node-wise 1 inside and sqrt 2 at
 the two end nodes.  There the action 0.5*dt*sum(w h^2) is 0.5*dt*dx*|y|^2,
@@ -42,17 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wallspde.dynamics import CoefficientSpec, Control, Trajectory, solve_skeleton
-from wallspde.lattice import (
-    Propagator,
-    SpaceTimeField,
-    Walls,
-    match_dt,
-    match_grid,
-    mesh_steps,
-    neumann_operator,
-    row_blocks,
-)
+from wallspde.dynamics import CoefficientSpec, Control, Trajectory, _Scheme, solve_skeleton
+from wallspde.lattice import SpaceTimeField, Walls, match_dt, match_grid, mesh_steps, row_blocks
 from wallspde.obstacle import LocalTime
 
 __all__ = [
@@ -188,7 +179,7 @@ def _admissible(v: SpaceTimeField, walls: Walls, tol: float = 1e-9) -> bool:
 
 
 def _decompose(v: SpaceTimeField, coeffs: CoefficientSpec, walls: Walls | None, dt: float):
-    """Invert the forward stencil one block of steps at a time.
+    """Invert ``_Scheme`` one block of steps at a time.
 
     Yields ``(steps, sig, residual, hdot, eta, xi)`` for the step rows in the
     slice ``steps``.  With ``walls`` the least-squares split puts the one-signed
@@ -199,16 +190,13 @@ def _decompose(v: SpaceTimeField, coeffs: CoefficientSpec, walls: Walls | None, 
     """
     if walls is not None and coeffs.sigma_min <= 0.0:
         raise ValueError("sigma lower bound must be positive")
-    grid = v.grid
-    x = grid.nodes
-    op = neumann_operator(grid, coeffs.alpha)
+    scheme = _Scheme(coeffs, v.grid, dt)
     tol = None if walls is None else contact_tolerance(walls)
-    for a, b in row_blocks(grid, v.steps):
-        prev, new = v.values[a:b], v.values[a + 1 : b + 1]
-        sig = coeffs.sigma(x, prev)
+    for a, b in row_blocks(v.grid, v.steps):
+        new = v.values[a + 1 : b + 1]
+        sig, residual = scheme.residual(v.values[a:b], new)
         if walls is not None and np.min(np.abs(sig)) < coeffs.sigma_min * (1.0 - 1e-9):
             raise ValueError("sigma dips below its declared lower bound along the path")
-        residual = (new - prev) / dt - op.apply(new) - coeffs.f(x, prev)
         if walls is None:
             yield slice(a, b), sig, residual, residual / sig, None, None
             continue
@@ -303,13 +291,13 @@ class _ActionProblem:
     w_pen*|miss|^2 + <mu, miss> in the trapezoid weights, with adjoint
     gradients; the multiplier row ``mu`` only shifts the adjoint's start.
 
-    Forward map is the penalized semi-implicit scheme, smooth in the control
+    Forward map is ``_Scheme.march`` in penalty mode, smooth in the control
     except on the measure-zero kink set of the clip surrogate, so quasi-Newton
     steps see exact gradients wherever the walls are inactive.  ``forward``
     returns the states, the penalty slopes and the sigma rows it used;
-    ``value_and_grad`` evaluates the coefficient derivatives once on the
-    stored states, so its reverse loop is only a transposed solve and a scale
-    per step.  It keeps the last evaluated point and its terminal state, so
+    ``value_and_grad`` takes the scheme's linearization once on the stored
+    states, so its reverse loop is only a transposed solve and a scale per
+    step.  It keeps the last evaluated point and its terminal state, so
     ``terminal`` at that point costs no forward pass.
 
     ``scaled_value_and_grad`` is the same function of y = z / ``scale``, with
@@ -328,7 +316,8 @@ class _ActionProblem:
         self.delta = delta
         self.free_start = free_start
         self.weights = self.grid.weights
-        self.prop = Propagator(self.grid, coeffs.alpha, dt)
+        self.scheme = _Scheme(coeffs, self.grid, dt)
+        self.prop = self.scheme.prop
         self.n1 = self.grid.n + 1
         self.w_pen = 0.0
         self.w_init = 0.0
@@ -342,21 +331,12 @@ class _ActionProblem:
         return np.zeros(self.n1), z.reshape(self.steps, self.n1)
 
     def forward(self, u0, h):
-        x = self.grid.nodes
-        dt = self.dt
-        penalty = (self.delta, self.delta)
         states = np.empty((self.steps + 1, self.n1))
         sig = np.empty((self.steps, self.n1))
         active = np.empty((self.steps, self.n1), dtype=bool)
         states[0] = u0
-        for k in range(self.steps):
-            u = states[k]
-            sig[k] = self.coeffs.sigma(x, u)
-            a = u + dt * self.coeffs.f(x, u) + dt * sig[k] * h[k]
-            _, active[k] = self.prop.step(
-                a, self.walls.k1, self.walls.k2, penalty=penalty, out=states[k + 1]
-            )
-        slopes = np.where(active, 1.0 / (1.0 + dt / self.delta), 1.0)
+        self.scheme.march(states, self.walls, hdot=h, penalty=(self.delta, self.delta), tape=sig, active=active)
+        slopes = np.where(active, 1.0 / (1.0 + self.dt / self.delta), 1.0)
         return states, slopes, sig
 
     def terminal(self, z):
@@ -369,7 +349,6 @@ class _ActionProblem:
         u0, h = self.split(z)
         states, slopes, sig = self.forward(u0, h)
         self._last = (z.copy(), states[-1].copy())
-        x, u = self.grid.nodes, states[:-1]
         w, dt = self.weights, self.dt
 
         miss = states[-1] - self.target
@@ -378,7 +357,7 @@ class _ActionProblem:
         if self.free_start:
             value += self.w_init * float(np.sum(w * u0**2))
 
-        factor = 1.0 + dt * self.coeffs.df_du(x, u) + dt * self.coeffs.dsigma_du(x, u) * h
+        factor = self.scheme.linearization(states[:-1], h)
         lam = 2.0 * self.w_pen * w * miss + w * self.mu
         q = np.empty_like(h)
         for k in range(self.steps - 1, -1, -1):

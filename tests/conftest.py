@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 
 from wallspde.dynamics import CoefficientSpec
@@ -66,3 +68,18 @@ def coeffs_cosine_sigma(alpha, c=0.0):
         df_du=lambda x, u: np.full_like(u, c),
         dsigma_du=lambda x, u: np.zeros_like(u),
     )
+
+
+def counting(coeffs):
+    """A copy of ``coeffs`` whose four callables count their calls, and the
+    dict the counts go to."""
+    calls = dict.fromkeys(("f", "sigma", "df_du", "dsigma_du"), 0)
+
+    def counted(name, fn):
+        def call(x, u):
+            calls[name] += 1
+            return fn(x, u)
+
+        return call
+
+    return dataclasses.replace(coeffs, **{name: counted(name, getattr(coeffs, name)) for name in calls}), calls

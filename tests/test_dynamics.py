@@ -3,9 +3,10 @@ import pytest
 
 import wallspde.dynamics as dynamics
 import wallspde.lattice as lattice
-from conftest import coeffs_linear, coeffs_sin, coeffs_zero
+from conftest import coeffs_linear, coeffs_sin, coeffs_sin_statesigma, coeffs_zero, counting
 from wallspde.dynamics import (
     Control,
+    NoiseRealization,
     local_time_energy,
     sample_noise,
     solve_deterministic,
@@ -153,6 +154,42 @@ def test_penalized_step_rejects_nonfinite():
     state = np.full(grid.n + 1, np.nan)
     with pytest.raises(ValueError, match="finite"):
         step_penalized(state, walls, 1e-3, 1e-3, coeffs_zero(1.0), 1e-3)
+    # A (5,) state once raised numpy's matmul error, a (1,) hdot was broadcast
+    # to every node and a NaN increment returned an all-NaN state.
+    zero = np.zeros(grid.n + 1)
+    with pytest.raises(ValueError, match=r"state must be a finite field of shape \(9,\), got shape \(5,\)"):
+        step_penalized(np.zeros(5), walls, 1e-3, 1e-3, coeffs_zero(1.0), 1e-3)
+    with pytest.raises(ValueError, match=r"hdot must be a finite field of shape \(9,\), got shape \(1,\)"):
+        step_penalized(zero, walls, 1e-3, 1e-3, coeffs_zero(1.0), 1e-3, hdot=np.array([5.0]))
+    with pytest.raises(ValueError, match="noise_increment must be a finite field .* got non-finite values"):
+        step_penalized(zero, walls, 1e-3, 1e-3, coeffs_zero(1.0), 1e-3, noise_increment=np.full(grid.n + 1, np.nan))
+
+
+@pytest.mark.parametrize(
+    "run, steps, sigma_calls",
+    [
+        (lambda u0, control, c, walls: solve_skeleton(u0, control, c, walls, 0.02, 1e-3), 20, 20),
+        (lambda u0, control, c, walls: solve_skeleton(u0, None, c, walls, 0.02, 1e-3, mode="penalized"), 20, 0),
+        (lambda u0, control, c, walls: solve_spde(u0, 0.3, c, walls, 0.02, 1e-3, seed=3), 20, 20),
+        (lambda u0, control, c, walls: solve_spde(u0, 0.0, c, walls, 0.02, 1e-3), 20, 0),
+        (
+            lambda u0, control, c, walls: step_penalized(
+                u0, walls, 1e-4, 1e-4, c, 1e-3, hdot=control.values[0], noise_increment=np.ones(len(u0)), eps_noise=0.3
+            ),
+            1,
+            1,
+        ),
+    ],
+    ids=["skeleton_projected", "skeleton_penalized_free", "spde", "spde_noiseless", "penalized_step_driven_and_kicked"],
+)
+def test_each_step_calls_f_once_and_sigma_once_when_driven(run, steps, sigma_calls):
+    # perfbench's coeff_calls counts these calls.  A penalized step with both
+    # a drive and a kick used to call sigma twice.
+    grid = build_grid(16)
+    control = Control.from_function(grid, 0.02, 1e-3, lambda x, t: 50.0 * np.cos(np.pi * x))
+    coeffs, calls = counting(coeffs_sin_statesigma(2.0, 0.5))
+    run(0.1 * np.cos(np.pi * grid.nodes), control, coeffs, Walls.constant(grid, -0.2, 0.3))
+    assert calls == {"f": steps, "sigma": sigma_calls, "df_du": 0, "dsigma_du": 0}
 
 
 @pytest.mark.parametrize(
@@ -393,7 +430,7 @@ def test_spde_symmetry_under_negation():
     u0 = 0.3 * np.cos(np.pi * grid.nodes)
     noise = sample_noise(grid, 1e-3, 500, seed=8)
     fwd = solve_spde(u0, 0.4, coeffs, walls, 0.5, 1e-3, noise=noise)
-    bwd = solve_spde(-u0, 0.4, coeffs, walls, 0.5, 1e-3, noise=noise.negated())
+    bwd = solve_spde(-u0, 0.4, coeffs, walls, 0.5, 1e-3, noise=NoiseRealization(grid, noise.dt, -noise.increments))
     assert np.max(np.abs(fwd.u.values + bwd.u.values)) <= 1e-12
     assert np.max(np.abs(fwd.eta.density - bwd.xi.density)) <= 1e-12
     assert np.max(np.abs(fwd.xi.density - bwd.eta.density)) <= 1e-12

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import wallspde.measure
-from conftest import coeffs_sin, coeffs_sin_statesigma, coeffs_zero
+from conftest import coeffs_sin, coeffs_sin_statesigma, coeffs_zero, counting
 from oracles import sample_stationary_gaussian, wilson_reference
 from wallspde.dynamics import CoefficientSpec, solve_spde
 from wallspde.lattice import Propagator, Walls, build_grid, holder_norm
@@ -67,6 +67,18 @@ def test_sampler_steps_the_spde_scheme(coeffs):
     kept = path.u.values[burn + thin :: thin]
     assert path.eta.total_mass > 0.0 and path.xi.total_mass > 0.0
     assert np.array_equal(measure.samples, kept)
+
+
+@pytest.mark.parametrize("eps, sigma_per_step", [(0.5, 1), (0.0, 0)])
+def test_sampler_calls_f_once_per_step_and_sigma_once_per_noisy_step(eps, sigma_per_step):
+    # perfbench's coeff_calls counts these calls.  Both chains share each call.
+    grid = build_grid(16)
+    coeffs, calls = counting(coeffs_sin_statesigma(4.0, 1.5))
+    plan = SamplingPlan(burn_in=2.0, thin=0.05, count=6)
+    sample_invariant(coeffs, Walls.constant(grid, -0.3, 0.4), eps, plan, seeds=[1, 2], dt=1e-2)
+    steps = 200 + 3 * 5
+    # require_h evaluates f once at zero before the first step.
+    assert calls == {"f": steps + 1, "sigma": sigma_per_step * steps, "df_du": 0, "dsigma_du": 0}
 
 
 def test_zero_noise_collapses_to_attractor():

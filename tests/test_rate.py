@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from conftest import coeffs_linear, coeffs_sin, coeffs_sin_statesigma, coeffs_zero
+from conftest import coeffs_linear, coeffs_sin, coeffs_sin_statesigma, coeffs_zero, counting
 from oracles import discrete_lq_min_action, ou_mode_quasipotential
 import wallspde.rate as rate_module
 from wallspde.dynamics import Control, sample_noise, solve_deterministic, solve_skeleton, solve_spde
 from wallspde.lattice import BLOCK_VALUES, SpaceTimeField, Walls, build_grid, neumann_operator
 from wallspde.obstacle import check_complementarity, solve_obstacle
 from wallspde.rate import (
+    _PENALTY_DELTA,
     OptimizerOptions,
     _ActionProblem,
     contact_tolerance,
@@ -401,6 +402,41 @@ def test_adjoint_matches_the_per_step_loop_bit_for_bit(coeffs, k1, k2, free_star
         assert np.array_equal(grad, expected_grad)
         # The push crosses the binding walls, so penalty slopes enter the sweep.
         assert np.any(slopes < 1.0) == (k2 < 1.0)
+
+
+@pytest.mark.parametrize("n", [16, 512])
+def test_optimizer_forward_map_is_the_penalized_integrator(n):
+    # n=16 takes the dense solve and n=512 the banded one; the push crosses
+    # both binding walls, so both penalty terms act.
+    grid = build_grid(n)
+    walls = Walls.constant(grid, -0.2, 0.25)
+    coeffs = coeffs_sin_statesigma(2.0, 0.5)
+    dt, steps = 0.02, 15
+    problem = _ActionProblem(coeffs, walls, dt, steps, np.zeros(grid.n + 1), _PENALTY_DELTA)
+    rng = np.random.default_rng(41)
+    h = 8.0 * np.cos(np.pi * grid.nodes) + 3.0 * rng.normal(size=(steps, grid.n + 1))
+    u0 = 0.1 * np.cos(np.pi * grid.nodes)
+    states, slopes, _ = problem.forward(u0, h)
+    control = Control(grid, np.linspace(0.0, steps * dt, steps + 1), h)
+    path = solve_skeleton(u0, control, coeffs, walls, steps * dt, dt, mode="penalized", delta=_PENALTY_DELTA).u
+    assert np.any(states < walls.k1) and np.any(states > walls.k2)
+    assert np.any(slopes < 1.0)
+    assert np.array_equal(states, path.values)
+
+
+def test_optimizer_calls_each_coefficient_once_per_step_or_gradient():
+    # perfbench's coeff_calls and adjoint_sweeps count these calls: the
+    # forward pass calls f and sigma once per step, and the gradient adds one
+    # df_du and one dsigma_du call after it.
+    grid = build_grid(16)
+    coeffs, calls = counting(coeffs_sin_statesigma(2.0, 0.5))
+    steps = 12
+    problem = _ActionProblem(coeffs, Walls.constant(grid, -0.2, 0.25), 0.02, steps, np.zeros(grid.n + 1), 1e-4)
+    z = np.tile(8.0 * np.cos(np.pi * grid.nodes), steps)
+    problem.forward(*problem.split(z))
+    assert calls == {"f": steps, "sigma": steps, "df_du": 0, "dsigma_du": 0}
+    problem.value_and_grad(z)
+    assert calls == {"f": 2 * steps, "sigma": 2 * steps, "df_du": 1, "dsigma_du": 1}
 
 
 # ------------------------------------------------------------ quasipotential
