@@ -239,14 +239,12 @@ class _Scheme:
             rhs += forcing
         return self.prop.step(rhs, walls.k1, walls.k2, penalty, out, free)
 
-    def march(self, u, walls, hdot=None, increments=None, eps=0.0, penalty=None, free=None, tape=None, active=None):
+    def march(self, u, walls, hdot=None, increments=None, eps=0.0, penalty=None, free=None, tape=None):
         """Step row 0 of the path ``u`` into its later rows; step k takes row k of ``hdot``
-        and ``increments`` and fills row k of ``free``, ``tape`` and ``active``."""
+        and ``increments`` and fills row k of ``free`` and ``tape``."""
         step, per_step = self.step, [repeat(None) if a is None else a for a in (hdot, increments, free, tape)]
         for k, h, inc, fr, tp in zip(range(len(u) - 1), *per_step):
-            mask = step(u[k], walls, h, inc, eps, penalty, u[k + 1], fr, tp)[1]
-            if active is not None:
-                active[k] = mask
+            step(u[k], walls, h, inc, eps, penalty, u[k + 1], fr, tp)
 
     def trajectory(self, u0, walls, times, **drive) -> Trajectory:
         """March u0 across ``times`` (``drive`` as for ``march``) with its force densities."""

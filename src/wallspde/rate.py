@@ -14,9 +14,10 @@ The quasipotential minimises the control action over a horizon subject to
 hitting a target, with the terminal constraint enforced by the method of
 multipliers (an augmented Lagrangian at one penalty weight whose multiplier
 is updated between L-BFGS rounds), gradients from the discrete adjoint of
-the penalized scheme, and an outer horizon-doubling search warm-started by
-shifting the incumbent control behind a waiting period (which never changes
-its action, so the best value is monotone in the horizon) and by carrying
+the projected scheme (the clip's slope is 1 or 0 at each node), and an
+outer horizon-doubling search warm-started by ``shift_concat``, which puts
+the incumbent control behind a waiting period at rest (that never changes
+its action, so the best value is monotone in the horizon), and by carrying
 the terminal multiplier from stage to stage (the wait leaves the terminal
 state unchanged, so a stage after the first usually needs one L-BFGS
 round).  Each stage leaves a ``StageRecord`` on the result.  The forward
@@ -68,14 +69,16 @@ __all__ = [
 # inner solve capped by maxiter still reaches.  In the free-start
 # parametrization round k anchors u0 toward 0 with _ANCHOR_WEIGHT *
 # _ANCHOR_RAMP[k] (the last entry from then on): a full anchor from the
-# first round makes that round ill conditioned.  The forward map is the
-# scheme penalized at delta = eps_pen = _PENALTY_DELTA.
+# first round makes that round ill conditioned.  L-BFGS keeps
+# _LBFGS_PAIRS curvature pairs (scipy's default is 10) and stops a round
+# at ftol 1e-14, or at _LOOSE_FTOL in a first round that starts at mu = 0.
 _PENALTY_WEIGHT = 1e3
+_LBFGS_PAIRS = 20
+_LOOSE_FTOL = 1e-10
 _GAP_FRACTION = 0.02
 _MAX_ROUNDS = 10
 _ANCHOR_WEIGHT = 1e4
 _ANCHOR_RAMP = (1e-4, 1e-2, 1.0)
-_PENALTY_DELTA = 1e-4
 
 
 def minimize(fun, x0, **kwargs):
@@ -110,9 +113,8 @@ class StageRecord:
     """How one horizon stage of ``quasipotential_J`` converged.  ``nit`` and
     ``nfev`` add up the L-BFGS rounds, ``message`` and ``gradient_norm`` (the
     sup norm of the gradient with respect to the control) are the last
-    round's, ``penalized_gap`` is the sup-norm terminal miss of the
-    penalized path and ``terminal_gap`` that of the projected path that
-    ``value`` prices."""
+    round's, and ``terminal_gap`` is the sup-norm terminal miss of the path
+    that ``value`` prices."""
 
     horizon: float
     rounds: int
@@ -121,7 +123,6 @@ class StageRecord:
     message: str
     value: float
     gradient_norm: float
-    penalized_gap: float
     terminal_gap: float
 
 
@@ -291,14 +292,17 @@ class _ActionProblem:
     w_pen*|miss|^2 + <mu, miss> in the trapezoid weights, with adjoint
     gradients; the multiplier row ``mu`` only shifts the adjoint's start.
 
-    Forward map is ``_Scheme.march`` in penalty mode, smooth in the control
-    except on the measure-zero kink set of the clip surrogate, so quasi-Newton
-    steps see exact gradients wherever the walls are inactive.  ``forward``
-    returns the states, the penalty slopes and the sigma rows it used;
-    ``value_and_grad`` takes the scheme's linearization once on the stored
-    states, so its reverse loop is only a transposed solve and a scale per
-    step.  It keeps the last evaluated point and its terminal state, so
-    ``terminal`` at that point costs no forward pass.
+    Forward map is ``_Scheme.march`` in projected mode, the path that
+    ``solve_skeleton`` reports, so the optimizer differentiates the scheme it
+    prices.  The clip is piecewise linear: its slope is 1 at a node whose
+    free (pre-clip) value lies in [k1, k2] and 0 where a wall restores it,
+    exact off the measure-zero set where a free value sits on a wall.
+    ``forward`` returns the states, these 0/1 slopes and the sigma rows it
+    used; ``value_and_grad`` takes the scheme's linearization once on the
+    stored states and folds the slopes into it, so its reverse loop is only
+    a transposed solve and a scale per step.  It keeps the last evaluated
+    point and its terminal state, so ``terminal`` at that point costs no
+    forward pass.
 
     ``scaled_value_and_grad`` is the same function of y = z / ``scale``, with
     ``scale`` = sqrt(dx / w) on every row, u0 included: the coordinates in
@@ -306,14 +310,13 @@ class _ActionProblem:
     weigh every coordinate alike.
     """
 
-    def __init__(self, coeffs, walls, dt, steps, target, delta, free_start=False):
+    def __init__(self, coeffs, walls, dt, steps, target, free_start=False):
         self.grid = walls.grid
         self.coeffs = coeffs
         self.walls = walls
         self.dt = dt
         self.steps = steps
         self.target = np.asarray(target, dtype=float)
-        self.delta = delta
         self.free_start = free_start
         self.weights = self.grid.weights
         self.scheme = _Scheme(coeffs, self.grid, dt)
@@ -332,15 +335,15 @@ class _ActionProblem:
 
     def forward(self, u0, h):
         states = np.empty((self.steps + 1, self.n1))
+        free = np.empty((self.steps, self.n1))
         sig = np.empty((self.steps, self.n1))
-        active = np.empty((self.steps, self.n1), dtype=bool)
         states[0] = u0
-        self.scheme.march(states, self.walls, hdot=h, penalty=(self.delta, self.delta), tape=sig, active=active)
-        slopes = np.where(active, 1.0 / (1.0 + self.dt / self.delta), 1.0)
+        self.scheme.march(states, self.walls, hdot=h, free=free, tape=sig)
+        slopes = (self.walls.k1 <= free) & (free <= self.walls.k2)
         return states, slopes, sig
 
     def terminal(self, z):
-        """The penalized path's terminal state for the control z."""
+        """The path's terminal state for the control z."""
         if self._last is not None and np.array_equal(z, self._last[0]):
             return self._last[1]
         return self.forward(*self.split(z))[0][-1]
@@ -357,11 +360,14 @@ class _ActionProblem:
         if self.free_start:
             value += self.w_init * float(np.sum(w * u0**2))
 
+        # Step k's clip slope multiplies the adjoint that enters step k's
+        # transposed solve, so it folds into step k+1's factor (exact: 0 or 1).
         factor = self.scheme.linearization(states[:-1], h)
-        lam = 2.0 * self.w_pen * w * miss + w * self.mu
+        factor[1:] *= slopes[:-1]
+        lam = slopes[-1] * (2.0 * self.w_pen * w * miss + w * self.mu)
         q = np.empty_like(h)
         for k in range(self.steps - 1, -1, -1):
-            q[k] = self.prop.solve_transpose(slopes[k] * lam)
+            q[k] = self.prop.solve_transpose(lam)
             lam = q[k] * factor[k]
         grad_h = dt * w * h + dt * sig * q
         if self.free_start:
@@ -378,21 +384,26 @@ class _ActionProblem:
 def _multipliers(problem, z0, opts):
     """Method of multipliers for the terminal constraint (Hestenes 1969; Powell
     1969): L-BFGS on the augmented Lagrangian at the one weight
-    ``_PENALTY_WEIGHT``, then mu += 2*w_pen*miss, until the penalized path ends
-    within ``_GAP_FRACTION * terminal_tol`` of the target with the anchor at
-    full weight, or ``_MAX_ROUNDS`` rounds have run.  Starts from the
-    problem's ``mu`` and leaves there the multiplier of the last round.
+    ``_PENALTY_WEIGHT``, then mu += 2*w_pen*miss, until the path ends within
+    ``_GAP_FRACTION * terminal_tol`` of the target with the anchor at full
+    weight, or ``_MAX_ROUNDS`` rounds have run.  Starts from the problem's
+    ``mu`` and leaves there the multiplier of the last round.  A first round
+    at mu = 0 only feeds the first multiplier update (Conn, Gould & Toint
+    1991 on inexact inner solves), so it stops at ``_LOOSE_FTOL`` and never
+    ends the loop.
     L-BFGS sees the control in the problem's scaled coordinates; z0, the
     returned point and the recorded gradient norm are in control coordinates.
     Returns the last point and a dict of the ``StageRecord`` fields that
     describe the loop."""
     problem.w_pen = _PENALTY_WEIGHT
-    lbfgs = {"maxiter": opts.maxiter, "ftol": 1e-14, "gtol": 1e-10}
+    lbfgs = {"maxiter": opts.maxiter, "gtol": 1e-10, "maxcor": _LBFGS_PAIRS}
     y = z0 / problem.scale
     last = len(_ANCHOR_RAMP) - 1
     nit = nfev = 0
     for k in range(_MAX_ROUNDS):
         problem.w_init = _ANCHOR_WEIGHT * _ANCHOR_RAMP[min(k, last)]
+        loose = k == 0 and not np.any(problem.mu)
+        lbfgs["ftol"] = _LOOSE_FTOL if loose else 1e-14
         result = minimize(problem.scaled_value_and_grad, y, jac=True, method="L-BFGS-B", options=lbfgs)
         y = result.x
         z = y * problem.scale
@@ -400,7 +411,7 @@ def _multipliers(problem, z0, opts):
         miss = problem.terminal(z) - problem.target
         gap = float(np.max(np.abs(miss)))
         ramped = k >= last or not problem.free_start
-        if ramped and gap <= _GAP_FRACTION * opts.terminal_tol:
+        if ramped and not loose and gap <= _GAP_FRACTION * opts.terminal_tol:
             break
         problem.mu = problem.mu + 2.0 * problem.w_pen * miss
     return z, {
@@ -409,7 +420,6 @@ def _multipliers(problem, z0, opts):
         "nfev": nfev,
         "message": str(result.message),
         "gradient_norm": float(np.max(np.abs(result.jac / problem.scale))),
-        "penalized_gap": gap,
     }
 
 
@@ -458,17 +468,18 @@ def quasipotential_J(
             terminal_gap=float(np.max(np.abs(target))),
         )
 
-    best = None
+    best = prev = None
     stages = []
-    prev_rows = np.zeros((0, grid.n + 1))
     mu = np.zeros(grid.n + 1)
     prev_value = math.inf
     for horizon in opts.horizons:
         steps = mesh_steps(horizon, opts.dt)
-        problem = _ActionProblem(coeffs, walls, opts.dt, steps, target, _PENALTY_DELTA)
+        problem = _ActionProblem(coeffs, walls, opts.dt, steps, target)
         problem.mu = mu
-        pad = steps - prev_rows.shape[0]
-        z0 = np.vstack([np.zeros((pad, problem.n1)), prev_rows]).ravel()
+        if prev is None:
+            z0 = np.zeros(steps * problem.n1)
+        else:
+            z0 = shift_concat(prev, horizon - prev.times[-1]).values.ravel()
         zstar, loop = _multipliers(problem, z0, opts)
         mu = problem.mu
         rows = zstar.reshape(steps, problem.n1)
@@ -492,7 +503,7 @@ def quasipotential_J(
             candidate.converged == best.converged and value <= best.value + 1e-12
         ):
             best = candidate
-        prev_rows = rows
+        prev = Control(grid, times, rows)
         if candidate.converged:
             if prev_value < math.inf:
                 improvement = (prev_value - value) / max(abs(prev_value), 1e-30)
@@ -516,7 +527,7 @@ def infinite_horizon_check(
     opts = opts or OptimizerOptions()
     horizon = opts.horizons[-1]
     steps = mesh_steps(horizon, opts.dt)
-    problem = _ActionProblem(coeffs, walls, opts.dt, steps, target, _PENALTY_DELTA, free_start=True)
+    problem = _ActionProblem(coeffs, walls, opts.dt, steps, target, free_start=True)
     z0 = np.zeros(problem.n1 + steps * problem.n1)
     zstar, _ = _multipliers(problem, z0, opts)
     u0, rows = problem.split(zstar)

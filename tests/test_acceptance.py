@@ -183,7 +183,7 @@ def test_c07_adjoint_gradient_check():
     grid = build_grid(16)
     walls = Walls.constant(grid, -10.0, 10.0)
     coeffs = coeffs_sin_statesigma(1.0, 0.5, amp=0.3)
-    problem = _ActionProblem(coeffs, walls, 0.02, 20, 0.3 * np.ones(grid.n + 1), 1e-4)
+    problem = _ActionProblem(coeffs, walls, 0.02, 20, 0.3 * np.ones(grid.n + 1))
     problem.w_pen = 1e3
     rng = np.random.default_rng(17)
     z = 0.5 * rng.normal(size=20 * (grid.n + 1))

@@ -290,7 +290,7 @@ def test_quasipotential_command_hits_benchmark(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "timestamp" not in manifest
     assert manifest["command"] == "quasipotential"
-    keys = {"horizon", "rounds", "nit", "nfev", "message", "value", "gradient_norm", "penalized_gap", "terminal_gap"}
+    keys = {"horizon", "rounds", "nit", "nfev", "message", "value", "gradient_norm", "terminal_gap"}
     stages = record["stages"]
     assert [stage["horizon"] for stage in stages] == cfg["optimizer"]["horizons"][: len(stages)]
     assert all(set(stage) == keys for stage in stages)

@@ -14,7 +14,6 @@ from wallspde.dynamics import Control, sample_noise, solve_deterministic, solve_
 from wallspde.lattice import BLOCK_VALUES, SpaceTimeField, Walls, build_grid, neumann_operator
 from wallspde.obstacle import check_complementarity, solve_obstacle
 from wallspde.rate import (
-    _PENALTY_DELTA,
     OptimizerOptions,
     _ActionProblem,
     contact_tolerance,
@@ -294,7 +293,7 @@ def test_adjoint_gradient_matches_finite_differences():
     walls = Walls.constant(grid, -10.0, 10.0)
     coeffs = coeffs_sin_statesigma(1.0, 0.5, amp=0.3)
     steps = 20
-    problem = _ActionProblem(coeffs, walls, 0.02, steps, 0.3 * np.ones(grid.n + 1), 1e-4)
+    problem = _ActionProblem(coeffs, walls, 0.02, steps, 0.3 * np.ones(grid.n + 1))
     problem.w_pen = 1e3
     rng = np.random.default_rng(17)
     z = 0.5 * rng.normal(size=steps * (grid.n + 1))
@@ -320,7 +319,7 @@ def test_free_start_gradient_matches_finite_differences():
     coeffs = coeffs_sin_statesigma(1.0, 0.5, amp=0.3)
     steps = 20
     problem = _ActionProblem(
-        coeffs, walls, 0.02, steps, 0.3 * np.ones(grid.n + 1), 1e-4, free_start=True
+        coeffs, walls, 0.02, steps, 0.3 * np.ones(grid.n + 1), free_start=True
     )
     problem.w_pen, problem.w_init = 1e3, 10.0
     rng = np.random.default_rng(19)
@@ -343,20 +342,19 @@ def test_free_start_gradient_matches_finite_differences():
 
 def per_step_value_and_grad(problem, z):
     """The adjoint written as one loop that calls every coefficient at every
-    step, with the penalty restore spelled out on ``prop.solve``."""
+    step, with the clip spelled out on ``prop.solve`` and each step's 0/1
+    slope applied before its transposed solve."""
     u0, h = problem.split(z)
     coeffs, x, dt, w = problem.coeffs, problem.grid.nodes, problem.dt, problem.weights
-    lo, hi, r = problem.walls.k1, problem.walls.k2, problem.dt / problem.delta
+    lo, hi = problem.walls.k1, problem.walls.k2
     states = np.empty((problem.steps + 1, problem.n1))
     slopes = np.ones((problem.steps, problem.n1))
     states[0] = u0
     for k in range(problem.steps):
         u = states[k]
         y = problem.prop.solve(u + dt * coeffs.f(x, u) + dt * coeffs.sigma(x, u) * h[k])
-        below, above = y < lo, y > hi
-        restored = np.where(below, (y + r * lo) / (1.0 + r), y)
-        states[k + 1] = np.where(above, (y + r * hi) / (1.0 + r), restored)
-        slopes[k][below | above] = 1.0 / (1.0 + r)
+        states[k + 1] = np.clip(y, lo, hi)
+        slopes[k][(y < lo) | (y > hi)] = 0.0
 
     miss = states[-1] - problem.target
     value = 0.5 * dt * float(np.sum(w * h**2)) + problem.w_pen * float(np.sum(w * miss**2))
@@ -387,7 +385,7 @@ def test_adjoint_matches_the_per_step_loop_bit_for_bit(coeffs, k1, k2, free_star
     walls = Walls.constant(grid, k1, k2)
     steps = 30
     problem = _ActionProblem(
-        coeffs, walls, 0.02, steps, 0.2 * np.cos(np.pi * grid.nodes), 1e-4, free_start=free_start
+        coeffs, walls, 0.02, steps, 0.2 * np.cos(np.pi * grid.nodes), free_start=free_start
     )
     problem.w_pen, problem.w_init = 1e4, 10.0 if free_start else 0.0
     rng = np.random.default_rng(29)
@@ -400,28 +398,61 @@ def test_adjoint_matches_the_per_step_loop_bit_for_bit(coeffs, k1, k2, free_star
         expected_value, expected_grad, slopes = per_step_value_and_grad(problem, z)
         assert value == expected_value
         assert np.array_equal(grad, expected_grad)
-        # The push crosses the binding walls, so penalty slopes enter the sweep.
-        assert np.any(slopes < 1.0) == (k2 < 1.0)
+        # The push crosses the binding walls, so zero slopes enter the sweep.
+        assert np.any(slopes == 0.0) == (k2 < 1.0)
 
 
 @pytest.mark.parametrize("n", [16, 512])
-def test_optimizer_forward_map_is_the_penalized_integrator(n):
+def test_optimizer_forward_map_is_the_projected_integrator(n):
     # n=16 takes the dense solve and n=512 the banded one; the push crosses
-    # both binding walls, so both penalty terms act.
+    # both binding walls, so both clips act.
     grid = build_grid(n)
     walls = Walls.constant(grid, -0.2, 0.25)
     coeffs = coeffs_sin_statesigma(2.0, 0.5)
     dt, steps = 0.02, 15
-    problem = _ActionProblem(coeffs, walls, dt, steps, np.zeros(grid.n + 1), _PENALTY_DELTA)
+    problem = _ActionProblem(coeffs, walls, dt, steps, np.zeros(grid.n + 1))
     rng = np.random.default_rng(41)
     h = 8.0 * np.cos(np.pi * grid.nodes) + 3.0 * rng.normal(size=(steps, grid.n + 1))
     u0 = 0.1 * np.cos(np.pi * grid.nodes)
     states, slopes, _ = problem.forward(u0, h)
     control = Control(grid, np.linspace(0.0, steps * dt, steps + 1), h)
-    path = solve_skeleton(u0, control, coeffs, walls, steps * dt, dt, mode="penalized", delta=_PENALTY_DELTA).u
-    assert np.any(states < walls.k1) and np.any(states > walls.k2)
-    assert np.any(slopes < 1.0)
-    assert np.array_equal(states, path.values)
+    traj = solve_skeleton(u0, control, coeffs, walls, steps * dt, dt, mode="projected")
+    assert np.any(traj.eta.density > 0.0) and np.any(traj.xi.density > 0.0)
+    assert np.array_equal(states, traj.u.values)
+    # Slope 0 exactly where a wall restored the free value: there the force acts.
+    assert np.array_equal(~slopes, (traj.eta.density > 0.0) | (traj.xi.density > 0.0))
+
+
+@pytest.mark.parametrize("free_start", [False, True])
+def test_adjoint_gradient_matches_finite_differences_at_binding_walls(free_start):
+    # The push pins part of the path to both walls, where the clip's slope is
+    # 0; each direction is checked away from a kink, where the active set is
+    # the same at both finite-difference points.
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.2, 0.25)
+    steps = 20
+    problem = _ActionProblem(
+        coeffs_sin_statesigma(2.0, 0.5, amp=0.3), walls, 0.02, steps, 0.2 * np.cos(np.pi * grid.nodes),
+        free_start=free_start,
+    )
+    problem.w_pen, problem.w_init = 1e3, 10.0 if free_start else 0.0
+    rng = np.random.default_rng(43)
+    push = np.tile(8.0 * np.cos(np.pi * grid.nodes), steps + free_start)
+    z = push + 3.0 * rng.normal(size=push.size)
+    slopes = problem.forward(*problem.split(z))[1]
+    assert 0 < np.count_nonzero(~slopes) < slopes.size
+    h = 1e-6
+    for live in (False, True):
+        problem.mu = 5.0 * rng.normal(size=grid.n + 1) if live else np.zeros(grid.n + 1)
+        value, grad = problem.value_and_grad(z)
+        for _ in range(5):
+            d = rng.normal(size=z.size)
+            d /= np.linalg.norm(d)
+            for point in (z + h * d, z - h * d):
+                assert np.array_equal(problem.forward(*problem.split(point))[1], slopes)
+            fd = (problem.value_and_grad(z + h * d)[0] - problem.value_and_grad(z - h * d)[0]) / (2.0 * h)
+            an = float(grad @ d)
+            assert abs(fd - an) / max(abs(fd), 1e-12) <= 1e-4
 
 
 def test_optimizer_calls_each_coefficient_once_per_step_or_gradient():
@@ -431,7 +462,7 @@ def test_optimizer_calls_each_coefficient_once_per_step_or_gradient():
     grid = build_grid(16)
     coeffs, calls = counting(coeffs_sin_statesigma(2.0, 0.5))
     steps = 12
-    problem = _ActionProblem(coeffs, Walls.constant(grid, -0.2, 0.25), 0.02, steps, np.zeros(grid.n + 1), 1e-4)
+    problem = _ActionProblem(coeffs, Walls.constant(grid, -0.2, 0.25), 0.02, steps, np.zeros(grid.n + 1))
     z = np.tile(8.0 * np.cos(np.pi * grid.nodes), steps)
     problem.forward(*problem.split(z))
     assert calls == {"f": steps, "sigma": steps, "df_du": 0, "dsigma_du": 0}
@@ -557,7 +588,7 @@ def test_multiplier_loop_meets_its_stop_rule(case):
     assert [stage.horizon for stage in res.stages] == list(opts.horizons)
     for stage in res.stages:
         assert 1 <= stage.rounds <= rate_module._MAX_ROUNDS
-        assert stage.penalized_gap <= stop
+        assert stage.terminal_gap <= stop
     # The carried multiplier already holds the shifted control's end in place.
     assert all(stage.rounds == 1 for stage in res.stages[1:])
     if case == "c08":
@@ -571,6 +602,9 @@ def test_multiplier_loop_meets_its_stop_rule(case):
     else:
         # On the control itself the first stage stopped at maxiter.
         assert not any("ITERATIONS REACHED LIMIT" in stage.message for stage in res.stages)
+        # Differentiating the penalized scheme took 110 evaluations here, and
+        # the clip with 20 curvature pairs and a loose first round 68.
+        assert sum(stage.nfev for stage in res.stages) <= 80
 
 
 @pytest.mark.parametrize("free_start", [False, True])
@@ -579,7 +613,7 @@ def test_scaled_objective_is_the_chain_rule_of_value_and_grad(free_start):
     walls = Walls.constant(grid, -0.2, 0.25)
     steps = 30
     problem = _ActionProblem(
-        coeffs_sin_statesigma(2.0, 0.5, amp=0.3), walls, 0.02, steps, 0.2 * np.cos(np.pi * grid.nodes), 1e-4,
+        coeffs_sin_statesigma(2.0, 0.5, amp=0.3), walls, 0.02, steps, 0.2 * np.cos(np.pi * grid.nodes),
         free_start=free_start,
     )
     problem.w_pen, problem.w_init = 1e3, 10.0 if free_start else 0.0
@@ -664,7 +698,7 @@ def test_terminal_state_reuse_is_bit_identical(free_start):
     walls = Walls.constant(grid, -0.2, 0.25)
     steps = 30
     problem = _ActionProblem(
-        coeffs_sin_statesigma(2.0, 0.5, amp=0.3), walls, 0.02, steps, 0.2 * np.cos(np.pi * grid.nodes), 1e-4,
+        coeffs_sin_statesigma(2.0, 0.5, amp=0.3), walls, 0.02, steps, 0.2 * np.cos(np.pi * grid.nodes),
         free_start=free_start,
     )
     rng = np.random.default_rng(31)
@@ -750,6 +784,36 @@ def test_multiplier_loop_stops_at_the_round_cap(monkeypatch):
     value = infinite_horizon_check(target, coeffs_zero(1.0), walls, opts)
     assert len(calls) == rate_module._MAX_ROUNDS
     assert math.isfinite(value)
+
+
+def test_only_the_first_round_at_zero_multiplier_runs_loose(monkeypatch):
+    """The round that starts at mu = 0 only feeds the first multiplier update:
+    it stops at the loose ftol and never ends the loop, even when its path
+    already ends within the stop gap, as it does for a target this close to
+    rest.  Every later round, and the free start's, is tight."""
+    real = rate_module.minimize
+    rounds = []
+
+    def record(fun, x0, **kwargs):
+        result = real(fun, x0, **kwargs)
+        problem = fun.__self__
+        miss = problem.terminal(result.x * problem.scale) - problem.target
+        rounds.append((dict(kwargs["options"]), float(np.max(np.abs(miss)))))
+        return result
+
+    monkeypatch.setattr(rate_module, "minimize", record)
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -10.0, 10.0)
+    target = np.full(grid.n + 1, 0.05)
+    stop = rate_module._GAP_FRACTION * FAST_OPTS.terminal_tol
+    for run in (infinite_horizon_check, quasipotential_J):
+        rounds.clear()
+        result = run(target, coeffs_zero(1.0), walls, FAST_OPTS)
+        assert all(options["maxcor"] == rate_module._LBFGS_PAIRS for options, _ in rounds)
+        ftols = [options["ftol"] for options, _ in rounds]
+        assert ftols == [rate_module._LOOSE_FTOL] + [1e-14] * (len(rounds) - 1)
+    # quasipotential_J ran last; its first stage needed a tight round after the loose one.
+    assert rounds[0][1] <= stop and result.stages[0].rounds >= 2
 
 
 def test_infinite_horizon_parametrization_agrees():
