@@ -203,8 +203,9 @@ def _run_diagnose(cfg, run, out):
 
     tightness = None
     if run.gamma is not None:
-        seeds = tuple(run.base_seed + 9000 + j for j in range(run.chains))
-        probe = sample_invariant(run.coeffs, run.walls, run.eps_schedule[-1], run.plans[-1], seeds, dt=run.dt)
+        probe = sample_invariant(
+            run.coeffs, run.walls, run.eps_schedule[-1], run.plans[-1], run.probe_seeds, dt=run.dt
+        )
         tightness = tightness_probe(probe, run.gamma, run.radii)
 
     record = {

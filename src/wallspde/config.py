@@ -30,7 +30,7 @@ import numpy as np
 
 from wallspde.dynamics import CoefficientSpec, Control, check_noise_step
 from wallspde.lattice import Grid, Walls, build_grid, mesh_steps
-from wallspde.measure import SamplingPlan, _check_schedule, _plan_per_level
+from wallspde.measure import SamplingPlan, _check_schedule, _check_streams, _level_seeds, _plan_per_level
 from wallspde.rate import OptimizerOptions
 
 __all__ = [
@@ -271,19 +271,18 @@ def build_control(cfg: dict, grid: Grid, T: float, dt: float) -> Control | None:
     if kind == "zero":
         return None
     amp = _need(section, "control.amplitude")
+    # Control.from_function's values, hdot(x, t) at the step starts t, for all
+    # steps at once: each value takes the same operations, so it has the same bits.
+    times = np.linspace(0.0, T, mesh_steps(T, dt, "T") + 1)
+    t = times[:-1, None]
     if kind == "uniform_decay":
         beta = _need(section, "control.beta")
-        return Control.from_function(grid, T, dt, lambda x, t: amp * np.exp(-beta * t) * np.ones_like(x))
+        return Control(grid, times, amp * np.exp(-beta * t) * np.ones(grid.n + 1))
     mode = _get(section, "control.mode")
     t_end = _get(section, "control.t_end")
     if t_end is None:
         t_end = T
-    return Control.from_function(
-        grid,
-        T,
-        dt,
-        lambda x, t: amp * np.cos(mode * np.pi * x) * (1.0 if t < t_end else 0.0),
-    )
+    return Control(grid, times, amp * np.cos(mode * np.pi * grid.nodes) * (t < t_end))
 
 
 def build_penalty(cfg: dict) -> dict:
@@ -299,7 +298,10 @@ def build_plan(cfg: dict, coeffs: CoefficientSpec) -> tuple[SamplingPlan, list, 
     plan = replace(plan, **{key: value for key, value in given.items() if value is not None})
     with _naming("sampling.burn_in"):
         plan.check_burn_in(coeffs)
-    return plan, _get(section, "sampling.seeds"), _get(section, "sampling.eps"), _get(section, "sampling.dt")
+    seeds = _get(section, "sampling.seeds")
+    with _naming("sampling.seeds"):
+        _check_streams(seeds)
+    return plan, seeds, _get(section, "sampling.eps"), _get(section, "sampling.dt")
 
 
 def build_optimizer_options(cfg: dict) -> OptimizerOptions:
@@ -317,7 +319,8 @@ def build_optimizer_options(cfg: dict) -> OptimizerOptions:
 
 def build_diagnose(cfg: dict, grid: Grid, coeffs: CoefficientSpec, walls: Walls) -> dict:
     """``ldp_scaling_curve`` inputs (targets, eps_schedule, plans, base_seed,
-    dt, chains) plus the tightness probe's gamma and radii."""
+    dt, chains) plus the tightness probe's gamma, radii and seeds.  The probe
+    runs chains ``base_seed + 9000 + j``; no seed of the run may repeat."""
     section = _need(cfg, "diagnose")
     targets = []
     for i, entry in enumerate(_get(section, "diagnose.targets")):
@@ -332,12 +335,17 @@ def build_diagnose(cfg: dict, grid: Grid, coeffs: CoefficientSpec, walls: Walls)
         counts = [_node("diagnose.counts")["items"]["default"]] * len(schedule)
     with _naming("diagnose.counts"):
         plans = _plan_per_level([SamplingPlan.default(coeffs, count) for count in counts], len(schedule))
-    return {
-        "targets": targets,
-        "eps_schedule": schedule,
-        "plans": plans,
-        **{key: _get(section, f"diagnose.{key}") for key in ("base_seed", "dt", "chains", "gamma", "radii")},
-    }
+    given = {key: _get(section, f"diagnose.{key}") for key in ("base_seed", "dt", "chains", "gamma", "radii")}
+    base_seed, chains = given["base_seed"], given["chains"]
+    streams = _level_seeds(base_seed, len(schedule), chains)
+    with _naming("diagnose.chains"):
+        _check_streams(*streams)
+    probe_seeds = None
+    if given["gamma"] is not None:
+        probe_seeds = tuple(base_seed + 9000 + j for j in range(chains))
+        with _naming("diagnose.eps_schedule/diagnose.chains"):
+            _check_streams(*streams, probe_seeds)
+    return {"targets": targets, "eps_schedule": schedule, "plans": plans, "probe_seeds": probe_seeds, **given}
 
 
 def build_run(cfg: dict, command: str) -> SimpleNamespace:

@@ -216,9 +216,9 @@ class _Scheme:
         return Propagator(self.grid, self.coeffs.alpha, self.dt)
 
     def step(self, state, walls, hdot=None, increment=None, eps=0.0, penalty=None, out=None, free=None, tape=None):
-        """One step, returning ``Propagator.step``'s state and penalty mask; ``tape``
-        receives sig.  The kick acts on the leading rows of ``state`` that ``increment``
-        covers (``eps`` per row or for all), so a stack led by its noisy levels is one step."""
+        """One step, returning the new state from ``Propagator.step``; ``tape`` receives
+        sig.  The kick acts on the leading rows of ``state`` that ``increment`` covers
+        (``eps`` per row or for all), so a stack led by its noisy levels is one step."""
         x, dt = self.x, self.dt
         forcing = rows = None
         if hdot is not None or increment is not None:
@@ -293,7 +293,7 @@ def step_penalized(
     check_penalty(delta, eps_pen)
     eps_noise = check_level(eps_noise)
     scheme = _Scheme(coeffs, grid, dt, _cached_propagator(grid, coeffs.alpha, dt))
-    return scheme.step(state, walls, hdot, noise_increment, eps_noise, penalty=(delta, eps_pen))[0]
+    return scheme.step(state, walls, hdot, noise_increment, eps_noise, penalty=(delta, eps_pen))
 
 
 @lru_cache(maxsize=8)

@@ -203,10 +203,6 @@ class Walls:
         if np.min(self.k2 - self.k1) <= 0.0:
             raise ValueError("walls must be separated (min gap > 0)")
 
-    @property
-    def gap(self) -> float:
-        return float(np.min(self.k2 - self.k1))
-
     def contains(self, values: np.ndarray, tol: float = 0.0) -> bool:
         return bool(np.all(values >= self.k1 - tol) and np.all(values <= self.k2 + tol))
 
@@ -403,7 +399,7 @@ class Propagator:
         penalty: tuple[float, float] | None = None,
         out: np.ndarray | None = None,
         free: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+    ) -> np.ndarray:
         """Solve for ``rhs``, then restore the band [lo, hi] given as (n+1,) profiles.
 
         Without ``penalty`` the free value is clipped onto the band by the
@@ -412,26 +408,24 @@ class Propagator:
         (u - hi)^+ / eps_pen are integrated implicitly per node in closed form,
         written only where a wall is crossed; each wall's closed form is
         computed only when some node crosses it.  ``free`` receives the
-        solved value before the walls are restored, for ``restoring_forces``.
-        Returns the new state and, in penalty mode, the mask of nodes where
-        the penalty acted.
+        solved value before the walls are restored, for ``restoring_forces``,
+        which is where a caller learns which nodes a wall restored.  Returns
+        the new state.
         """
         y = self.solve(rhs)
         if free is not None:
             free[...] = y
         if penalty is None:
-            out, active = np.minimum(np.maximum(y, lo, out=out), hi, out=out), None
-        else:
-            r1, r2 = self.dt / penalty[0], self.dt / penalty[1]
-            out = np.empty_like(y) if out is None else out
-            out[...] = y
-            below, above = y < lo, y > hi
-            if np.count_nonzero(below):
-                np.copyto(out, (y + r1 * lo) / (1.0 + r1), where=below)
-            if np.count_nonzero(above):
-                np.copyto(out, (y + r2 * hi) / (1.0 + r2), where=above)
-            active = below | above
-        return out, active
+            return np.minimum(np.maximum(y, lo, out=out), hi, out=out)
+        r1, r2 = self.dt / penalty[0], self.dt / penalty[1]
+        out = np.empty_like(y) if out is None else out
+        out[...] = y
+        below, above = y < lo, y > hi
+        if np.count_nonzero(below):
+            np.copyto(out, (y + r1 * lo) / (1.0 + r1), where=below)
+        if np.count_nonzero(above):
+            np.copyto(out, (y + r2 * hi) / (1.0 + r2), where=above)
+        return out
 
     def restoring_forces(self, new: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
         """Force densities of steps taken with ``free=lower[k]``, in place.

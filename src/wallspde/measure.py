@@ -77,10 +77,10 @@ class SamplingPlan:
 
 @dataclass(eq=False)
 class EmpiricalMeasure:
+    """Kept states of a sampler run at noise level ``eps``, one (n+1,) row per sample."""
+
     samples: np.ndarray  # (count, n+1)
     eps: float
-    plan: SamplingPlan
-    seeds: tuple
     grid: Grid
 
     @property
@@ -115,17 +115,37 @@ def _plan_per_level(plans, levels: int) -> list:
     return plans
 
 
-def _check_sampler(coeffs: CoefficientSpec, grid: Grid, levels, plans, chains: int, dt: float) -> list:
+def _check_sampler(coeffs: CoefficientSpec, grid: Grid, levels, plans, streams, dt: float) -> list:
     """The noise levels as floats; raises unless dt, hypothesis H, every level,
-    every plan's burn-in and the chain count are valid."""
+    every plan's burn-in, the chain count and the seeds are valid.  ``streams``
+    holds each level's seeds, one per chain."""
     check_dt(dt)
     coeffs.require_h(grid)
     levels = [check_level(eps) for eps in levels]
     for plan in plans:
         plan.check_burn_in(coeffs)
+    chains = len(streams[0])
     if chains < 1:
         raise ValueError(f"need at least one chain, got {chains}")
+    _check_streams(*streams)
     return levels
+
+
+def _check_streams(*groups) -> None:
+    """Raises unless every noise stream a run draws is distinct.  A seed names
+    one stream, so a seed that appears twice, within a group of seeds or
+    across groups, would count the same draws twice."""
+    seen = set()
+    for group in groups:
+        for seed in group:
+            if seed in seen:
+                raise ValueError(f"seed {seed} is drawn twice: every noise stream of a run must be distinct")
+            seen.add(seed)
+
+
+def _level_seeds(base_seed: int, levels: int, chains: int) -> list:
+    """The seeds of a scaling curve: level ``i`` runs chains ``base_seed + 1000*i + j``."""
+    return [tuple(base_seed + 1000 * i + j for j in range(chains)) for i in range(levels)]
 
 
 def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
@@ -209,9 +229,10 @@ def sample_invariant(
 
     Requires the dissipativity hypothesis, which justifies measuring burn-in
     against the relaxation rate; ``_check_sampler`` rejects plans shorter
-    than 5 relaxation times, an empty seed list and a noise level that is
-    negative or not finite.  All chains advance together as rows of one state
-    matrix, so the cost per step is a single implicit solve; this collects
+    than 5 relaxation times, an empty seed list, a repeated seed and a noise
+    level that is negative or not finite.  All chains advance together as
+    rows of one state matrix, so the cost per step is a single implicit
+    solve; this collects
     the rounds of the one-level sampler that ``ldp_scaling_curve`` also
     steps, and its noise buffer holds ``_NOISE_VALUES`` values whatever the
     horizon or chain count.  Chain j's round-r state is row
@@ -220,13 +241,13 @@ def sample_invariant(
     grid = walls.grid
     seeds = tuple(int(s) for s in seeds)
     chains = len(seeds)
-    (eps,) = _check_sampler(coeffs, grid, [eps], [plan], chains, dt)
+    (eps,) = _check_sampler(coeffs, grid, [eps], [plan], [seeds], dt)
     per_chain = [plan.count // chains + (1 if j < plan.count % chains else 0) for j in range(chains)]
     starts = np.cumsum([0] + per_chain[:-1])
     samples = np.empty((plan.count, grid.n + 1))
     for _, r, rows in _rounds(coeffs, walls, [(eps, plan, seeds)], dt):
         samples[starts[: len(rows)] + r] = rows
-    return EmpiricalMeasure(samples=samples, eps=eps, plan=plan, seeds=seeds, grid=grid)
+    return EmpiricalMeasure(samples=samples, eps=eps, grid=grid)
 
 
 def _check_radius(delta: float, name: str = "ball radius") -> None:
@@ -311,13 +332,15 @@ def ldp_scaling_curve(
     a strictly decreasing schedule with one plan per level, the inputs of
     ``_check_sampler``, each ``z_star`` a field between the walls, each
     ``delta`` finite and positive and a catalog entry for every target.
-    Level ``i`` runs ``chains`` chains seeded ``base_seed + 1000*i + j``; all
+    Level ``i`` runs ``chains`` chains seeded ``base_seed + 1000*i + j``, so
+    more than 1000 chains on two or more levels repeat a seed and raise; all
     levels step together as one stacked batch and only the hits per (level,
     target) are kept, so no samples array is built.
     """
     _check_schedule(eps_schedule)
     plans = _plan_per_level(plans, len(eps_schedule))
-    eps_levels = _check_sampler(coeffs, walls.grid, eps_schedule, plans, chains, dt)
+    streams = _level_seeds(base_seed, len(eps_schedule), chains)
+    eps_levels = _check_sampler(coeffs, walls.grid, eps_schedule, plans, streams, dt)
     balls = []
     for t_idx, (z_star, delta) in enumerate(targets):
         z_star = walls.check(z_star, f"target {t_idx}: z_star")
@@ -335,10 +358,7 @@ def ldp_scaling_curve(
             j_out = quasipotential_J(np.clip(z_star + delta, walls.k1, walls.k2), coeffs, walls, options).value
             catalog[idx] = (min(j_in, j_out, j_st), j_st, max(j_in, j_out, j_st))
 
-    levels = [
-        (eps, plans[e_idx], tuple(base_seed + 1000 * e_idx + j for j in range(chains)))
-        for e_idx, eps in enumerate(eps_levels)
-    ]
+    levels = list(zip(eps_levels, plans, streams))
     hits = [[0] * len(targets) for _ in levels]
     for e_idx, _, states in _rounds(coeffs, walls, levels, dt):
         for t_idx, (z_star, delta) in enumerate(balls):

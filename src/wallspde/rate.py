@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wallspde.dynamics import CoefficientSpec, Control, Trajectory, _Scheme, solve_skeleton
+from wallspde.dynamics import CoefficientSpec, Control, _Scheme, solve_skeleton
 from wallspde.lattice import SpaceTimeField, Walls, match_dt, match_grid, mesh_steps, row_blocks
 from wallspde.obstacle import LocalTime
 
@@ -58,9 +58,6 @@ __all__ = [
     "quasipotential_J",
     "infinite_horizon_check",
     "shift_concat",
-    "glue_path",
-    "stability_bound_check",
-    "level_set_distance",
 ]
 
 
@@ -132,7 +129,6 @@ class QuasipotentialResult:
     horizon: float
     path: SpaceTimeField
     control: Control
-    target: np.ndarray
     converged: bool
     gradient_norm: float
     terminal_gap: float
@@ -268,20 +264,6 @@ def shift_concat(control: Control, T: float) -> Control:
     values = np.vstack([np.zeros((pad, n1)), control.values])
     times = np.concatenate([dt * np.arange(pad), control.times + pad * dt])
     return Control(control.grid, times, values)
-
-
-def glue_path(u0_flow: Trajectory, tail: Trajectory) -> SpaceTimeField:
-    """Concatenate a relaxation segment with a controlled tail started at its
-    terminal state; the duplicate junction row is dropped after checking it."""
-    head, back = u0_flow.u, tail.u
-    match_grid(head.grid, back.grid, "tail path")
-    match_dt(back.times, head.dt, "tail path")
-    jump = float(np.max(np.abs(head.final - back.initial)))
-    if jump > 1e-10:
-        raise ValueError(f"glued segments disagree at the junction (jump={jump:.3e})")
-    times = np.concatenate([head.times, head.times[-1] + back.times[1:]])
-    values = np.vstack([head.values, back.values[1:]])
-    return SpaceTimeField(head.grid, times, values)
 
 
 # ------------------------------------------------------------ optimizer
@@ -462,7 +444,6 @@ def quasipotential_J(
             horizon=0.0,
             path=SpaceTimeField(grid, times, np.zeros((2, grid.n + 1))),
             control=Control.zero(grid, times),
-            target=target,
             converged=True,
             gradient_norm=0.0,
             terminal_gap=float(np.max(np.abs(target))),
@@ -494,7 +475,6 @@ def quasipotential_J(
             horizon=horizon,
             path=traj.u,
             control=rec.hdot,
-            target=target,
             converged=gap <= opts.terminal_tol,
             gradient_norm=loop["gradient_norm"],
             terminal_gap=gap,
@@ -535,45 +515,3 @@ def infinite_horizon_check(
     times = np.linspace(0.0, horizon, steps + 1)
     _, rec, _ = _score_on_projected(rows, times, coeffs, walls, target, start)
     return rec.action
-
-
-def stability_bound_check(
-    z: np.ndarray,
-    T: float,
-    T0: float,
-    hbar: Control,
-    coeffs: CoefficientSpec,
-    walls: Walls,
-) -> tuple[float, float]:
-    """Gap between the controlled path from rest and the same control started
-    from the T-relaxed state of z, relative to that state's size.
-
-    The ratio stays bounded as T grows because the controlled flow is
-    Lipschitz in its initial condition on finite windows.
-    """
-    from wallspde.dynamics import solve_deterministic
-
-    dt = hbar.dt
-    flow = solve_deterministic(np.asarray(z, dtype=float), coeffs, walls, T, dt)
-    psi = solve_skeleton(np.zeros(walls.grid.n + 1), hbar, coeffs, walls, T0, dt)
-    psibar = solve_skeleton(flow.u.final, hbar, coeffs, walls, T0, dt)
-    f_value = float(np.max(np.abs(psi.u.values - psibar.u.values)))
-    denom = float(np.max(np.abs(flow.u.final)))
-    ratio = f_value / denom if denom > 0.0 else 0.0
-    return f_value, ratio
-
-
-def level_set_distance(z: np.ndarray, s: float, catalog: list[QuasipotentialResult]) -> float:
-    """Upper estimate of the sup-norm distance from z to the level set of
-    height s, using the evaluated targets as witnesses."""
-    if not catalog:
-        raise ValueError("empty catalog")
-    z = np.asarray(z, dtype=float)
-    dists = [
-        float(np.max(np.abs(z - entry.target)))
-        for entry in catalog
-        if entry.value <= s + 1e-12
-    ]
-    if not dists:
-        return math.inf
-    return min(dists)

@@ -147,6 +147,18 @@ CORPUS = [
         True,
     ),
     ("seed_negative", "simulate", base_cfg(noise={"eps": 0.1, "seed": -1}), "noise.seed", True),
+    # Each seed names one noise stream, so a repeated seed counts the same draws twice.
+    ("seeds_repeated", "invariant", base_cfg(sampling={"count": 10, "eps": 0.2, "seeds": [5, 5]}), "sampling.seeds", False),
+    # Level i seeds base_seed + 1000*i + j: chain 1000 of level 0 would be chain 0 of level 1.
+    ("chains_over_1000", "diagnose", diagnose_cfg(chains=1001), "diagnose.chains", False),
+    # The gamma probe's seeds base_seed + 9000 + j are the tenth level's.
+    (
+        "probe_seeds_of_level_9",
+        "diagnose",
+        diagnose_cfg(eps_schedule=[0.5 - 0.04 * i for i in range(10)], counts=[10] * 10, gamma=0.4),
+        "diagnose.eps_schedule",
+        False,
+    ),
 ]
 
 
@@ -269,6 +281,37 @@ def test_cli_deterministic_reruns_are_byte_identical(tmp_path):
         proc = run_cli("simulate", "--config", str(cfg), "--out", str(out), "--deterministic")
         assert proc.returncode == 0, proc.stderr
     assert dir_bytes(out1) == dir_bytes(out2)
+
+
+def rerun_cases():
+    """(command, config) per case: every command but simulate (C12 reruns it)
+    on a small grid, the skeleton with both control kinds in both modes."""
+    controls = {
+        "uniform_decay": {"kind": "uniform_decay", "amplitude": 6.0, "beta": 1.0},
+        "cosine_pulse": {"kind": "cosine_pulse", "amplitude": -10.0, "mode": 1, "t_end": 0.15},
+    }
+    cases = {
+        f"skeleton_{kind}_{mode}": ("skeleton", base_cfg(grid={"n": 8}, control=control, penalty={"mode": mode}))
+        for kind, control in controls.items()
+        for mode in ("projected", "penalized")
+    }
+    cases["rate"] = ("rate", base_cfg(grid={"n": 8}, control=controls["cosine_pulse"]))
+    cases["quasipotential"] = ("quasipotential", qp_cfg(horizons=[0.5, 1.0], dt=0.05, maxiter=50))
+    cases["invariant"] = ("invariant", base_cfg(sampling={"count": 20, "eps": 0.3, "seeds": [3, 1], "dt": 2e-3}))
+    diagnose = diagnose_cfg(gamma=0.4, radii=[0.5, 2.0])
+    diagnose["optimizer"] = {"horizons": [0.5], "dt": 0.05, "maxiter": 20}
+    cases["diagnose_gamma"] = ("diagnose", diagnose)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(rerun_cases()))
+def test_deterministic_reruns_of_every_command_are_byte_identical(tmp_path, case):
+    command, cfg = rerun_cases()[case]
+    path = write_cfg(tmp_path, cfg)
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main([command, "--config", str(path), "--out", str(out), "--deterministic"]) == 0
+    assert dir_bytes(outs[0]) == dir_bytes(outs[1])
 
 
 def test_quasipotential_command_hits_benchmark(tmp_path):

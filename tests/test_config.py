@@ -6,13 +6,15 @@ import inspect
 import json
 import re
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
 import wallspde.config as config
 from test_cli import CORPUS, base_cfg
 from wallspde.config import ConfigError, schema_path, validate_config
-from wallspde.dynamics import solve_skeleton, solve_spde
+from wallspde.dynamics import Control, solve_skeleton, solve_spde
+from wallspde.lattice import build_grid
 from wallspde.measure import ldp_scaling_curve, sample_invariant
 from wallspde.rate import OptimizerOptions
 
@@ -162,3 +164,25 @@ def test_numbers_come_back_as_finite_floats():
         config._get({"alpha": 10**400}, "coefficients.alpha")
     with pytest.raises(ConfigError, match="grid.n"):
         config._get({"n": 16.0}, "grid.n")
+
+
+@pytest.mark.parametrize("amp, beta, mode, t_end", [(2.0, 1.0, 1, 0.1), (-0.7, 3.3, 3, 1.05), (1.3, 0.0, 2, None)])
+def test_registry_controls_have_the_bits_of_from_function(amp, beta, mode, t_end):
+    # build_control computes every step at once; each row must keep the bits of
+    # the per-step hdot(x, t) that Control.from_function samples, -0.0 included.
+    grid, T, dt = build_grid(16), 2.0, 1e-3
+    cfg = {"grid": {"n": 16}, "control": {"kind": "uniform_decay", "amplitude": amp, "beta": beta}}
+    got = config.build_control(cfg, grid, T, dt)
+    want = Control.from_function(grid, T, dt, lambda x, t: amp * np.exp(-beta * t) * np.ones_like(x))
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+    cfg["control"] = {"kind": "cosine_pulse", "amplitude": amp, "mode": mode}
+    if t_end is not None:
+        cfg["control"]["t_end"] = t_end
+    end = T if t_end is None else t_end
+    got = config.build_control(cfg, grid, T, dt)
+    want = Control.from_function(
+        grid, T, dt, lambda x, t: amp * np.cos(mode * np.pi * x) * (1.0 if t < end else 0.0)
+    )
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()

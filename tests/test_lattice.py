@@ -226,7 +226,7 @@ def test_holder_norm_axioms():
 def test_walls_validation():
     grid = build_grid(8)
     walls = Walls.constant(grid, -1.0, 1.0)
-    assert walls.gap == pytest.approx(2.0)
+    assert np.array_equal(walls.k2 - walls.k1, np.full(grid.n + 1, 2.0))
     with pytest.raises(ValueError, match="negative"):
         Walls.constant(grid, 0.0, 1.0)
     with pytest.raises(ValueError, match="positive"):

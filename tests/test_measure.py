@@ -217,7 +217,7 @@ def test_ball_probability_rejects_a_bad_radius(delta):
 def test_ball_probability_rejects_a_bad_centre_or_radius(centre, delta, message):
     # These returned mass 1.0, 1.0 (the centre broadcast) and 0.0 without an error.
     grid = build_grid(8)
-    measure = EmpiricalMeasure(np.zeros((4, grid.n + 1)), 0.3, SamplingPlan(1.0, 1.0, 4), (1,), grid)
+    measure = EmpiricalMeasure(np.zeros((4, grid.n + 1)), 0.3, grid)
     with pytest.raises(ValueError, match=message):
         ball_probability(measure, centre, delta)
 
@@ -491,7 +491,7 @@ def test_ldp_scaling_curve_counts_the_per_level_hits(name):
     for e_idx, (eps, plan) in enumerate(zip(case["eps"], case["plans"])):
         seeds = tuple(base_seed + 1000 * e_idx + j for j in range(chains))
         samples = per_level_samples(case["coeffs"], case["walls"], eps, plan, seeds, dt)
-        measure = EmpiricalMeasure(samples=samples, eps=eps, plan=plan, seeds=seeds, grid=grid)
+        measure = EmpiricalMeasure(samples=samples, eps=eps, grid=grid)
         for t_idx, (z_star, delta) in enumerate(case["targets"]):
             p_hat, (lo, hi) = ball_probability(measure, z_star, delta)
             row = next(rows)
@@ -557,6 +557,15 @@ def test_sample_invariant_rejects_a_bad_dt(dt):
         sample_invariant(coeffs, walls, 0.3, plan, seeds=[1], dt=dt)
 
 
+@pytest.mark.parametrize("seeds", [[5, 5], [1, 2, 1]])
+def test_sample_invariant_rejects_a_repeated_seed(seeds, monkeypatch):
+    # seeds=[5, 5] returned two identical chains, so the sample held each draw twice.
+    grid, coeffs, walls, plan = benchmark(count=10)
+    monkeypatch.setattr(wallspde.measure, "_rounds", None)
+    with pytest.raises(ValueError, match=f"seed {seeds[-1]} is drawn twice"):
+        sample_invariant(coeffs, walls, 0.3, plan, seeds=seeds, dt=1e-2)
+
+
 @pytest.mark.parametrize("field", ["burn_in", "thin"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_sampling_plan_rejects_non_finite_times(field, value):
@@ -616,6 +625,8 @@ BAD_CURVES = {
         "mixing heuristic",
     ),
     "no_chains": (dict(chains=0), "at least one chain, got 0"),
+    # Level i seeds base_seed + 1000*i + j, so chain 1000 of level 0 is chain 0 of level 1.
+    "chains_over_1000": (dict(chains=1001, base_seed=200), "seed 1200 is drawn twice"),
     "dt_nan": (dict(dt=float("nan")), "dt must be finite and positive, got nan"),
 }
 

@@ -34,10 +34,10 @@ def step_cases(draw):
 
 def step_with_forces(prop, rhs, lo, hi, penalty):
     lower, upper = np.empty_like(rhs), np.empty_like(rhs)
-    new, active = prop.step(rhs, lo, hi, penalty=penalty, free=lower)
+    new = prop.step(rhs, lo, hi, penalty=penalty, free=lower)
     assert np.array_equal(lower, prop.solve(rhs))
     prop.restoring_forces(*np.atleast_2d(new, lower, upper))
-    return new, active, lower, upper
+    return new, lower, upper
 
 
 def penalty_ratios(prop, penalty):
@@ -61,19 +61,20 @@ def both_modes(penalty):
 @given(step_cases())
 def test_step_restores_band_with_one_signed_forces(case):
     prop, lo, hi, rhs, _, penalty = case
-    new, active, lower, upper = step_with_forces(prop, rhs, lo, hi, penalty)
+    y = prop.solve(rhs)
+    new, lower, upper = step_with_forces(prop, rhs, lo, hi, penalty)
     assert new.shape == rhs.shape
     assert np.all(lower >= 0.0) and np.all(upper >= 0.0)
     assert np.all(lower * upper == 0.0)
+    # No force where the solved value crosses no wall, in either mode.
+    crossed = (y < lo) | (y > hi)
+    assert np.all(lower[~crossed] == 0.0) and np.all(upper[~crossed] == 0.0)
     lo_b, hi_b = np.broadcast_to(lo, new.shape), np.broadcast_to(hi, new.shape)
     if penalty is None:
-        assert active is None
         assert np.all(new >= lo_b) and np.all(new <= hi_b)
         assert np.all(new[lower > 0.0] == lo_b[lower > 0.0])
         assert np.all(new[upper > 0.0] == hi_b[upper > 0.0])
     else:
-        assert active.shape == new.shape
-        assert np.all(lower[~active] == 0.0) and np.all(upper[~active] == 0.0)
         # A penalized node ends beyond its wall, up to rounding of the closed form.
         slack = 1e-12 * (1.0 + np.abs(lo_b) + np.abs(hi_b))
         assert np.all((new <= lo_b + slack)[lower > 0.0])
@@ -87,7 +88,7 @@ def test_step_matches_reference_solve(case):
     grid = prop.grid
     system = np.eye(grid.n + 1) - prop.dt * neumann_operator(grid, prop.alpha).dense()
     y = np.linalg.solve(system, np.atleast_2d(rhs).T).T.reshape(rhs.shape)
-    new, active = prop.step(rhs, lo, hi, penalty=penalty)
+    new = prop.step(rhs, lo, hi, penalty=penalty)
     expected = restored_reference(y, lo, hi, penalty_ratios(prop, penalty))
     assert np.max(np.abs(new - expected)) <= 1e-10 * (1.0 + np.max(np.abs(rhs)))
 
@@ -101,10 +102,8 @@ def test_step_restores_prop_solve_exactly(case):
         expected = restored_reference(y, lo, hi, penalty_ratios(prop, mode))
         buffer = np.empty_like(rhs)
         for out in (None, buffer):
-            new, active = prop.step(rhs, lo, hi, penalty=mode, out=out)
+            new = prop.step(rhs, lo, hi, penalty=mode, out=out)
             assert np.array_equal(new, expected)
-            if mode is not None:
-                assert np.array_equal(active, (y < lo) | (y > hi))
         assert np.array_equal(buffer, expected)
 
 
@@ -116,7 +115,7 @@ def test_nan_forcing_never_yields_a_finite_state(case, data):
     rhs = rhs.copy()
     rhs[spot] = np.nan
     for mode in both_modes(penalty):
-        new, _ = prop.step(rhs, lo, hi, penalty=mode)
+        new = prop.step(rhs, lo, hi, penalty=mode)
         # The solve spreads the NaN over its row; no restore may turn it in-band.
         row = new if new.ndim == 1 else new[spot[0]]
         assert not np.isfinite(row).any()
@@ -127,8 +126,8 @@ def test_nan_forcing_never_yields_a_finite_state(case, data):
 def test_step_is_a_contraction_in_the_forcing(case):
     prop, lo, hi, rhs, other, penalty = case
     gap_in = np.max(np.abs(rhs - other))
-    new, _ = prop.step(rhs, lo, hi, penalty=penalty)
-    new_other, _ = prop.step(other, lo, hi, penalty=penalty)
+    new = prop.step(rhs, lo, hi, penalty=penalty)
+    new_other = prop.step(other, lo, hi, penalty=penalty)
     assert np.max(np.abs(new - new_other)) <= gap_in * (1.0 + 1e-12) + 1e-14
 
 
@@ -137,9 +136,9 @@ def test_step_is_a_contraction_in_the_forcing(case):
 def test_batch_rows_step_like_single_states(case):
     prop, lo, hi, rhs, _, penalty = case
     batch = np.atleast_2d(rhs)
-    new, _ = prop.step(batch, lo, hi, penalty=penalty)
+    new = prop.step(batch, lo, hi, penalty=penalty)
     for row, expected in zip(batch, new):
-        single, _ = prop.step(row, lo, hi, penalty=penalty)
+        single = prop.step(row, lo, hi, penalty=penalty)
         assert np.max(np.abs(single - expected)) <= 1e-12
 
 
@@ -196,12 +195,12 @@ def test_spectral_path_matches_reference_solve(n):
     r1, r2 = prop.dt / 1e-3, prop.dt / 2e-3
     penalized = np.where(y < lo, (y + r1 * lo) / (1 + r1), y)
     penalized = np.where(y > hi, (y + r2 * hi) / (1 + r2), penalized)
+    assert np.any(y < lo) and np.any(y > hi)
     for penalty, expected in ((None, np.clip(y, lo, hi)), ((1e-3, 2e-3), penalized)):
-        new, active = prop.step(rhs, lo, hi, penalty=penalty)
-        assert np.any(new == lo) or np.any(active)
+        new = prop.step(rhs, lo, hi, penalty=penalty)
         assert relative_error(new, expected) <= 1e-12
         for row, stepped in zip(rhs, new):
-            single, _ = prop.step(row, lo, hi, penalty=penalty)
+            single = prop.step(row, lo, hi, penalty=penalty)
             assert np.array_equal(single, stepped)
 
 
