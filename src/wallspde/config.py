@@ -178,7 +178,8 @@ def build_coefficients(section: dict) -> CoefficientSpec:
     f_kind = _get(section, "coefficients.f")
     sigma_kind = _get(section, "coefficients.sigma")
 
-    if f_kind == "zero":
+    f_zero = f_kind == "zero"
+    if f_zero:
         c = 0.0
         f = lambda x, u: np.zeros_like(u)
         df = lambda x, u: np.zeros_like(u)
@@ -191,12 +192,15 @@ def build_coefficients(section: dict) -> CoefficientSpec:
             f = lambda x, u: c * np.sin(u)
             df = lambda x, u: c * np.cos(u)
 
+    profile = None
     if sigma_kind == "one":
+        profile = np.ones_like
         sigma = lambda x, u: np.ones_like(u)
         dsigma = lambda x, u: np.zeros_like(u)
         m = 1.0
     elif sigma_kind == "cosine_profile":
-        sigma = lambda x, u: 0.75 + 0.25 * np.cos(np.pi * x) + 0.0 * u
+        profile = lambda x: 0.75 + 0.25 * np.cos(np.pi * x)
+        sigma = lambda x, u: profile(x) + 0.0 * u
         dsigma = lambda x, u: np.zeros_like(u)
         m = 0.5
     else:
@@ -205,7 +209,10 @@ def build_coefficients(section: dict) -> CoefficientSpec:
         dsigma = lambda x, u: amp * np.cos(u)
         m = 1.0 - amp
 
-    return CoefficientSpec(f=f, sigma=sigma, alpha=alpha, lipschitz_c=c, sigma_min=m, df_du=df, dsigma_du=dsigma)
+    return CoefficientSpec(
+        f=f, sigma=sigma, alpha=alpha, lipschitz_c=c, sigma_min=m, df_du=df, dsigma_du=dsigma,
+        sigma_profile=profile, f_zero=f_zero,
+    )
 
 
 def build_walls(section: dict, grid: Grid) -> Walls:

@@ -12,6 +12,12 @@ production default) or by the closed-form implicit penalty (penalized mode);
 its restoring correction over dt, split after the last step by
 ``Propagator.restoring_forces``, gives the force densities.
 
+A ``CoefficientSpec`` may declare what the scheme can use before a run
+starts: ``sigma_profile``, a ``sigma`` that does not depend on u, and
+``f_zero``, an f that is zero.  ``_Scheme`` checks the declarations once,
+evaluates the profile once, and then calls neither callable where a
+declaration stands in for it; every value keeps its bits.
+
 Noise normalisation: each cell increment is N(0, dt*dx) and enters the drift
 as sigma * dW / dx.  Under trapezoid weights this reproduces the white-noise
 pairing at the interior nodes only; at the two end nodes (weight dx/2) it is
@@ -66,6 +72,11 @@ class CoefficientSpec:
     hypothesis (``f(x, 0) = 0`` and ``lipschitz_c < alpha``, checked by
     ``require_h``) makes 0 an exponentially attracting rest point with rate
     alpha - lipschitz_c.
+
+    Two optional declarations, both off by default, tell the scheme what it
+    need not evaluate per step: ``sigma_profile(x)`` is sigma for a sigma
+    that does not depend on u, and ``f_zero`` says that f is zero.
+    ``check_declarations`` holds them to sigma and f.
     """
 
     f: callable
@@ -75,6 +86,8 @@ class CoefficientSpec:
     sigma_min: float
     df_du: callable | None = None
     dsigma_du: callable | None = None
+    sigma_profile: callable | None = None
+    f_zero: bool = False
 
     @property
     def alpha1(self) -> float:
@@ -88,6 +101,23 @@ class CoefficientSpec:
                 "hypothesis H required: need f(x, 0) = 0 and lipschitz_c < alpha "
                 f"(c={self.lipschitz_c}, alpha={self.alpha})"
             )
+
+    def check_declarations(self, grid: Grid) -> np.ndarray | None:
+        """The declared sigma profile on ``grid`` (None when there is none); raises
+        unless it is a finite (n+1,) field equal to sigma(x, u) at two probe states
+        and, when ``f_zero`` is set, f(x, u) is +0.0 at the nonzero probe."""
+        x = grid.nodes
+        probes = (np.zeros(grid.n + 1), 0.25 + x)
+        profile = None
+        if self.sigma_profile is not None:
+            profile = check_field(grid, self.sigma_profile(x), "sigma_profile")
+            if not all(np.array_equal(profile, np.broadcast_to(self.sigma(x, u), profile.shape)) for u in probes):
+                raise ValueError("sigma_profile is declared, but sigma(x, u) differs from it")
+        if self.f_zero:
+            at_probe = np.asarray(self.f(x, probes[1]))
+            if np.any(at_probe != 0.0) or np.any(np.signbit(at_probe)):
+                raise ValueError("f_zero is declared, but f(x, u) is not +0.0")
+        return profile
 
 
 @dataclass(eq=False)
@@ -203,11 +233,20 @@ class _Scheme:
     weights at the interior nodes only: at the two end nodes it is O(dx) off
     the W metric of the action.  The propagator is built on first use, so
     ``residual``, the inverse, never builds one.
+
+    The coefficients' declarations are checked once, when the scheme is built.
+    With ``sigma_profile`` declared, sig is that profile, evaluated once, and
+    ``kicks`` turns a block of increments into kicks in place, so a step given
+    one of its rows only adds it.  With ``f_zero`` the explicit half-step is
+    state + 0.0: the add stays, because it maps -0.0 to +0.0, and ``kicks``
+    moves it onto the kick, since (s + 0.0) + k equals s + (k + 0.0) bit for
+    bit.  Each value keeps the bits that calling f and sigma would give it.
     """
 
     def __init__(self, coeffs: CoefficientSpec, grid: Grid, dt: float, prop: Propagator | None = None):
         self.coeffs, self.grid, self.dt = coeffs, grid, check_dt(dt)
         self.x, self.dx, self.f, self.sigma = grid.nodes, grid.dx, coeffs.f, coeffs.sigma
+        self.profile = coeffs.check_declarations(grid)
         if prop is not None:
             self.prop = prop
 
@@ -215,16 +254,35 @@ class _Scheme:
     def prop(self) -> Propagator:
         return Propagator(self.grid, self.coeffs.alpha, self.dt)
 
-    def step(self, state, walls, hdot=None, increment=None, eps=0.0, penalty=None, out=None, free=None, tape=None):
+    def _sig(self, state):
+        return self.sigma(self.x, state) if self.profile is None else self.profile
+
+    def kicks(self, increments, eps):
+        """Turn ``increments`` into the kicks eps*sig*dW/dx in place, with the
+        half-step's + 0.0 when f is zero, and return them; needs the declared
+        profile, and ``eps`` broadcasts against ``increments``."""
+        increments *= eps * self.profile
+        increments /= self.dx
+        if self.coeffs.f_zero:
+            increments += 0.0
+        return increments
+
+    def step(self, state, walls, hdot=None, increment=None, eps=0.0, penalty=None, out=None, free=None, tape=None,
+             kick=None):
         """One step, returning the new state from ``Propagator.step``; ``tape`` receives
-        sig.  The kick acts on the leading rows of ``state`` that ``increment`` covers
-        (``eps`` per row or for all), so a stack led by its noisy levels is one step."""
+        sig.  The noise acts on the leading rows of ``state`` that ``increment`` covers
+        (``eps`` per row or for all), or that ``kick``, a row of ``kicks``' block, covers
+        in place of both, so a stack led by its noisy levels is one step."""
         x, dt = self.x, self.dt
         forcing = rows = None
-        if hdot is not None or increment is not None:
+        if kick is not None:
+            if self.coeffs.f_zero and len(kick) == len(state):
+                return self.prop.step(state + kick, walls.k1, walls.k2, penalty, out, free)
+            forcing, rows = kick, slice(len(kick))
+        elif hdot is not None or increment is not None:
             if increment is not None and len(increment) < len(state):
                 rows = slice(len(increment))
-            sig = self.sigma(x, state if rows is None else state[rows])
+            sig = self._sig(state if rows is None else state[rows])
             if tape is not None:
                 tape[...] = sig
             if hdot is not None:
@@ -232,7 +290,7 @@ class _Scheme:
             if increment is not None:
                 kick = eps * sig * increment / self.dx
                 forcing = kick if forcing is None else forcing + kick
-        rhs = state + dt * self.f(x, state)
+        rhs = state + 0.0 if self.coeffs.f_zero else state + dt * self.f(x, state)
         if rows is not None:
             rhs[rows] += forcing
         elif forcing is not None:
@@ -256,15 +314,25 @@ class _Scheme:
         return Trajectory(SpaceTimeField(grid, times, u), LocalTime(grid, times, eta), LocalTime(grid, times, xi))
 
     def linearization(self, states, hdot):
-        """A step's derivative in the old state, 1 + dt*df_du + dt*dsigma_du*hdot, at each of ``states``."""
+        """A step's derivative in the old state, 1 + dt*df_du + dt*dsigma_du*hdot, at each
+        of ``states``.  A declaration drops the term it makes zero: adding that term's
+        zeros to a sum that starts at 1.0 changes no bit."""
         x, dt = self.x, self.dt
-        return 1.0 + dt * self.coeffs.df_du(x, states) + dt * self.coeffs.dsigma_du(x, states) * hdot
+        factor = np.ones_like(states) if self.coeffs.f_zero else 1.0 + dt * self.coeffs.df_du(x, states)
+        if self.profile is None:
+            factor = factor + dt * self.coeffs.dsigma_du(x, states) * hdot
+        return factor
 
     def residual(self, prev, new):
         """sig and the residual (new - prev)/dt - A new - f(x, prev) of steps from
-        ``prev`` to ``new``: sig*hdot plus the lower force density minus the upper."""
+        ``prev`` to ``new``: sig*hdot plus the lower force density minus the upper.
+        A declared profile comes back as the (n+1,) sig of every step, and with
+        ``f_zero`` no f is subtracted (subtracting +0.0 changes no bit)."""
         op = neumann_operator(self.grid, self.coeffs.alpha)
-        return self.sigma(self.x, prev), (new - prev) / self.dt - op.apply(new) - self.f(self.x, prev)
+        residual = (new - prev) / self.dt - op.apply(new)
+        if not self.coeffs.f_zero:
+            residual -= self.f(self.x, prev)
+        return self._sig(prev), residual
 
 
 def step_penalized(

@@ -200,8 +200,6 @@ class Walls:
             raise ValueError("lower wall must be negative everywhere (K1 < 0)")
         if not np.all(self.k2 > 0.0):
             raise ValueError("upper wall must be positive everywhere (K2 > 0)")
-        if np.min(self.k2 - self.k1) <= 0.0:
-            raise ValueError("walls must be separated (min gap > 0)")
 
     def contains(self, values: np.ndarray, tol: float = 0.0) -> bool:
         return bool(np.all(values >= self.k1 - tol) and np.all(values <= self.k2 + tol))

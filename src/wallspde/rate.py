@@ -280,9 +280,10 @@ class _ActionProblem:
     free (pre-clip) value lies in [k1, k2] and 0 where a wall restores it,
     exact off the measure-zero set where a free value sits on a wall.
     ``forward`` returns the states, these 0/1 slopes and the sigma rows it
-    used; ``value_and_grad`` takes the scheme's linearization once on the
-    stored states and folds the slopes into it, so its reverse loop is only
-    a transposed solve and a scale per step.  It keeps the last evaluated
+    used (the declared profile, when there is one); ``value_and_grad`` takes
+    the scheme's linearization once on the stored states and folds the
+    slopes into it, so its reverse loop is only a transposed solve and a
+    scale per step.  It keeps the last evaluated
     point and its terminal state, so ``terminal`` at that point costs no
     forward pass.
 
@@ -318,11 +319,13 @@ class _ActionProblem:
     def forward(self, u0, h):
         states = np.empty((self.steps + 1, self.n1))
         free = np.empty((self.steps, self.n1))
-        sig = np.empty((self.steps, self.n1))
+        # A declared sigma profile is every step's sig, so nothing is taped.
+        sig = self.scheme.profile
+        tape = np.empty((self.steps, self.n1)) if sig is None else None
         states[0] = u0
-        self.scheme.march(states, self.walls, hdot=h, free=free, tape=sig)
+        self.scheme.march(states, self.walls, hdot=h, free=free, tape=tape)
         slopes = (self.walls.k1 <= free) & (free <= self.walls.k2)
-        return states, slopes, sig
+        return states, slopes, sig if tape is None else tape
 
     def terminal(self, z):
         """The path's terminal state for the control z."""

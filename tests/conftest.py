@@ -2,11 +2,15 @@ import dataclasses
 
 import numpy as np
 
+from wallspde.config import build_coefficients
 from wallspde.dynamics import CoefficientSpec
+
+# Every registry (f kind, sigma kind) pair that config.build_coefficients builds.
+REGISTRY_KINDS = [(f, sigma) for f in ("zero", "linear", "sinusoidal") for sigma in ("one", "cosine_profile", "state_modulated")]
 
 
 def coeffs_zero(alpha):
-    """f = 0, sigma = 1."""
+    """f = 0, sigma = 1, declared as ``config.build_coefficients`` declares them."""
     return CoefficientSpec(
         f=lambda x, u: np.zeros_like(u),
         sigma=lambda x, u: np.ones_like(u),
@@ -15,6 +19,8 @@ def coeffs_zero(alpha):
         sigma_min=1.0,
         df_du=lambda x, u: np.zeros_like(u),
         dsigma_du=lambda x, u: np.zeros_like(u),
+        sigma_profile=np.ones_like,
+        f_zero=True,
     )
 
 
@@ -83,3 +89,16 @@ def counting(coeffs):
         return call
 
     return dataclasses.replace(coeffs, **{name: counted(name, getattr(coeffs, name)) for name in calls}), calls
+
+
+def registry_coeffs(alpha, f_kind, sigma_kind, c=1.5, amp=0.3):
+    """``config.build_coefficients`` for one registry pair, with its declarations."""
+    section = {"alpha": alpha, "f": f_kind, "sigma": sigma_kind, "sigma_amplitude": amp}
+    if f_kind != "zero":
+        section["c"] = c
+    return build_coefficients(section)
+
+
+def undeclared(coeffs):
+    """``coeffs`` with its declarations stripped, so the scheme calls f and sigma at every step."""
+    return dataclasses.replace(coeffs, sigma_profile=None, f_zero=False)

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import wallspde.dynamics as dynamics
 import wallspde.lattice as lattice
-from conftest import coeffs_linear, coeffs_sin, coeffs_sin_statesigma, coeffs_zero, counting
+from conftest import (
+    REGISTRY_KINDS, coeffs_linear, coeffs_sin, coeffs_sin_statesigma, coeffs_zero, counting, registry_coeffs, undeclared,
+)
 from wallspde.dynamics import (
     Control,
     NoiseRealization,
@@ -190,6 +194,80 @@ def test_each_step_calls_f_once_and_sigma_once_when_driven(run, steps, sigma_cal
     coeffs, calls = counting(coeffs_sin_statesigma(2.0, 0.5))
     run(0.1 * np.cos(np.pi * grid.nodes), control, coeffs, Walls.constant(grid, -0.2, 0.3))
     assert calls == {"f": steps, "sigma": sigma_calls, "df_du": 0, "dsigma_du": 0}
+
+
+@pytest.mark.parametrize("f_kind, sigma_kind", REGISTRY_KINDS)
+def test_declared_coefficients_keep_the_undeclared_bits(f_kind, sigma_kind):
+    # The declared spec skips f and sigma; the stripped one calls them at every step.
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.2, 0.3)
+    u0 = 0.1 * np.cos(np.pi * grid.nodes)
+    control = Control.from_function(grid, 0.05, 1e-3, lambda x, t: 50.0 * np.cos(np.pi * x) * (t < 0.03))
+    declared = registry_coeffs(4.0, f_kind, sigma_kind)
+    runs = [
+        lambda c: solve_spde(u0, 0.8, c, walls, 0.05, 1e-3, seed=5),
+        lambda c: solve_skeleton(u0, control, c, walls, 0.05, 1e-3),
+        lambda c: solve_skeleton(u0, control, c, walls, 0.05, 1e-3, mode="penalized"),
+    ]
+    for run in runs:
+        got, want = run(declared), run(undeclared(declared))
+        assert got.eta.total_mass > 0.0 and got.xi.total_mass > 0.0
+        assert got.u.values.tobytes() == want.u.values.tobytes()
+        assert got.eta.density.tobytes() == want.eta.density.tobytes()
+        assert got.xi.density.tobytes() == want.xi.density.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 512], ids=["dense", "banded"])
+def test_kicks_keep_the_sign_of_zero(n):
+    # With f = 0 the half-step state + 0.0 maps -0.0 to +0.0.  A kick from
+    # _Scheme.kicks carries that add, so a -0.0 state kicked by -0.0 still
+    # gives the stripped spec's rhs; the banded solve shows its sign.
+    grid = build_grid(n)
+    walls = Walls.constant(grid, -1.0, 1.0)
+    declared = registry_coeffs(2.0, "zero", "one")
+    state = np.full((2, grid.n + 1), -0.0)
+    increments = np.full((2, grid.n + 1), -0.0)
+    increments[1] = np.linspace(-1.0, 1.0, grid.n + 1)
+    eps = np.array([[0.5], [0.3]])
+    scheme = dynamics._Scheme(declared, grid, 1e-3)
+    got = scheme.step(state, walls, kick=scheme.kicks(increments.copy(), eps))
+    want = dynamics._Scheme(undeclared(declared), grid, 1e-3).step(state, walls, increment=increments, eps=eps)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_declared_coefficients_are_not_called_per_step():
+    # A declaration is checked once per scheme: the profile against two sigma
+    # probes, f_zero against one f probe.
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.2, 0.3)
+    u0 = 0.1 * np.cos(np.pi * grid.nodes)
+    coeffs, calls = counting(registry_coeffs(2.0, "zero", "cosine_profile"))
+    solve_spde(u0, 0.3, coeffs, walls, 0.02, 1e-3, seed=3)
+    assert calls == {"f": 1, "sigma": 2, "df_du": 0, "dsigma_du": 0}
+    coeffs, calls = counting(registry_coeffs(2.0, "sinusoidal", "one"))
+    solve_spde(u0, 0.3, coeffs, walls, 0.02, 1e-3, seed=3)
+    assert calls == {"f": 20, "sigma": 2, "df_du": 0, "dsigma_du": 0}
+
+
+@pytest.mark.parametrize(
+    "declaration, message",
+    [
+        # sigma = 1 + 0.3 sin(u) equals ones at u = 0, so the second probe catches it.
+        (dict(sigma_profile=np.ones_like), "sigma_profile is declared, but sigma"),
+        (dict(sigma_profile=lambda x: np.ones(len(x) - 1)), r"sigma_profile must be a finite field of shape \(17,\)"),
+        (dict(sigma_profile=lambda x: np.full_like(x, np.nan)), "sigma_profile must be a finite field"),
+        (dict(f_zero=True), "f_zero is declared, but f"),
+        # f = -0.0 would keep a -0.0 state that the declared half-step state + 0.0 maps to +0.0.
+        (dict(f=lambda x, u: np.full_like(u, -0.0), f_zero=True), "f_zero is declared, but f"),
+    ],
+    ids=["profile_of_a_state_sigma", "profile_wrong_shape", "profile_not_finite", "f_zero_of_a_nonzero_f", "f_zero_of_minus_zero"],
+)
+def test_a_false_declaration_raises(declaration, message):
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.2, 0.3)
+    coeffs = dataclasses.replace(coeffs_sin_statesigma(2.0, 0.5), **declaration)
+    with pytest.raises(ValueError, match=message):
+        solve_spde(np.zeros(grid.n + 1), 0.3, coeffs, walls, 0.02, 1e-3, seed=3)
 
 
 @pytest.mark.parametrize(

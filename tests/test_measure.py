@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import wallspde.measure
-from conftest import coeffs_sin, coeffs_sin_statesigma, coeffs_zero, counting
+from conftest import REGISTRY_KINDS, coeffs_sin, coeffs_sin_statesigma, coeffs_zero, counting, registry_coeffs, undeclared
 from oracles import sample_stationary_gaussian, wilson_reference
 from wallspde.dynamics import CoefficientSpec, solve_spde
 from wallspde.lattice import Propagator, Walls, build_grid, holder_norm
@@ -79,6 +79,29 @@ def test_sampler_calls_f_once_per_step_and_sigma_once_per_noisy_step(eps, sigma_
     steps = 200 + 3 * 5
     # require_h evaluates f once at zero before the first step.
     assert calls == {"f": steps + 1, "sigma": sigma_per_step * steps, "df_du": 0, "dsigma_du": 0}
+
+
+# 215 steps: 200 of burn-in, then 3 rounds of 5.  require_h calls f once;
+# the declarations are checked once, sigma at two probes and f_zero's f at one.
+@pytest.mark.parametrize("f_kind, f_calls", [("zero", 1 + 1), ("sinusoidal", 1 + 215)])
+def test_sampler_calls_no_declared_coefficient_per_step(f_kind, f_calls):
+    grid = build_grid(16)
+    coeffs, calls = counting(registry_coeffs(4.0, f_kind, "cosine_profile"))
+    plan = SamplingPlan(burn_in=2.0, thin=0.05, count=6)
+    sample_invariant(coeffs, Walls.constant(grid, -0.3, 0.4), 0.5, plan, seeds=[1, 2], dt=1e-2)
+    assert calls == {"f": f_calls, "sigma": 2, "df_du": 0, "dsigma_du": 0}
+
+
+@pytest.mark.parametrize("f_kind, sigma_kind", REGISTRY_KINDS)
+def test_declared_sampler_keeps_the_undeclared_bits(f_kind, sigma_kind):
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.3, 0.4)
+    declared = registry_coeffs(4.0, f_kind, sigma_kind)
+    plan = SamplingPlan(burn_in=2.1, thin=0.07, count=11)
+    got = sample_invariant(declared, walls, 0.8, plan, seeds=[3, 4, 5], dt=1e-2)
+    want = sample_invariant(undeclared(declared), walls, 0.8, plan, seeds=[3, 4, 5], dt=1e-2)
+    assert np.any(got.samples == walls.k1) and np.any(got.samples == walls.k2)
+    assert got.samples.tobytes() == want.samples.tobytes()
 
 
 def test_zero_noise_collapses_to_attractor():
@@ -475,6 +498,26 @@ def test_stacked_rounds_keep_the_per_level_bits(name):
         assert got.tobytes() == want.tobytes()
         alone = sample_invariant(case["coeffs"], case["walls"], eps, plan, seeds, dt=dt)
         assert alone.samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("f_kind, sigma_kind", REGISTRY_KINDS)
+@pytest.mark.parametrize("name", sorted(STACK_CASES))
+def test_declared_stacked_rounds_keep_the_undeclared_bits(name, f_kind, sigma_kind):
+    # The case's stack (one case ends in a noiseless level) with registry
+    # coefficients, declared and stripped of their declarations.
+    _, case = stack_case(name)
+    dt, chains = 1e-2, case["chains"]
+    levels = [
+        (eps, plan, tuple(57 + 1000 * i + j for j in range(chains)))
+        for i, (eps, plan) in enumerate(zip(case["eps"], case["plans"]))
+    ]
+    declared = registry_coeffs(case["coeffs"].alpha, f_kind, sigma_kind)
+    runs = [
+        [(level, r, rows.tobytes()) for level, r, rows in wallspde.measure._rounds(coeffs, case["walls"], levels, dt)]
+        for coeffs in (declared, undeclared(declared))
+    ]
+    assert len(runs[0]) == sum(-(-plan.count // chains) for plan in case["plans"])
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("name", sorted(STACK_CASES))

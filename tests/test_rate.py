@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from conftest import coeffs_linear, coeffs_sin, coeffs_sin_statesigma, coeffs_zero, counting
+from conftest import (
+    REGISTRY_KINDS, coeffs_linear, coeffs_sin, coeffs_sin_statesigma, coeffs_zero, counting, registry_coeffs, undeclared,
+)
 from oracles import discrete_lq_min_action, ou_mode_quasipotential
 import wallspde.rate as rate_module
 from wallspde.dynamics import Control, sample_noise, solve_deterministic, solve_skeleton, solve_spde
@@ -450,6 +452,32 @@ def test_adjoint_gradient_matches_finite_differences_at_binding_walls(free_start
             fd = (problem.value_and_grad(z + h * d)[0] - problem.value_and_grad(z - h * d)[0]) / (2.0 * h)
             an = float(grad @ d)
             assert abs(fd - an) / max(abs(fd), 1e-12) <= 1e-4
+
+
+@pytest.mark.parametrize("f_kind, sigma_kind", REGISTRY_KINDS)
+def test_declared_coefficients_keep_the_undeclared_rates_and_gradients(f_kind, sigma_kind):
+    # A noisy path in contact with both walls, recovered and priced, and the
+    # optimizer's value and gradient at a control that drives it onto them.
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.12, 0.12)
+    declared = registry_coeffs(2.0, f_kind, sigma_kind)
+    stripped = undeclared(declared)
+    path = solve_spde(np.zeros(grid.n + 1), 1.0, declared, walls, 0.1, 2e-3, seed=11).u
+    assert rate_I(path, 0.0, 0.1, declared, walls) == rate_I(path, 0.0, 0.1, stripped, walls) < math.inf
+    assert rate_S(path, 0.0, 0.1, declared) == rate_S(path, 0.0, 0.1, stripped)
+    got, want = recover_control(path, declared, walls, 2e-3), recover_control(path, stripped, walls, 2e-3)
+    for a, b in ((got.hdot.values, want.hdot.values), (got.eta.density, want.eta.density), (got.residual, want.residual)):
+        assert a.tobytes() == b.tobytes()
+    assert np.any(path.values == walls.k1) and np.any(path.values == walls.k2)
+    steps = 12
+    z = np.tile(8.0 * np.cos(np.pi * grid.nodes), steps)
+    results = []
+    for coeffs in (declared, stripped):
+        problem = _ActionProblem(coeffs, walls, 0.02, steps, 0.1 * np.ones(grid.n + 1))
+        problem.w_pen, problem.mu = 1e3, np.linspace(-1.0, 1.0, grid.n + 1)
+        value, grad = problem.value_and_grad(z)
+        results.append((value, grad.tobytes()))
+    assert results[0] == results[1]
 
 
 def test_optimizer_calls_each_coefficient_once_per_step_or_gradient():
