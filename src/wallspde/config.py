@@ -327,7 +327,8 @@ def build_optimizer_options(cfg: dict) -> OptimizerOptions:
 def build_diagnose(cfg: dict, grid: Grid, coeffs: CoefficientSpec, walls: Walls) -> dict:
     """``ldp_scaling_curve`` inputs (targets, eps_schedule, plans, base_seed,
     dt, chains) plus the tightness probe's gamma, radii and seeds.  The probe
-    runs chains ``base_seed + 9000 + j``; no seed of the run may repeat."""
+    is seeded as one more level of the schedule, ``_level_seeds``' level L for
+    L levels; no seed of the run may repeat."""
     section = _need(cfg, "diagnose")
     targets = []
     for i, entry in enumerate(_get(section, "diagnose.targets")):
@@ -344,14 +345,11 @@ def build_diagnose(cfg: dict, grid: Grid, coeffs: CoefficientSpec, walls: Walls)
         plans = _plan_per_level([SamplingPlan.default(coeffs, count) for count in counts], len(schedule))
     given = {key: _get(section, f"diagnose.{key}") for key in ("base_seed", "dt", "chains", "gamma", "radii")}
     base_seed, chains = given["base_seed"], given["chains"]
-    streams = _level_seeds(base_seed, len(schedule), chains)
+    probed = given["gamma"] is not None
+    streams = _level_seeds(base_seed, len(schedule) + probed, chains)
     with _naming("diagnose.chains"):
         _check_streams(*streams)
-    probe_seeds = None
-    if given["gamma"] is not None:
-        probe_seeds = tuple(base_seed + 9000 + j for j in range(chains))
-        with _naming("diagnose.eps_schedule/diagnose.chains"):
-            _check_streams(*streams, probe_seeds)
+    probe_seeds = streams[-1] if probed else None
     return {"targets": targets, "eps_schedule": schedule, "plans": plans, "probe_seeds": probe_seeds, **given}
 
 

@@ -4,8 +4,9 @@ Four flavours share one step: the controlled (skeleton) equation, its
 penalized approximation, the zero-control flow, and the stochastic equation
 driven by discretized space-time white noise.  The step is written once, in
 the private ``_Scheme`` that these solvers, the sampler in ``measure`` and
-the optimizer in ``rate`` call: it adds the explicit reaction, drive and
-noise terms to the previous state and hands the result to
+the optimizer in ``rate`` call: it adds the explicit reaction and drive
+terms and the noise, always as a kick that ``_Scheme.kicks`` builds, to the
+previous state and hands the result to
 ``lattice.Propagator.step``, which does the implicit linear solve and
 restores the walls by clipping onto [K1, K2] (projected mode, the
 production default) or by the closed-form implicit penalty (penalized mode);
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -54,7 +55,6 @@ __all__ = [
     "NoiseRealization",
     "Trajectory",
     "sample_noise",
-    "step_penalized",
     "solve_skeleton",
     "solve_deterministic",
     "solve_spde",
@@ -228,27 +228,26 @@ class _Scheme:
     """The semi-implicit scheme on one (coeffs, grid, dt); its arithmetic is written only here.
 
     A step hands ``Propagator.step`` the right-hand side state + dt*f(x, state)
-    plus the sum of the drive dt*sig*hdot and the kick eps*sig*dW/dx, with
-    sig = sigma(x, state).  The kick pairs as white noise does under trapezoid
-    weights at the interior nodes only: at the two end nodes it is O(dx) off
-    the W metric of the action.  The propagator is built on first use, so
-    ``residual``, the inverse, never builds one.
+    plus the drive dt*sig*hdot, with sig = sigma(x, state), and a kick.  Noise
+    enters a step only as a kick from ``kicks``, eps*sig*dW/dx, which pairs as
+    white noise does under trapezoid weights at the interior nodes only: at
+    the two end nodes it is O(dx) off the W metric of the action.  The
+    propagator is built on first use, so ``residual``, the inverse, never
+    builds one.
 
     The coefficients' declarations are checked once, when the scheme is built.
     With ``sigma_profile`` declared, sig is that profile, evaluated once, and
-    ``kicks`` turns a block of increments into kicks in place, so a step given
-    one of its rows only adds it.  With ``f_zero`` the explicit half-step is
-    state + 0.0: the add stays, because it maps -0.0 to +0.0, and ``kicks``
-    moves it onto the kick, since (s + 0.0) + k equals s + (k + 0.0) bit for
-    bit.  Each value keeps the bits that calling f and sigma would give it.
+    ``kicks`` turns a whole block of increments into kicks.  With ``f_zero``
+    the explicit half-step is state + 0.0: the add stays, because it maps
+    -0.0 to +0.0, and ``kicks`` moves it onto the kick, since (s + 0.0) + k
+    equals s + (k + 0.0) bit for bit.  Each value keeps the bits that calling
+    f and sigma would give it.
     """
 
-    def __init__(self, coeffs: CoefficientSpec, grid: Grid, dt: float, prop: Propagator | None = None):
+    def __init__(self, coeffs: CoefficientSpec, grid: Grid, dt: float):
         self.coeffs, self.grid, self.dt = coeffs, grid, check_dt(dt)
         self.x, self.dx, self.f, self.sigma = grid.nodes, grid.dx, coeffs.f, coeffs.sigma
         self.profile = coeffs.check_declarations(grid)
-        if prop is not None:
-            self.prop = prop
 
     @cached_property
     def prop(self) -> Propagator:
@@ -257,52 +256,46 @@ class _Scheme:
     def _sig(self, state):
         return self.sigma(self.x, state) if self.profile is None else self.profile
 
-    def kicks(self, increments, eps):
-        """Turn ``increments`` into the kicks eps*sig*dW/dx in place, with the
-        half-step's + 0.0 when f is zero, and return them; needs the declared
-        profile, and ``eps`` broadcasts against ``increments``."""
-        increments *= eps * self.profile
-        increments /= self.dx
+    def kicks(self, increments, eps, state=None, out=None):
+        """The kicks eps*sig*dW/dx of ``increments``, with the half-step's + 0.0 when
+        f is zero, written into ``out`` (a new array when it is None).  With the
+        declared profile ``increments`` may be a block of any leading shape;
+        otherwise sig is evaluated at ``state``, the rows the kicks act on.
+        ``eps`` broadcasts against ``increments``."""
+        scale = eps * self._sig(state)
+        kick = scale * increments if out is None else np.multiply(scale, increments, out=out)
+        kick /= self.dx
         if self.coeffs.f_zero:
-            increments += 0.0
-        return increments
+            kick += 0.0
+        return kick
 
-    def step(self, state, walls, hdot=None, increment=None, eps=0.0, penalty=None, out=None, free=None, tape=None,
-             kick=None):
+    def step(self, state, walls, hdot=None, kick=None, penalty=None, out=None, free=None, tape=None):
         """One step, returning the new state from ``Propagator.step``; ``tape`` receives
-        sig.  The noise acts on the leading rows of ``state`` that ``increment`` covers
-        (``eps`` per row or for all), or that ``kick``, a row of ``kicks``' block, covers
-        in place of both, so a stack led by its noisy levels is one step."""
-        x, dt = self.x, self.dt
-        forcing = rows = None
-        if kick is not None:
-            if self.coeffs.f_zero and len(kick) == len(state):
-                return self.prop.step(state + kick, walls.k1, walls.k2, penalty, out, free)
-            forcing, rows = kick, slice(len(kick))
-        elif hdot is not None or increment is not None:
-            if increment is not None and len(increment) < len(state):
-                rows = slice(len(increment))
-            sig = self._sig(state if rows is None else state[rows])
+        the sig of the drive.  ``kick``, from ``kicks``, acts on the leading rows of
+        ``state`` that it covers, so a stack led by its noisy levels is one step."""
+        f_zero = self.coeffs.f_zero
+        if f_zero and hdot is None and kick is not None and len(kick) == len(state):
+            return self.prop.step(state + kick, walls.k1, walls.k2, penalty, out, free)
+        rhs = state + 0.0 if f_zero else state + self.dt * self.f(self.x, state)
+        if hdot is not None:
+            sig = self._sig(state)
             if tape is not None:
                 tape[...] = sig
-            if hdot is not None:
-                forcing = dt * sig * hdot
-            if increment is not None:
-                kick = eps * sig * increment / self.dx
-                forcing = kick if forcing is None else forcing + kick
-        rhs = state + 0.0 if self.coeffs.f_zero else state + dt * self.f(x, state)
-        if rows is not None:
-            rhs[rows] += forcing
-        elif forcing is not None:
-            rhs += forcing
+            rhs += self.dt * sig * hdot
+        if kick is not None:
+            lead = rhs if len(kick) == len(rhs) else rhs[: len(kick)]
+            lead += kick
         return self.prop.step(rhs, walls.k1, walls.k2, penalty, out, free)
 
     def march(self, u, walls, hdot=None, increments=None, eps=0.0, penalty=None, free=None, tape=None):
         """Step row 0 of the path ``u`` into its later rows; step k takes row k of ``hdot``
-        and ``increments`` and fills row k of ``free`` and ``tape``."""
-        step, per_step = self.step, [repeat(None) if a is None else a for a in (hdot, increments, free, tape)]
+        and ``increments``, kicked by ``kicks`` at its state, and fills row k of ``free``
+        and ``tape``."""
+        step, kicks = self.step, self.kicks
+        per_step = [repeat(None) if a is None else a for a in (hdot, increments, free, tape)]
         for k, h, inc, fr, tp in zip(range(len(u) - 1), *per_step):
-            step(u[k], walls, h, inc, eps, penalty, u[k + 1], fr, tp)
+            kick = None if inc is None else kicks(inc, eps, u[k])
+            step(u[k], walls, h, kick, penalty, u[k + 1], fr, tp)
 
     def trajectory(self, u0, walls, times, **drive) -> Trajectory:
         """March u0 across ``times`` (``drive`` as for ``march``) with its force densities."""
@@ -333,41 +326,6 @@ class _Scheme:
         if not self.coeffs.f_zero:
             residual -= self.f(self.x, prev)
         return self._sig(prev), residual
-
-
-def step_penalized(
-    state: np.ndarray,
-    walls: Walls,
-    delta: float,
-    eps_pen: float,
-    coeffs: CoefficientSpec,
-    dt: float,
-    hdot: np.ndarray | None = None,
-    noise_increment: np.ndarray | None = None,
-    eps_noise: float = 0.0,
-) -> np.ndarray:
-    """One semi-implicit penalized step.
-
-    The stiff restoring terms (u - K1)^- / delta and (u - K2)^+ / eps_pen are
-    integrated implicitly per node, which stays stable for arbitrarily small
-    penalty parameters; reaction, control, and noise enter explicitly at the
-    old state.  ``state``, ``hdot`` and ``noise_increment`` must be finite
-    (n+1,) fields.
-    """
-    grid = walls.grid
-    state = check_field(grid, state, "state")
-    hdot = None if hdot is None else check_field(grid, hdot, "hdot")
-    noise_increment = None if noise_increment is None else check_field(grid, noise_increment, "noise_increment")
-    check_penalty(delta, eps_pen)
-    eps_noise = check_level(eps_noise)
-    scheme = _Scheme(coeffs, grid, dt, _cached_propagator(grid, coeffs.alpha, dt))
-    return scheme.step(state, walls, hdot, noise_increment, eps_noise, penalty=(delta, eps_pen))
-
-
-@lru_cache(maxsize=8)
-def _cached_propagator(grid: Grid, alpha: float, dt: float) -> Propagator:
-    """One propagator per (grid, alpha, dt), so repeated single steps build it once."""
-    return Propagator(grid, alpha, dt)
 
 
 def solve_skeleton(

@@ -164,9 +164,11 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
     Each level's chains draw from their own seeds' streams in blocks that
     share a buffer of ``_NOISE_VALUES`` values (one step's worth when a step
     needs more), and a block never runs past the next level to finish, so no
-    stream is drawn beyond its level's last step.  With a declared sigma
-    profile ``_Scheme.kicks`` turns each block into kicks in the same buffer,
-    so no step evaluates sigma or builds a kick.  Chunked draws continue
+    stream is drawn beyond its level's last step.  Noise enters a step only
+    as a kick from ``_Scheme.kicks``: with a declared sigma profile it turns
+    each block into kicks in the same buffer, so no step evaluates sigma or
+    builds a kick; otherwise each step's kick is built at the noisy levels'
+    states, the rows it acts on.  Chunked draws continue
     each stream exactly as one draw would, and every per-level operation
     has the same operands as when the level is sampled alone, so the rows
     are bit-identical to per-level sampling.
@@ -174,10 +176,7 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
     grid = walls.grid
     n1 = grid.n + 1
     scheme = _Scheme(coeffs, grid, dt)
-    advance = scheme.step
-    # With a declared sigma profile a block of noise turns into kicks once, in
-    # place, and a step only adds its row; otherwise a step kicks with sigma.
-    noise_key = "increment" if scheme.profile is None else "kick"
+    advance, declared = scheme.step, scheme.profile is not None
     scale = increment_scale(grid, dt)
     chains = len(levels[0][2])
     burn = [round(plan.burn_in / dt) for _, plan, _ in levels]
@@ -206,10 +205,13 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
                 for rng, buf in zip(rngs[active[i]], noise[i]):
                     rng.standard_normal(out=buf[:block])
             noise[:, :, :block] *= scale
-            if noisy and noise_key == "kick":
-                scheme.kicks(noise[:, :, :block], eps[..., None])
+            if noisy and declared:
+                scheme.kicks(noise[:, :, :block], eps[..., None], out=noise[:, :, :block])
             for k in range(block):
-                advance(state, walls, eps=eps, out=state, **{noise_key: noise[:, :, k] if noisy else None})
+                kick = None
+                if noisy:
+                    kick = noise[:, :, k] if declared else scheme.kicks(noise[:, :, k], eps, state[:noisy])
+                advance(state, walls, kick=kick, out=state)
                 step += 1
                 if step < next_keep:
                     continue

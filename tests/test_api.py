@@ -44,7 +44,6 @@ PUBLIC = [
     "solve_obstacle",
     "solve_skeleton",
     "solve_spde",
-    "step_penalized",
     "tightness_probe",
     "wilson_interval",
 ]

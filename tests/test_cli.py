@@ -151,14 +151,6 @@ CORPUS = [
     ("seeds_repeated", "invariant", base_cfg(sampling={"count": 10, "eps": 0.2, "seeds": [5, 5]}), "sampling.seeds", False),
     # Level i seeds base_seed + 1000*i + j: chain 1000 of level 0 would be chain 0 of level 1.
     ("chains_over_1000", "diagnose", diagnose_cfg(chains=1001), "diagnose.chains", False),
-    # The gamma probe's seeds base_seed + 9000 + j are the tenth level's.
-    (
-        "probe_seeds_of_level_9",
-        "diagnose",
-        diagnose_cfg(eps_schedule=[0.5 - 0.04 * i for i in range(10)], counts=[10] * 10, gamma=0.4),
-        "diagnose.eps_schedule",
-        False,
-    ),
 ]
 
 
@@ -424,6 +416,17 @@ def test_diagnose_catalog_uses_the_optimizer_section(tmp_path):
     run = build_run(cfg, "diagnose")
     assert run.opts.horizons == (0.5,) and run.opts.maxiter == 3
     assert j_star == pytest.approx(quasipotential_J(run.targets[0][0], run.coeffs, run.walls, run.opts).value, rel=1e-9)
+
+
+def test_diagnose_probe_runs_beside_ten_levels(tmp_path):
+    # The probe used seeds base_seed + 9000 + j, level 9's, so ten levels exited 2.
+    cfg = diagnose_cfg(eps_schedule=[0.5 - 0.04 * i for i in range(10)], counts=[10] * 10, gamma=0.4)
+    cfg["optimizer"] = {"horizons": [0.5], "dt": 0.05, "maxiter": 3}
+    run = build_run(cfg, "diagnose")
+    assert run.probe_seeds == (200 + 10_000, 200 + 10_001)
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out), "--deterministic"]) == 0
+    assert json.loads((out / "diagnostics.json").read_text())["tightness"] is not None
 
 
 def test_path_cap_admits_the_largest_path():

@@ -16,7 +16,6 @@ from wallspde.dynamics import (
     solve_deterministic,
     solve_skeleton,
     solve_spde,
-    step_penalized,
 )
 from wallspde.lattice import Walls, backward_euler_inverse, build_grid, heat_kernel
 
@@ -74,50 +73,21 @@ def test_noise_rejects_bad_args():
 # ---------------------------------------------------------------- penalized step
 
 
+def one_penalized_step(state, coeffs, walls, dt, delta, eps_pen):
+    """The state after one step of ``solve_skeleton`` in penalized mode, with no control."""
+    return solve_skeleton(state, None, coeffs, walls, dt, dt, mode="penalized", delta=delta, eps_pen=eps_pen).u.values[1]
+
+
 def test_penalized_step_inactive_inside_band():
     grid = build_grid(16)
     walls = Walls.constant(grid, -1.0, 1.0)
     coeffs = coeffs_sin(2.0, 0.5)
     dt = 1e-3
     state = 0.4 * np.cos(np.pi * grid.nodes)
-    stepped = step_penalized(state, walls, 1e-3, 1e-3, coeffs, dt)
+    stepped = one_penalized_step(state, coeffs, walls, dt, 1e-3, 1e-3)
     prop = backward_euler_inverse(grid, coeffs.alpha, dt)
     free = prop @ (state + dt * coeffs.f(grid.nodes, state))
     assert np.max(np.abs(stepped - free)) <= 1e-14
-
-
-def test_penalized_steps_build_the_propagator_once(monkeypatch):
-    builds = []
-    inverse = lattice.backward_euler_inverse
-
-    def counting_inverse(*args):
-        builds.append(args)
-        return inverse(*args)
-
-    monkeypatch.setattr(lattice, "backward_euler_inverse", counting_inverse)
-    dynamics._cached_propagator.cache_clear()
-    grid = build_grid(16)
-    walls = Walls.constant(grid, -1.0, 1.0)
-    coeffs = coeffs_sin(2.0, 0.5)
-    state = 0.4 * np.cos(np.pi * grid.nodes)
-    first = step_penalized(state, walls, 1e-3, 1e-3, coeffs, 1e-3)
-    second = step_penalized(first, walls, 1e-3, 1e-3, coeffs, 1e-3)
-    assert len(builds) == 1
-    assert np.array_equal(second, step_penalized(first, walls, 1e-3, 1e-3, coeffs, 1e-3))
-    step_penalized(state, walls, 1e-3, 1e-3, coeffs, 2e-3)
-    assert len(builds) == 2
-
-
-def test_penalized_step_pulls_toward_lower_wall():
-    grid = build_grid(16)
-    walls = Walls.constant(grid, -1.0, 1.0)
-    coeffs = coeffs_zero(0.0)
-    delta = dt = 1e-3
-    state = np.full(grid.n + 1, -1.1)  # below K1 by 0.1
-    new = step_penalized(state, walls, delta, 1e-3, coeffs, dt)
-    expected = (state + (dt / delta) * walls.k1) / (1.0 + dt / delta)
-    assert np.allclose(new, expected, atol=1e-10)
-    assert np.max(np.abs(new - walls.k1)) <= 2.0 * delta * (0.1 / dt)
 
 
 def test_penalized_step_reduces_to_heat_step():
@@ -128,7 +98,7 @@ def test_penalized_step_reduces_to_heat_step():
     state = 0.3 * np.cos(np.pi * grid.nodes) + 0.1
     errs = []
     for dt in (2e-3, 1e-3):
-        stepped = step_penalized(state, walls, 1e6, 1e6, coeffs, dt)
+        stepped = one_penalized_step(state, coeffs, walls, dt, 1e6, 1e6)
         kernel = heat_kernel(grid, alpha, dt)
         exact = kernel @ (grid.weights * state)
         errs.append(np.max(np.abs(stepped - exact)))
@@ -138,8 +108,9 @@ def test_penalized_step_reduces_to_heat_step():
 
 @pytest.mark.parametrize("n", [16, 512])
 def test_penalized_step_is_one_penalized_skeleton_step(n):
-    # n=16 takes the dense solve and n=512 the banded one; the control pushes
-    # the state through both walls, so both penalty terms act.
+    # One penalized skeleton step is the implicit penalty solve of
+    # u0 + dt*f(u0) + dt*sigma*hdot.  n=16 takes the dense solve and n=512 the
+    # banded one; the control pushes the state through both walls.
     grid = build_grid(n)
     walls = Walls.constant(grid, -0.2, 0.3)
     coeffs = coeffs_sin(2.0, 0.5)
@@ -147,26 +118,24 @@ def test_penalized_step_is_one_penalized_skeleton_step(n):
     u0 = 0.15 * np.cos(np.pi * grid.nodes)
     control = Control.from_function(grid, dt, dt, lambda x, t: 200.0 * np.cos(np.pi * x))
     path = solve_skeleton(u0, control, coeffs, walls, dt, dt, mode="penalized", delta=1e-4, eps_pen=2e-4).u
-    stepped = step_penalized(u0, walls, 1e-4, 2e-4, coeffs, dt, hdot=control.values[0])
+    x = grid.nodes
+    rhs = u0 + dt * coeffs.f(x, u0) + dt * coeffs.sigma(x, u0) * control.values[0]
+    stepped = lattice.Propagator(grid, coeffs.alpha, dt).step(rhs, walls.k1, walls.k2, penalty=(1e-4, 2e-4))
     assert np.any(stepped < walls.k1) and np.any(stepped > walls.k2)
-    assert np.array_equal(stepped, path.values[1])
+    assert stepped.tobytes() == path.values[1].tobytes()
 
 
 def test_penalized_step_rejects_nonfinite():
+    # The solvers check the initial state that a penalized step starts from.
     grid = build_grid(8)
     walls = Walls.constant(grid, -1.0, 1.0)
-    state = np.full(grid.n + 1, np.nan)
-    with pytest.raises(ValueError, match="finite"):
-        step_penalized(state, walls, 1e-3, 1e-3, coeffs_zero(1.0), 1e-3)
-    # A (5,) state once raised numpy's matmul error, a (1,) hdot was broadcast
-    # to every node and a NaN increment returned an all-NaN state.
-    zero = np.zeros(grid.n + 1)
-    with pytest.raises(ValueError, match=r"state must be a finite field of shape \(9,\), got shape \(5,\)"):
-        step_penalized(np.zeros(5), walls, 1e-3, 1e-3, coeffs_zero(1.0), 1e-3)
-    with pytest.raises(ValueError, match=r"hdot must be a finite field of shape \(9,\), got shape \(1,\)"):
-        step_penalized(zero, walls, 1e-3, 1e-3, coeffs_zero(1.0), 1e-3, hdot=np.array([5.0]))
-    with pytest.raises(ValueError, match="noise_increment must be a finite field .* got non-finite values"):
-        step_penalized(zero, walls, 1e-3, 1e-3, coeffs_zero(1.0), 1e-3, noise_increment=np.full(grid.n + 1, np.nan))
+    penalized = dict(mode="penalized", delta=1e-3, eps_pen=1e-3)
+    with pytest.raises(ValueError, match=r"initial state must be a finite field of shape \(9,\), got non-finite values"):
+        solve_skeleton(np.full(grid.n + 1, np.nan), None, coeffs_zero(1.0), walls, 1e-2, 1e-3, **penalized)
+    with pytest.raises(ValueError, match=r"initial state must be a finite field of shape \(9,\), got shape \(5,\)"):
+        solve_skeleton(np.zeros(5), None, coeffs_zero(1.0), walls, 1e-2, 1e-3, **penalized)
+    with pytest.raises(ValueError, match=r"initial state must be a finite field of shape \(9,\), got non-finite values"):
+        solve_spde(np.full(grid.n + 1, np.inf), 0.3, coeffs_zero(1.0), walls, 1e-2, 1e-3, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -176,19 +145,11 @@ def test_penalized_step_rejects_nonfinite():
         (lambda u0, control, c, walls: solve_skeleton(u0, None, c, walls, 0.02, 1e-3, mode="penalized"), 20, 0),
         (lambda u0, control, c, walls: solve_spde(u0, 0.3, c, walls, 0.02, 1e-3, seed=3), 20, 20),
         (lambda u0, control, c, walls: solve_spde(u0, 0.0, c, walls, 0.02, 1e-3), 20, 0),
-        (
-            lambda u0, control, c, walls: step_penalized(
-                u0, walls, 1e-4, 1e-4, c, 1e-3, hdot=control.values[0], noise_increment=np.ones(len(u0)), eps_noise=0.3
-            ),
-            1,
-            1,
-        ),
     ],
-    ids=["skeleton_projected", "skeleton_penalized_free", "spde", "spde_noiseless", "penalized_step_driven_and_kicked"],
+    ids=["skeleton_projected", "skeleton_penalized_free", "spde", "spde_noiseless"],
 )
 def test_each_step_calls_f_once_and_sigma_once_when_driven(run, steps, sigma_calls):
-    # perfbench's coeff_calls counts these calls.  A penalized step with both
-    # a drive and a kick used to call sigma twice.
+    # perfbench's coeff_calls counts these calls.
     grid = build_grid(16)
     control = Control.from_function(grid, 0.02, 1e-3, lambda x, t: 50.0 * np.cos(np.pi * x))
     coeffs, calls = counting(coeffs_sin_statesigma(2.0, 0.5))
@@ -217,22 +178,48 @@ def test_declared_coefficients_keep_the_undeclared_bits(f_kind, sigma_kind):
         assert got.xi.density.tobytes() == want.xi.density.tobytes()
 
 
+@pytest.mark.parametrize("sigma_kind", ["one", "cosine_profile"])
+def test_declared_spde_has_the_undeclared_bits_on_a_long_path(sigma_kind):
+    # 4000 steps at n=16 outrun one row block of 3855 rows.
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.2, 0.3)
+    u0 = 0.1 * np.cos(np.pi * grid.nodes)
+    steps = 4000
+    declared = registry_coeffs(4.0, "zero", sigma_kind)
+    got, want = (solve_spde(u0, 0.8, c, walls, steps * 1e-3, 1e-3, seed=6) for c in (declared, undeclared(declared)))
+    assert got.u.values.tobytes() == want.u.values.tobytes()
+    assert got.eta.density.tobytes() == want.eta.density.tobytes()
+
+
+@pytest.mark.parametrize("sigma_kind", ["one", "state_modulated"])
+def test_spde_leaves_the_given_noise_unchanged(sigma_kind):
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.2, 0.3)
+    noise = sample_noise(grid, 1e-3, 50, seed=4)
+    before = noise.increments.tobytes()
+    solve_spde(np.zeros(grid.n + 1), 0.8, registry_coeffs(4.0, "zero", sigma_kind), walls, 0.05, 1e-3, noise=noise)
+    assert noise.increments.tobytes() == before
+
+
 @pytest.mark.parametrize("n", [16, 512], ids=["dense", "banded"])
 def test_kicks_keep_the_sign_of_zero(n):
     # With f = 0 the half-step state + 0.0 maps -0.0 to +0.0.  A kick from
     # _Scheme.kicks carries that add, so a -0.0 state kicked by -0.0 still
-    # gives the stripped spec's rhs; the banded solve shows its sign.
+    # solves the rhs that calling f and sigma gives; the banded solve shows its sign.
     grid = build_grid(n)
     walls = Walls.constant(grid, -1.0, 1.0)
+    dt = 1e-3
     declared = registry_coeffs(2.0, "zero", "one")
     state = np.full((2, grid.n + 1), -0.0)
     increments = np.full((2, grid.n + 1), -0.0)
     increments[1] = np.linspace(-1.0, 1.0, grid.n + 1)
     eps = np.array([[0.5], [0.3]])
-    scheme = dynamics._Scheme(declared, grid, 1e-3)
-    got = scheme.step(state, walls, kick=scheme.kicks(increments.copy(), eps))
-    want = dynamics._Scheme(undeclared(declared), grid, 1e-3).step(state, walls, increment=increments, eps=eps)
-    assert got.tobytes() == want.tobytes()
+    scheme = dynamics._Scheme(declared, grid, dt)
+    got = scheme.step(state, walls, kick=scheme.kicks(increments, eps))
+    x = grid.nodes
+    rhs = state + dt * declared.f(x, state) + eps * declared.sigma(x, state) * increments / grid.dx
+    assert not np.signbit(rhs[0]).any() and np.signbit(state + eps * increments / grid.dx)[0].all()
+    assert got.tobytes() == scheme.prop.step(rhs, walls.k1, walls.k2).tobytes()
 
 
 def test_declared_coefficients_are_not_called_per_step():
@@ -279,7 +266,7 @@ def test_a_false_declaration_raises(declaration, message):
 )
 def test_penalized_skeleton_rejects_bad_penalty(delta, eps_pen):
     # delta=-1 once returned a path reaching 1.89 and delta=-1e-3 one holding
-    # inf; step_penalized took a NaN or infinite delta or eps_pen.
+    # inf.
     grid = build_grid(16)
     walls = Walls.constant(grid, -0.2, 0.2)
     control = Control.from_function(grid, 0.1, 1e-3, lambda x, t: np.full_like(x, 4.0))
@@ -288,8 +275,6 @@ def test_penalized_skeleton_rejects_bad_penalty(delta, eps_pen):
             np.zeros(grid.n + 1), control, coeffs_zero(2.0), walls, 0.1, 1e-3,
             mode="penalized", delta=delta, eps_pen=eps_pen,
         )
-    with pytest.raises(ValueError, match="penalty parameters"):
-        step_penalized(np.zeros(grid.n + 1), walls, delta, delta if eps_pen is None else eps_pen, coeffs_zero(2.0), 1e-3)
 
 
 @pytest.mark.parametrize(
@@ -326,8 +311,6 @@ def test_spde_rejects_a_bad_noise_level(eps):
     u0 = np.zeros(grid.n + 1)
     with pytest.raises(ValueError, match=f"noise level .* got {eps}"):
         solve_spde(u0, eps, coeffs_zero(2.0), walls, 0.1, 1e-2, seed=1)
-    with pytest.raises(ValueError, match=f"noise level .* got {eps}"):
-        step_penalized(u0, walls, 1e-3, 1e-3, coeffs_zero(2.0), 1e-2, noise_increment=np.ones(grid.n + 1), eps_noise=eps)
 
 
 def test_control_rejects_a_horizon_off_its_mesh():

@@ -142,6 +142,19 @@ def test_batch_rows_step_like_single_states(case):
         assert np.max(np.abs(single - expected)) <= 1e-12
 
 
+def test_penalized_step_pulls_toward_lower_wall():
+    # A state 0.1 below the lower wall, with no heat flow (alpha = 0, constant
+    # state): the implicit penalty pulls it to within O(delta) of the wall.
+    grid = build_grid(16)
+    delta = dt = 1e-3
+    prop = Propagator(grid, 0.0, dt)
+    lo, hi = np.full(grid.n + 1, -1.0), np.full(grid.n + 1, 1.0)
+    state = np.full(grid.n + 1, -1.1)
+    new = prop.step(state, lo, hi, penalty=(delta, 1e-3))
+    assert np.allclose(new, (state + (dt / delta) * lo) / (1.0 + dt / delta), atol=1e-10)
+    assert np.max(np.abs(new - lo)) <= 2.0 * delta * (0.1 / dt)
+
+
 @pytest.mark.parametrize("n", [8, 32])
 def test_restoring_forces_split_each_step_alone(n):
     grid = build_grid(n)
