@@ -259,6 +259,16 @@ def _run_selftest(out, args) -> int:
     spde = solve_spde(np.zeros(grid.n + 1), 0.0, coeffs, walls, 0.2, 1e-3, seed=1)
     checks["zero_noise_degenerate"] = bool(spde.u.sup_norm() == 0.0)
 
+    # The sampler steps its noise levels as one node-major stack and keeps
+    # each level's bits only if numpy's matmul runs each batch's own gemm.
+    prop = lattice.Propagator(grid, 2.0, 1e-3)
+    stack = np.random.default_rng(0).standard_normal((3, grid.n + 1, 16))
+    lo, hi = (np.repeat(wall[:, None], 16, axis=1) for wall in (-0.5 - 0.1 * grid.nodes, 0.5 + 0.1 * grid.nodes))
+    stepped = prop.step(stack, lo, hi)
+    checks["stacked_step_keeps_batch_bits"] = all(
+        stepped[k].tobytes() == prop.step(stack[k].copy(), lo, hi).tobytes() for k in range(len(stack))
+    )
+
     # The CSV cell speller against format_float where it is easiest to get
     # wrong: next to powers of ten, on exact ties, and outside its range.
     from wallspde.snapshots import _spelled

@@ -66,6 +66,11 @@ __all__ = [
 class CoefficientSpec:
     """Reaction f(x, u), noise amplitude sigma(x, u) and the constants the solvers check.
 
+    f and sigma act pointwise: each value depends on its own node's x and u
+    alone, with x broadcast against u.  A single state u is an (n+1,) field
+    and x the (n+1,) nodes; a sampler batch u is node-major,
+    (..., n+1, batch), and x comes as an (n+1, 1) column.
+
     ``lipschitz_c`` bounds the u-Lipschitz constant of f and ``sigma_min`` is
     a positive lower bound on |sigma|; ``df_du`` and ``dsigma_du`` are the
     u-derivatives that the adjoint gradient needs.  The dissipativity
@@ -196,6 +201,13 @@ def check_penalty(delta: float, eps_pen: float) -> None:
         raise ValueError(f"penalty parameters must be positive and finite: delta={delta}, eps_pen={eps_pen}")
 
 
+def _check_finite(values: np.ndarray, name: str) -> None:
+    """Raises unless ``values`` is finite.  min and max carry a NaN or an inf
+    through, so a path-sized input needs no path-sized temporary."""
+    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        raise ValueError(f"{name} must be finite: it holds NaN or inf values")
+
+
 def noise_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Stream ``stream`` of ``seed``; its standard normals times ``increment_scale`` are increments."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
@@ -235,6 +247,12 @@ class _Scheme:
     propagator is built on first use, so ``residual``, the inverse, never
     builds one.
 
+    A step's state is one (n+1,) field, or with ``batch`` set a batch in
+    ``Propagator``'s node-major layout, (..., n+1, batch), whose walls the
+    caller expands to (n+1, batch) once.  f and sigma act pointwise, and a
+    batch scheme hands them the nodes x as an (n+1, 1) column, so each state
+    keeps its bits in either layout.
+
     The coefficients' declarations are checked once, when the scheme is built.
     With ``sigma_profile`` declared, sig is that profile, evaluated once, and
     ``kicks`` turns a whole block of increments into kicks.  With ``f_zero``
@@ -244,9 +262,10 @@ class _Scheme:
     f and sigma would give it.
     """
 
-    def __init__(self, coeffs: CoefficientSpec, grid: Grid, dt: float):
+    def __init__(self, coeffs: CoefficientSpec, grid: Grid, dt: float, batch: bool = False):
         self.coeffs, self.grid, self.dt = coeffs, grid, check_dt(dt)
-        self.x, self.dx, self.f, self.sigma = grid.nodes, grid.dx, coeffs.f, coeffs.sigma
+        self.x = grid.nodes[:, None] if batch else grid.nodes
+        self.dx, self.f, self.sigma = grid.dx, coeffs.f, coeffs.sigma
         self.profile = coeffs.check_declarations(grid)
 
     @cached_property
@@ -260,8 +279,8 @@ class _Scheme:
         """The kicks eps*sig*dW/dx of ``increments``, with the half-step's + 0.0 when
         f is zero, written into ``out`` (a new array when it is None).  With the
         declared profile ``increments`` may be a block of any leading shape;
-        otherwise sig is evaluated at ``state``, the rows the kicks act on.
-        ``eps`` broadcasts against ``increments``."""
+        otherwise sig is evaluated at ``state``, the states the kicks act on,
+        laid out as ``increments``.  ``eps`` broadcasts against ``increments``."""
         scale = eps * self._sig(state)
         kick = scale * increments if out is None else np.multiply(scale, increments, out=out)
         kick /= self.dx
@@ -269,13 +288,14 @@ class _Scheme:
             kick += 0.0
         return kick
 
-    def step(self, state, walls, hdot=None, kick=None, penalty=None, out=None, free=None, tape=None):
-        """One step, returning the new state from ``Propagator.step``; ``tape`` receives
-        the sig of the drive.  ``kick``, from ``kicks``, acts on the leading rows of
-        ``state`` that it covers, so a stack led by its noisy levels is one step."""
+    def step(self, state, lo, hi, hdot=None, kick=None, penalty=None, out=None, free=None, tape=None):
+        """One step between the walls ``lo`` and ``hi``, returning the new state from
+        ``Propagator.step``; ``tape`` receives the sig of the drive.  ``kick``, from
+        ``kicks``, acts on the leading levels of a stack that it covers, so a stack
+        led by its noisy levels is one step."""
         f_zero = self.coeffs.f_zero
         if f_zero and hdot is None and kick is not None and len(kick) == len(state):
-            return self.prop.step(state + kick, walls.k1, walls.k2, penalty, out, free)
+            return self.prop.step(state + kick, lo, hi, penalty, out, free)
         rhs = state + 0.0 if f_zero else state + self.dt * self.f(self.x, state)
         if hdot is not None:
             sig = self._sig(state)
@@ -285,17 +305,17 @@ class _Scheme:
         if kick is not None:
             lead = rhs if len(kick) == len(rhs) else rhs[: len(kick)]
             lead += kick
-        return self.prop.step(rhs, walls.k1, walls.k2, penalty, out, free)
+        return self.prop.step(rhs, lo, hi, penalty, out, free)
 
     def march(self, u, walls, hdot=None, increments=None, eps=0.0, penalty=None, free=None, tape=None):
         """Step row 0 of the path ``u`` into its later rows; step k takes row k of ``hdot``
         and ``increments``, kicked by ``kicks`` at its state, and fills row k of ``free``
         and ``tape``."""
-        step, kicks = self.step, self.kicks
+        step, kicks, lo, hi = self.step, self.kicks, walls.k1, walls.k2
         per_step = [repeat(None) if a is None else a for a in (hdot, increments, free, tape)]
         for k, h, inc, fr, tp in zip(range(len(u) - 1), *per_step):
             kick = None if inc is None else kicks(inc, eps, u[k])
-            step(u[k], walls, h, kick, penalty, u[k + 1], fr, tp)
+            step(u[k], lo, hi, h, kick, penalty, u[k + 1], fr, tp)
 
     def trajectory(self, u0, walls, times, **drive) -> Trajectory:
         """March u0 across ``times`` (``drive`` as for ``march``) with its force densities."""
@@ -361,6 +381,7 @@ def solve_skeleton(
         match_dt(control.times, dt, "control")
         if control.values.shape[0] < m:
             raise ValueError(f"control time mesh has {control.values.shape[0]} steps, fewer than the trajectory's {m}")
+        _check_finite(control.values[:m], "control")
     hdot = None if control is None else control.values
     penalty = (delta, eps_pen) if mode == "penalized" else None
     return _Scheme(coeffs, grid, dt).trajectory(u0, walls, times, hdot=hdot, penalty=penalty)
@@ -408,6 +429,7 @@ def solve_spde(
         if noise.steps < m:
             raise ValueError(f"noise realization time mesh has {noise.steps} steps, fewer than the trajectory's {m}")
         increments = noise.increments
+        _check_finite(increments[:m], "noise realization")
     return _Scheme(coeffs, grid, dt).trajectory(u0, walls, times, increments=increments, eps=eps_noise)
 
 

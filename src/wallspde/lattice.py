@@ -50,7 +50,7 @@ __all__ = [
 
 # Grids with at least this many intervals take the factored tridiagonal solve.
 # Dense matvec against LAPACK gttrs, one CPU of a 2-core Xeon: a single state
-# 71 against 11 us at n=512 and 386 against 21 us at n=1024; a 16-row batch at
+# 71 against 11 us at n=512 and 386 against 21 us at n=1024; a 16-state batch at
 # n=32 4.2 against 8.9 us, where one BLAS product beats 16 column solves.
 # Below the threshold the dense path also keeps coarse-grid outputs' bits.
 TRIDIAGONAL_MIN_N = 512
@@ -326,8 +326,11 @@ class Propagator:
     """Implicit heat step followed by restoring the walls, for one (grid, alpha, dt).
 
     The obstacle problem, the integrators, the adjoint optimizer and the
-    sampler all step with it.  States are shaped (n+1,) or (batch, n+1),
-    or for the sampler a stack of batches (levels, batch, n+1).
+    sampler all step with it.  A state is shaped (n+1,).  A batch of states
+    is node-major, one state per column: (n+1, batch), or for the sampler a
+    stack of batches (levels, n+1, batch).  That is the dense product's own
+    operand, so a solve reads a contiguous batch in place, and walls
+    expanded once to (n+1, batch) restore it on contiguous memory.
     Below ``TRIDIAGONAL_MIN_N`` intervals the solve multiplies by the dense
     ``backward_euler_inverse``.  From ``TRIDIAGONAL_MIN_N`` on, the
     tridiagonal I - dt*A is LU-factored once (LAPACK gttrf) and each solve,
@@ -357,31 +360,33 @@ class Propagator:
         return np.ascontiguousarray(self.matrix.T)
 
     def _banded(self, values: np.ndarray, trans: str) -> np.ndarray:
-        # gttrs solves for the columns of a column-major b, which a C-ordered
-        # batch's transpose already is: no reordering copy.  Each column is
-        # solved on its own, so a stack flattened into one batch keeps its bits.
+        # gttrs solves for the columns of a column-major b: a chain-major copy
+        # of a node-major stack, flattened to (states, n+1) rows, is one, and
+        # gttrs overwrites that copy in place.  Each column is solved on its
+        # own, so a stack flattened into one batch keeps its bits.
         if values.ndim == 1:
             return self._gttrs(*self._factors, values, trans=trans)[0]
-        rows = values.reshape(-1, values.shape[-1])
-        return self._gttrs(*self._factors, rows.T, trans=trans)[0].T.reshape(values.shape)
+        states = values.swapaxes(-1, -2).copy()
+        cols = self._gttrs(*self._factors, states.reshape(-1, values.shape[-2]).T, trans=trans, overwrite_b=1)[0]
+        return cols.T.reshape(states.shape).swapaxes(-1, -2)
 
     def solve(self, values: np.ndarray) -> np.ndarray:
-        """(I - dt*A)^{-1} applied to a state or to each row of a batch.
+        """(I - dt*A)^{-1} applied to a state or to each column of a batch.
 
-        ``values`` is shaped (n+1,), (batch, n+1) or a stack of batches
-        (..., batch, n+1).  Every row comes out with the same bits as when
-        its batch is solved alone.
+        ``values`` is shaped (n+1,), a node-major batch (n+1, batch) or a
+        stack of batches (..., n+1, batch).  Every column comes out with the
+        same bits as when its batch is solved alone.
         """
         if self.matrix is None:
             return self._banded(values, "N")
         if values.ndim == 1:
             return self.matrix @ values
-        # BLAS rounds the product with a node-major copy like an (n+1, batch)
-        # product; multiplying the rows directly changes the last bits.  A
-        # stack is one matmul that runs one (n+1, batch) product per batch:
+        # A stack is one matmul that runs one (n+1, batch) gemm per batch:
         # gemm rounding depends on the column count and offset, so folding the
-        # stack into one wide product would not keep the bits.
-        return (self.matrix @ np.ascontiguousarray(values.swapaxes(-1, -2))).swapaxes(-1, -2)
+        # stack into one wide product would not keep the bits.  A strided
+        # batch is copied first, because numpy multiplies some strided
+        # operands without BLAS; the copy is free on a contiguous one.
+        return self.matrix @ np.ascontiguousarray(values)
 
     def solve_transpose(self, values: np.ndarray) -> np.ndarray:
         """Transposed solve of a single state, for adjoint sweeps."""
@@ -398,7 +403,9 @@ class Propagator:
         out: np.ndarray | None = None,
         free: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Solve for ``rhs``, then restore the band [lo, hi] given as (n+1,) profiles.
+        """Solve for ``rhs``, then restore the band [lo, hi]: wall profiles that
+        broadcast against ``rhs``, such as (n+1,) for a state and (n+1, batch)
+        for a node-major batch or stack.
 
         Without ``penalty`` the free value is clipped onto the band by the
         max/min ufuncs (np.clip's bits and NaN, less overhead).  With

@@ -5,11 +5,12 @@ measured in multiples of the relaxation time 1/(alpha - c), then records
 thinned states.  Chains for distinct seeds are independent and the whole
 procedure is reproducible from the seed list.  One private generator,
 ``_rounds``, does all the stepping with ``dynamics._Scheme``: it advances
-every noise level of a scaling curve as one stacked (levels, chains, n+1)
-batch, drops a level once its last round is kept, and draws noise through
-one buffer of ``_NOISE_VALUES`` values.  ``sample_invariant`` collects its
-rounds for one level; ``ldp_scaling_curve`` only counts ball hits on them,
-so its memory does not grow with the sample count.  Both give the same bits
+every noise level of a scaling curve as one stacked node-major
+(levels, n+1, chains) batch, drops a level once its last round is kept, and
+draws noise through one buffer of ``_NOISE_VALUES`` values.
+``sample_invariant`` collects its rounds for one level;
+``ldp_scaling_curve`` only counts ball hits on them, so its memory does not
+grow with the sample count.  Both give the same bits
 as stepping each level alone.  The scaling diagnostics never assert limits:
 at finite noise they check bracket inequalities built from cataloged
 minimum-action values, statistical interval widths, and the rate's local
@@ -153,32 +154,39 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
 
     ``levels`` lists (eps, plan, seeds) in nonincreasing eps, every level
     with the same number of chains; the inputs are checked by the callers.
-    The state is one (levels, chains, n+1) array and the noisy levels' eps
-    a (levels, 1, 1) column.  Each level keeps its own burn-in, thin and
-    count schedule and is dropped from the stack after its last round.
-    Yields (level, round, rows): the states of the chains that keep that
-    round, a view valid until the next step.  Chain j keeps
+    The state is one node-major (levels, n+1, chains) stack, ``Propagator``'s
+    batch layout, so each step's solve reads it in place.  The walls are
+    expanded once to (n+1, chains), so the clip restores the stack on
+    contiguous memory.  The noisy levels' eps is a (levels, 1, 1) column.
+    Each level keeps its own burn-in, thin and count schedule and is dropped
+    from the stack after its last round.  Yields (level, round, rows): the
+    states of the chains that keep that round as (chains, n+1) rows, a
+    transposed view valid until the next step.  Chain j keeps
     ``count // chains + (j < count % chains)`` rounds, so the keeping chains
     are always the first ``len(rows)``.
 
     Each level's chains draw from their own seeds' streams in blocks that
     share a buffer of ``_NOISE_VALUES`` values (one step's worth when a step
     needs more), and a block never runs past the next level to finish, so no
-    stream is drawn beyond its level's last step.  Noise enters a step only
-    as a kick from ``_Scheme.kicks``: with a declared sigma profile it turns
-    each block into kicks in the same buffer, so no step evaluates sigma or
-    builds a kick; otherwise each step's kick is built at the noisy levels'
-    states, the rows it acts on.  Chunked draws continue
-    each stream exactly as one draw would, and every per-level operation
-    has the same operands as when the level is sampled alone, so the rows
-    are bit-identical to per-level sampling.
+    stream is drawn beyond its level's last step.  The buffer stays
+    chain-major, (levels, chains, steps, n+1), because each stream fills its
+    own chain's rows; a step reads its increments through a transposed view,
+    so no second buffer is needed.  Noise enters a step only as a kick from
+    ``_Scheme.kicks``: with a declared sigma profile it turns each block into
+    kicks in the same buffer, so no step evaluates sigma or builds a kick;
+    otherwise each step's kick is built at the noisy levels' states, the
+    states it acts on.  Chunked draws continue each stream exactly as one
+    draw would, and every per-level operation has the same operands as when
+    the level is sampled alone, so the rows are bit-identical to per-level
+    sampling.
     """
     grid = walls.grid
     n1 = grid.n + 1
-    scheme = _Scheme(coeffs, grid, dt)
+    scheme = _Scheme(coeffs, grid, dt, batch=True)
     advance, declared = scheme.step, scheme.profile is not None
     scale = increment_scale(grid, dt)
     chains = len(levels[0][2])
+    lo, hi = (np.repeat(wall[:, None], chains, axis=1) for wall in (walls.k1, walls.k2))
     burn = [round(plan.burn_in / dt) for _, plan, _ in levels]
     thin = [max(1, round(plan.thin / dt)) for _, plan, _ in levels]
     counts = [plan.count for _, plan, _ in levels]
@@ -189,7 +197,7 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
     buffer = np.empty(step_values * max(1, min(_NOISE_VALUES // step_values, max(ends))))
 
     active = list(range(len(levels)))
-    state = np.zeros((len(levels), chains, n1))
+    state = np.zeros((len(levels), n1, chains))
     step = 0
     while active:
         # eps does not increase along the stack, so the noisy levels lead it.
@@ -207,11 +215,13 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
             noise[:, :, :block] *= scale
             if noisy and declared:
                 scheme.kicks(noise[:, :, :block], eps[..., None], out=noise[:, :, :block])
-            for k in range(block):
+            # Each step's increments (kicks, with a declared profile) as a
+            # node-major (noisy, n+1, chains) view of the block.
+            for increments in noise[:, :, :block].transpose(2, 0, 3, 1):
                 kick = None
                 if noisy:
-                    kick = noise[:, :, k] if declared else scheme.kicks(noise[:, :, k], eps, state[:noisy])
-                advance(state, walls, kick=kick, out=state)
+                    kick = increments if declared else scheme.kicks(increments, eps, state[:noisy])
+                advance(state, lo, hi, kick=kick, out=state)
                 step += 1
                 if step < next_keep:
                     continue
@@ -219,7 +229,7 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
                     if keep_at[lv] == step:
                         r = (step - burn[lv]) // thin[lv] - 1
                         kept = chains if r < counts[lv] // chains else counts[lv] % chains
-                        yield lv, r, state[i, :kept]
+                        yield lv, r, state[i, :, :kept].T
                         keep_at[lv] += thin[lv]
                 next_keep = min(keep_at[lv] for lv in active)
         stay = [i for i, lv in enumerate(active) if ends[lv] > step]
@@ -241,12 +251,11 @@ def sample_invariant(
     against the relaxation rate; ``_check_sampler`` rejects plans shorter
     than 5 relaxation times, an empty seed list, a repeated seed and a noise
     level that is negative or not finite.  All chains advance together as
-    rows of one state matrix, so the cost per step is a single implicit
-    solve; this collects
-    the rounds of the one-level sampler that ``ldp_scaling_curve`` also
-    steps, and its noise buffer holds ``_NOISE_VALUES`` values whatever the
-    horizon or chain count.  Chain j's round-r state is row
-    ``sum(per_chain[:j]) + r``: (chain, round) order.
+    columns of one node-major state, so the cost per step is a single
+    implicit solve; this collects the rounds of the one-level sampler that
+    ``ldp_scaling_curve`` also steps, and its noise buffer holds
+    ``_NOISE_VALUES`` values whatever the horizon or chain count.  Chain j's
+    round-r state is row ``sum(per_chain[:j]) + r``: (chain, round) order.
     """
     grid = walls.grid
     seeds = tuple(int(s) for s in seeds)

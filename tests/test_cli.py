@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wallspde import snapshots
+from wallspde import lattice, snapshots
 from wallspde.cli import main
 from wallspde.config import ConfigError, MAX_PATH_VALUES, build_run, config_hash, schema_path, validate_config
 from wallspde.rate import quasipotential_J
@@ -457,6 +457,7 @@ def test_selftest_command(tmp_path):
     record = json.loads((out / "selftest.json").read_text())
     assert record["passed"]
     assert record["checks"]["csv_spelling"]
+    assert record["checks"]["stacked_step_keeps_batch_bits"]
     assert "PASS" in proc.stdout
 
 
@@ -471,6 +472,18 @@ def test_selftest_fails_on_a_wrong_csv_spelling(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(snapshots, "_spell17", off_by_one)
     assert main(["selftest", "--out", str(tmp_path / "out")]) == 1
     assert "FAIL csv_spelling" in capsys.readouterr().out
+
+
+def test_selftest_fails_when_a_stack_solves_unlike_its_batches(tmp_path, monkeypatch, capsys):
+    solve = lattice.Propagator.solve
+
+    def stack_off_by_one_ulp(self, values):
+        solved = solve(self, values)
+        return np.nextafter(solved, np.inf) if solved.ndim == 3 else solved
+
+    monkeypatch.setattr(lattice.Propagator, "solve", stack_off_by_one_ulp)
+    assert main(["selftest", "--out", str(tmp_path / "out")]) == 1
+    assert "FAIL stacked_step_keeps_batch_bits" in capsys.readouterr().out
 
 
 def test_python_dash_m_wallspde_runs_the_cli(tmp_path):

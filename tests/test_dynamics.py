@@ -138,6 +138,44 @@ def test_penalized_step_rejects_nonfinite():
         solve_spde(np.full(grid.n + 1, np.inf), 0.3, coeffs_zero(1.0), walls, 1e-2, 1e-3, seed=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", ["projected", "penalized"])
+def test_skeleton_rejects_a_non_finite_control_before_stepping(bad, mode):
+    grid = build_grid(8)
+    walls = Walls.constant(grid, -1.0, 1.0)
+    coeffs, calls = counting(coeffs_sin(1.0, 0.5))
+    control = Control.zero(grid, np.linspace(0.0, 1e-2, 11))
+    control.values[7, 3] = bad
+    with pytest.raises(ValueError, match="control must be finite: it holds NaN or inf values"):
+        solve_skeleton(np.zeros(grid.n + 1), control, coeffs, walls, 1e-2, 1e-3, mode=mode)
+    assert calls["f"] == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spde_rejects_a_non_finite_noise_realization_before_stepping(bad):
+    grid = build_grid(8)
+    walls = Walls.constant(grid, -1.0, 1.0)
+    coeffs, calls = counting(coeffs_sin(1.0, 0.5))
+    noise = sample_noise(grid, 1e-3, 10, seed=2)
+    noise.increments[9, 0] = bad
+    with pytest.raises(ValueError, match="noise realization must be finite: it holds NaN or inf values"):
+        solve_spde(np.zeros(grid.n + 1), 0.3, coeffs, walls, 1e-2, 1e-3, noise=noise)
+    assert calls["f"] == 0
+
+
+def test_rows_past_the_horizon_are_not_read():
+    # Only the rows a march steps with are checked: a longer control or noise
+    # realization may hold anything after them.
+    grid = build_grid(8)
+    walls = Walls.constant(grid, -1.0, 1.0)
+    control = Control.zero(grid, np.linspace(0.0, 2e-2, 21))
+    control.values[10:] = np.nan
+    noise = sample_noise(grid, 1e-3, 20, seed=2)
+    noise.increments[10:] = np.nan
+    assert np.isfinite(solve_skeleton(np.zeros(grid.n + 1), control, coeffs_zero(1.0), walls, 1e-2, 1e-3).u.values).all()
+    assert np.isfinite(solve_spde(np.zeros(grid.n + 1), 0.3, coeffs_zero(1.0), walls, 1e-2, 1e-3, noise=noise).u.values).all()
+
+
 @pytest.mark.parametrize(
     "run, steps, sigma_calls",
     [
@@ -210,16 +248,18 @@ def test_kicks_keep_the_sign_of_zero(n):
     walls = Walls.constant(grid, -1.0, 1.0)
     dt = 1e-3
     declared = registry_coeffs(2.0, "zero", "one")
-    state = np.full((2, grid.n + 1), -0.0)
+    # Two chains: the state a node-major batch, the increments chain-major rows.
+    state = np.full((grid.n + 1, 2), -0.0)
     increments = np.full((2, grid.n + 1), -0.0)
     increments[1] = np.linspace(-1.0, 1.0, grid.n + 1)
     eps = np.array([[0.5], [0.3]])
-    scheme = dynamics._Scheme(declared, grid, dt)
-    got = scheme.step(state, walls, kick=scheme.kicks(increments, eps))
-    x = grid.nodes
-    rhs = state + dt * declared.f(x, state) + eps * declared.sigma(x, state) * increments / grid.dx
-    assert not np.signbit(rhs[0]).any() and np.signbit(state + eps * increments / grid.dx)[0].all()
-    assert got.tobytes() == scheme.prop.step(rhs, walls.k1, walls.k2).tobytes()
+    lo, hi = walls.k1[:, None], walls.k2[:, None]
+    scheme = dynamics._Scheme(declared, grid, dt, batch=True)
+    got = scheme.step(state, lo, hi, kick=scheme.kicks(increments, eps).T)
+    x, rows = grid.nodes, state.T
+    rhs = rows + dt * declared.f(x, rows) + eps * declared.sigma(x, rows) * increments / grid.dx
+    assert not np.signbit(rhs[0]).any() and np.signbit(rows + eps * increments / grid.dx)[0].all()
+    assert got.tobytes() == scheme.prop.step(rhs.T, lo, hi).tobytes()
 
 
 def test_declared_coefficients_are_not_called_per_step():

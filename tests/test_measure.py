@@ -424,7 +424,8 @@ def per_level_samples(coeffs, walls, eps, plan, seeds, dt):
                 rhs = state + dt * coeffs.f(x, state)
                 if eps > 0.0:
                     rhs = rhs + eps * coeffs.sigma(x, state) * noise[:, k] / grid.dx
-                prop.step(rhs, walls.k1, walls.k2, out=state)
+                # Propagator steps node-major batches: one chain per column.
+                state[...] = prop.step(rhs.T, walls.k1[:, None], walls.k2[:, None]).T
 
     advance(burn_steps)
     starts = np.cumsum([0] + per_chain[:-1])
@@ -479,6 +480,18 @@ def stack_case(name):
     return grid, case
 
 
+def stacked_samples(coeffs, walls, levels, dt):
+    """Each level's rows from one ``_rounds`` stack, in (chain, round) order:
+    chain j's rounds start at row sum(per_chain[:j])."""
+    chains = len(levels[0][2])
+    stacked = [np.full((plan.count, walls.grid.n + 1), np.nan) for _, plan, _ in levels]
+    per_chain = [[plan.count // chains + (j < plan.count % chains) for j in range(chains)] for _, plan, _ in levels]
+    starts = [np.cumsum([0] + rounds[:-1]) for rounds in per_chain]
+    for level, r, rows in wallspde.measure._rounds(coeffs, walls, levels, dt):
+        stacked[level][starts[level][: len(rows)] + r] = rows
+    return stacked
+
+
 @pytest.mark.parametrize("name", sorted(STACK_CASES))
 def test_stacked_rounds_keep_the_per_level_bits(name):
     grid, case = stack_case(name)
@@ -487,17 +500,32 @@ def test_stacked_rounds_keep_the_per_level_bits(name):
         (eps, plan, tuple(31 + 1000 * i + j for j in range(chains)))
         for i, (eps, plan) in enumerate(zip(case["eps"], case["plans"]))
     ]
-    stacked = [np.full((plan.count, grid.n + 1), np.nan) for _, plan, _ in levels]
-    # Chain j's rounds start at row sum(per_chain[:j]): (chain, round) order.
-    per_chain = [[plan.count // chains + (j < plan.count % chains) for j in range(chains)] for _, plan, _ in levels]
-    starts = [np.cumsum([0] + rounds[:-1]) for rounds in per_chain]
-    for level, r, rows in wallspde.measure._rounds(case["coeffs"], case["walls"], levels, dt):
-        stacked[level][starts[level][: len(rows)] + r] = rows
-    for (eps, plan, seeds), got in zip(levels, stacked):
+    for (eps, plan, seeds), got in zip(levels, stacked_samples(case["coeffs"], case["walls"], levels, dt)):
         want = per_level_samples(case["coeffs"], case["walls"], eps, plan, seeds, dt)
         assert got.tobytes() == want.tobytes()
         alone = sample_invariant(case["coeffs"], case["walls"], eps, plan, seeds, dt=dt)
         assert alone.samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sigma_kind", ["state_modulated", "cosine_profile"])
+def test_stacked_rounds_with_as_many_chains_as_nodes_keep_the_per_level_bits(sigma_kind):
+    # The stack is (levels, n+1, chains).  With chains == n + 1 a wall, x or
+    # sigma profile broadcast along the chain axis raises no shape error: it
+    # gives wrong bits.  Profile walls that bind and an x-dependent sigma,
+    # called at every step (no declarations), would show that.
+    grid = build_grid(16)
+    walls = profile_walls(grid)
+    coeffs = undeclared(registry_coeffs(4.0, "sinusoidal", sigma_kind))
+    dt, chains = 1e-2, grid.n + 1
+    plans = [SamplingPlan(2.1, 0.05, 40), SamplingPlan(2.0, 0.07, 30)]
+    levels = [
+        (eps, plan, tuple(77 + 1000 * i + j for j in range(chains)))
+        for i, (eps, plan) in enumerate(zip((0.6, 0.3), plans))
+    ]
+    for (eps, plan, seeds), got in zip(levels, stacked_samples(coeffs, walls, levels, dt)):
+        want = per_level_samples(coeffs, walls, eps, plan, seeds, dt)
+        assert np.any(want == walls.k1) and np.any(want == walls.k2)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("f_kind, sigma_kind", REGISTRY_KINDS)

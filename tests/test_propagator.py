@@ -18,9 +18,10 @@ finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 def step_cases(draw):
     n = draw(st.integers(4, 24))
     batch = draw(st.sampled_from([None, 1, 3]))
-    shape = (n + 1,) if batch is None else (batch, n + 1)
-    centre = draw(arrays(float, n + 1, elements=finite))
-    half = draw(arrays(float, n + 1, elements=st.floats(1e-3, 2.0)))
+    # A batch is node-major, one state per column, with its walls as columns.
+    shape, band = ((n + 1,), (n + 1,)) if batch is None else ((n + 1, batch), (n + 1, 1))
+    centre = draw(arrays(float, band, elements=finite))
+    half = draw(arrays(float, band, elements=st.floats(1e-3, 2.0)))
     rhs = draw(arrays(float, shape, elements=finite))
     other = draw(arrays(float, shape, elements=finite))
     prop = Propagator(
@@ -87,7 +88,7 @@ def test_step_matches_reference_solve(case):
     prop, lo, hi, rhs, _, penalty = case
     grid = prop.grid
     system = np.eye(grid.n + 1) - prop.dt * neumann_operator(grid, prop.alpha).dense()
-    y = np.linalg.solve(system, np.atleast_2d(rhs).T).T.reshape(rhs.shape)
+    y = np.linalg.solve(system, rhs)
     new = prop.step(rhs, lo, hi, penalty=penalty)
     expected = restored_reference(y, lo, hi, penalty_ratios(prop, penalty))
     assert np.max(np.abs(new - expected)) <= 1e-10 * (1.0 + np.max(np.abs(rhs)))
@@ -116,9 +117,9 @@ def test_nan_forcing_never_yields_a_finite_state(case, data):
     rhs[spot] = np.nan
     for mode in both_modes(penalty):
         new = prop.step(rhs, lo, hi, penalty=mode)
-        # The solve spreads the NaN over its row; no restore may turn it in-band.
-        row = new if new.ndim == 1 else new[spot[0]]
-        assert not np.isfinite(row).any()
+        # The solve spreads the NaN over its state; no restore may turn it in-band.
+        state = new if new.ndim == 1 else new[:, spot[1]]
+        assert not np.isfinite(state).any()
 
 
 @settings(max_examples=100, deadline=None)
@@ -133,12 +134,12 @@ def test_step_is_a_contraction_in_the_forcing(case):
 
 @settings(max_examples=50, deadline=None)
 @given(step_cases())
-def test_batch_rows_step_like_single_states(case):
+def test_batch_columns_step_like_single_states(case):
     prop, lo, hi, rhs, _, penalty = case
-    batch = np.atleast_2d(rhs)
-    new = prop.step(batch, lo, hi, penalty=penalty)
-    for row, expected in zip(batch, new):
-        single = prop.step(row, lo, hi, penalty=penalty)
+    batch = rhs.reshape(len(rhs), -1)
+    new = prop.step(batch, lo.reshape(-1, 1), hi.reshape(-1, 1), penalty=penalty)
+    for column, expected in zip(batch.T, new.T):
+        single = prop.step(column, lo.ravel(), hi.ravel(), penalty=penalty)
         assert np.max(np.abs(single - expected)) <= 1e-12
 
 
@@ -194,26 +195,27 @@ def test_spectral_path_matches_reference_solve(n):
     system = np.eye(n + 1) - prop.dt * neumann_operator(grid, prop.alpha).dense()
     rng = np.random.default_rng(n)
     a, b = rng.normal(size=(2, n + 1))
-    batch = rng.normal(size=(5, n + 1))
+    batch = rng.normal(size=(5, n + 1)).T  # node-major: one state per column
     assert relative_error(prop.solve(a), np.linalg.solve(system, a)) <= 1e-12
-    assert relative_error(prop.solve(batch), np.linalg.solve(system, batch.T).T) <= 1e-12
+    assert relative_error(prop.solve(batch), np.linalg.solve(system, batch)) <= 1e-12
     assert relative_error(prop.solve_transpose(a), np.linalg.solve(system.T, a)) <= 1e-12
     assert float(a @ prop.solve(b)) == pytest.approx(float(prop.solve_transpose(a) @ b), rel=1e-12)
 
     # A forcing that crosses both walls, so clip and penalty both act.
     lo = -0.5 + 0.1 * np.cos(2.0 * np.pi * grid.nodes)
     hi = 0.5 + 0.05 * grid.nodes
-    rhs = 0.8 * np.cos(np.pi * grid.nodes) + 0.3 * batch
-    y = np.linalg.solve(system, rhs.T).T
+    rhs = 0.8 * np.cos(np.pi * grid.nodes)[:, None] + 0.3 * batch
+    y = np.linalg.solve(system, rhs)
+    lo_c, hi_c = lo[:, None], hi[:, None]
     r1, r2 = prop.dt / 1e-3, prop.dt / 2e-3
-    penalized = np.where(y < lo, (y + r1 * lo) / (1 + r1), y)
-    penalized = np.where(y > hi, (y + r2 * hi) / (1 + r2), penalized)
-    assert np.any(y < lo) and np.any(y > hi)
-    for penalty, expected in ((None, np.clip(y, lo, hi)), ((1e-3, 2e-3), penalized)):
-        new = prop.step(rhs, lo, hi, penalty=penalty)
+    penalized = np.where(y < lo_c, (y + r1 * lo_c) / (1 + r1), y)
+    penalized = np.where(y > hi_c, (y + r2 * hi_c) / (1 + r2), penalized)
+    assert np.any(y < lo_c) and np.any(y > hi_c)
+    for penalty, expected in ((None, np.clip(y, lo_c, hi_c)), ((1e-3, 2e-3), penalized)):
+        new = prop.step(rhs, lo_c, hi_c, penalty=penalty)
         assert relative_error(new, expected) <= 1e-12
-        for row, stepped in zip(rhs, new):
-            single = prop.step(row, lo, hi, penalty=penalty)
+        for column, stepped in zip(rhs.T, new.T):
+            single = prop.step(column, lo, hi, penalty=penalty)
             assert np.array_equal(single, stepped)
 
 
@@ -238,14 +240,14 @@ def test_tridiagonal_path_matches_dense_solve_to_round_off(n):
     system = np.eye(n + 1) - prop.dt * neumann_operator(grid, prop.alpha).dense()
     rng = np.random.default_rng(n + 7)
     a = rng.normal(size=n + 1)
-    batch = rng.normal(size=(6, n + 1))
-    expected = np.linalg.solve(system, np.column_stack([a, batch.T]))
+    batch = rng.normal(size=(6, n + 1)).T  # node-major: one state per column
+    expected = np.linalg.solve(system, np.column_stack([a, batch]))
     assert relative_error(prop.solve(a), expected[:, 0]) <= 1e-14
     solved = prop.solve(batch)
-    assert relative_error(solved, expected[:, 1:].T) <= 1e-14
+    assert relative_error(solved, expected[:, 1:]) <= 1e-14
     assert relative_error(prop.solve_transpose(a), np.linalg.solve(system.T, a)) <= 1e-14
-    for row, stepped in zip(batch, solved):
-        assert np.array_equal(prop.solve(row), stepped)
+    for column, stepped in zip(batch.T, solved.T):
+        assert np.array_equal(prop.solve(column), stepped)
 
 
 @pytest.mark.parametrize("n", [512, 2048])
@@ -265,18 +267,20 @@ def test_tridiagonal_transposed_solve_is_the_adjoint(n):
 
 @pytest.mark.parametrize("n", [32, TRIDIAGONAL_MIN_N])
 def test_stacked_solve_equals_per_batch_solves_bit_for_bit(n):
-    # The sampler solves every noise level's (chains, n+1) batch as one
-    # (levels, chains, n+1) stack; each batch must keep the bits of its own
+    # The sampler solves every noise level's node-major (n+1, chains) batch as
+    # one (levels, n+1, chains) stack; each batch must keep the bits of its own
     # solve, whose dense product rounds with the batch's column count.
     rng = np.random.default_rng(n)
     prop = Propagator(build_grid(n), 3.0, 1e-3)
     for levels, chains in ((1, 16), (3, 16), (2, 5), (4, 1)):
-        stack = rng.standard_normal((levels, chains, n + 1))
+        stack = rng.standard_normal((levels, n + 1, chains))
         solved = prop.solve(stack)
         assert solved.shape == stack.shape
         for level in range(levels):
-            alone = prop.solve(stack[level].copy())
-            assert solved[level].tobytes() == np.ascontiguousarray(alone).tobytes()
-        # A strided stack, like a slice of a larger one, solves the same way.
-        wide = rng.standard_normal((levels, chains + 2, n + 1))
-        assert np.array_equal(prop.solve(wide[:, 1:-1]), prop.solve(wide[:, 1:-1].copy()))
+            assert solved[level].tobytes() == prop.solve(stack[level].copy()).tobytes()
+        # Strided stacks solve as their contiguous copies do: a slice of a wider
+        # stack, every other column of one, and a chain-major stack's transpose.
+        wide = rng.standard_normal((levels, n + 1, 2 * chains + 2))
+        rows = rng.standard_normal((levels, chains, n + 1))
+        for strided in (wide[..., 1 : chains + 1], wide[..., ::2], rows.swapaxes(-1, -2)):
+            assert prop.solve(strided).tobytes() == prop.solve(strided.copy()).tobytes()
