@@ -45,7 +45,7 @@ import numpy as np
 
 from wallspde.lattice import (
     Grid, Propagator, SpaceTimeField, Walls, _step_tolerance, check_dt, check_field, check_times, match_dt,
-    match_grid, mesh_steps, neumann_operator, uniform_step,
+    match_grid, mesh_steps, neumann_operator, row_blocks, uniform_step,
 )
 from wallspde.obstacle import LocalTime
 
@@ -254,12 +254,14 @@ class _Scheme:
     keeps its bits in either layout.
 
     The coefficients' declarations are checked once, when the scheme is built.
-    With ``sigma_profile`` declared, sig is that profile, evaluated once, and
-    ``kicks`` turns a whole block of increments into kicks.  With ``f_zero``
-    the explicit half-step is state + 0.0: the add stays, because it maps
-    -0.0 to +0.0, and ``kicks`` moves it onto the kick, since (s + 0.0) + k
-    equals s + (k + 0.0) bit for bit.  Each value keeps the bits that calling
-    f and sigma would give it.
+    With ``sigma_profile`` declared, sig is that profile, evaluated once, so no
+    drive or kick depends on the state: ``kicks`` turns a whole block of
+    increments into kicks and ``drives`` a block of control rows into drives,
+    and ``march`` builds them a row block at a time.  With ``f_zero`` the
+    explicit half-step is state + 0.0: the add stays, because it maps -0.0 to
+    +0.0, and ``kicks`` and ``drives`` move it onto the term, since
+    (s + 0.0) + k equals s + (k + 0.0) bit for bit.  Each value keeps the bits
+    that calling f and sigma would give it.
     """
 
     def __init__(self, coeffs: CoefficientSpec, grid: Grid, dt: float, batch: bool = False):
@@ -291,8 +293,8 @@ class _Scheme:
     def step(self, state, lo, hi, hdot=None, kick=None, penalty=None, out=None, free=None, tape=None):
         """One step between the walls ``lo`` and ``hi``, returning the new state from
         ``Propagator.step``; ``tape`` receives the sig of the drive.  ``kick``, from
-        ``kicks``, acts on the leading levels of a stack that it covers, so a stack
-        led by its noisy levels is one step."""
+        ``kicks`` or ``drives``, acts on the leading levels of a stack that it
+        covers, so a stack led by its noisy levels is one step."""
         f_zero = self.coeffs.f_zero
         if f_zero and hdot is None and kick is not None and len(kick) == len(state):
             return self.prop.step(state + kick, lo, hi, penalty, out, free)
@@ -307,15 +309,44 @@ class _Scheme:
             lead += kick
         return self.prop.step(rhs, lo, hi, penalty, out, free)
 
+    def drives(self, hdot, out):
+        """The drives dt*sig*hdot of a block of control rows under the declared
+        profile, with the half-step's + 0.0 when f is zero, written into ``out``."""
+        drive = np.multiply(self.dt * self.profile, hdot, out=out)
+        if self.coeffs.f_zero:
+            drive += 0.0
+        return drive
+
     def march(self, u, walls, hdot=None, increments=None, eps=0.0, penalty=None, free=None, tape=None):
-        """Step row 0 of the path ``u`` into its later rows; step k takes row k of ``hdot``
-        and ``increments``, kicked by ``kicks`` at its state, and fills row k of ``free``
-        and ``tape``."""
-        step, kicks, lo, hi = self.step, self.kicks, walls.k1, walls.k2
-        per_step = [repeat(None) if a is None else a for a in (hdot, increments, free, tape)]
-        for k, h, inc, fr, tp in zip(range(len(u) - 1), *per_step):
-            kick = None if inc is None else kicks(inc, eps, u[k])
-            step(u[k], lo, hi, h, kick, penalty, u[k + 1], fr, tp)
+        """Step row 0 of the path ``u`` into its later rows; step k takes row k of
+        ``hdot`` or of ``increments`` (a march takes at most one of them) and fills
+        row k of ``free``.
+
+        With the declared profile a step's drive or kick does not depend on its
+        state: the march walks the path in ``lattice.row_blocks``, ``drives`` or
+        ``kicks`` turns each block of rows into terms in one scratch buffer, and
+        each step adds its term as a kick.  The caller's rows are only read.
+        Otherwise each step builds its drive or kick at its own state and
+        writes the sig of its drive into row k of ``tape``."""
+        step, lo, hi, steps = self.step, walls.k1, walls.k2, len(u) - 1
+        free_rows = repeat(None) if free is None else iter(free)
+        if self.profile is None or (hdot is None and increments is None):
+            per_step = [repeat(None) if a is None else a for a in (hdot, increments, tape)]
+            for k, h, inc, tp, fr in zip(range(steps), *per_step, free_rows):
+                kick = None if inc is None else self.kicks(inc, eps, u[k])
+                step(u[k], lo, hi, h, kick, penalty, u[k + 1], fr, tp)
+            return
+        blocks = row_blocks(self.grid, steps)
+        scratch = np.empty((blocks[0][1], self.grid.n + 1))
+        for a, b in blocks:
+            terms = scratch[: b - a]
+            if increments is None:
+                self.drives(hdot[a:b], terms)
+            else:
+                self.kicks(increments[a:b], eps, out=terms)
+            # zip stops at the block's last step, before it takes a free row.
+            for k, term, fr in zip(range(a, b), terms, free_rows):
+                step(u[k], lo, hi, None, term, penalty, u[k + 1], fr)
 
     def trajectory(self, u0, walls, times, **drive) -> Trajectory:
         """March u0 across ``times`` (``drive`` as for ``march``) with its force densities."""

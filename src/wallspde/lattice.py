@@ -335,7 +335,9 @@ class Propagator:
     ``backward_euler_inverse``.  From ``TRIDIAGONAL_MIN_N`` on, the
     tridiagonal I - dt*A is LU-factored once (LAPACK gttrf) and each solve,
     plain or transposed, is one gttrs call; only the five factor arrays,
-    5(n+1) numbers, are stored.  The two paths agree to round-off.
+    5(n+1) numbers, are stored.  The two paths agree to round-off.  A solve
+    writes into the ``out`` its caller keeps, such as a row of a path, with
+    the bits it would have in a new array.
     """
 
     def __init__(self, grid: Grid, alpha: float, dt: float):
@@ -359,40 +361,51 @@ class Propagator:
     def _matrix_t(self) -> np.ndarray:
         return np.ascontiguousarray(self.matrix.T)
 
-    def _banded(self, values: np.ndarray, trans: str) -> np.ndarray:
-        # gttrs solves for the columns of a column-major b: a chain-major copy
-        # of a node-major stack, flattened to (states, n+1) rows, is one, and
-        # gttrs overwrites that copy in place.  Each column is solved on its
-        # own, so a stack flattened into one batch keeps its bits.
-        if values.ndim == 1:
+    def _banded(self, values: np.ndarray, trans: str, out: np.ndarray | None) -> np.ndarray:
+        # gttrs solves for the columns of a column-major b, in place when b is
+        # contiguous.  A state is one column: it is copied into ``out`` and
+        # solved there.  A stack takes a chain-major copy of the node-major
+        # stack, flattened to (states, n+1) rows.  Each column is solved on
+        # its own, so a stack flattened into one batch keeps its bits.
+        if values.ndim > 1:
+            states = values.swapaxes(-1, -2).copy()
+            cols = self._gttrs(*self._factors, states.reshape(-1, values.shape[-2]).T, trans=trans, overwrite_b=1)[0]
+            solved = cols.T.reshape(states.shape).swapaxes(-1, -2)
+        elif out is None:
             return self._gttrs(*self._factors, values, trans=trans)[0]
-        states = values.swapaxes(-1, -2).copy()
-        cols = self._gttrs(*self._factors, states.reshape(-1, values.shape[-2]).T, trans=trans, overwrite_b=1)[0]
-        return cols.T.reshape(states.shape).swapaxes(-1, -2)
+        else:
+            out[...] = values
+            solved = self._gttrs(*self._factors, out, trans=trans, overwrite_b=1)[0]
+        if out is None or solved is out:
+            return solved
+        out[...] = solved
+        return out
 
-    def solve(self, values: np.ndarray) -> np.ndarray:
-        """(I - dt*A)^{-1} applied to a state or to each column of a batch.
+    def solve(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(I - dt*A)^{-1} applied to a state or to each column of a batch,
+        written into ``out`` (a new array when it is None).
 
         ``values`` is shaped (n+1,), a node-major batch (n+1, batch) or a
         stack of batches (..., n+1, batch).  Every column comes out with the
-        same bits as when its batch is solved alone.
+        same bits as when its batch is solved alone, with ``out`` or without.
         """
         if self.matrix is None:
-            return self._banded(values, "N")
-        if values.ndim == 1:
-            return self.matrix @ values
-        # A stack is one matmul that runs one (n+1, batch) gemm per batch:
-        # gemm rounding depends on the column count and offset, so folding the
-        # stack into one wide product would not keep the bits.  A strided
-        # batch is copied first, because numpy multiplies some strided
-        # operands without BLAS; the copy is free on a contiguous one.
-        return self.matrix @ np.ascontiguousarray(values)
+            return self._banded(values, "N", out)
+        if values.ndim > 1:
+            # A stack is one matmul that runs one (n+1, batch) gemm per batch:
+            # gemm rounding depends on the column count and offset, so folding
+            # the stack into one wide product would not keep the bits.  A
+            # strided batch is copied first, because numpy multiplies some
+            # strided operands without BLAS; the copy is free on a contiguous one.
+            values = np.ascontiguousarray(values)
+        # The operator form skips the keyword call's overhead on the sampler's steps.
+        return self.matrix @ values if out is None else np.matmul(self.matrix, values, out=out)
 
-    def solve_transpose(self, values: np.ndarray) -> np.ndarray:
-        """Transposed solve of a single state, for adjoint sweeps."""
+    def solve_transpose(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Transposed solve of a single state, for adjoint sweeps, written into ``out``."""
         if self.matrix is None:
-            return self._banded(values, "T")
-        return self._matrix_t @ values
+            return self._banded(values, "T", out)
+        return np.matmul(self._matrix_t, values, out=out)
 
     def step(
         self,
@@ -412,14 +425,13 @@ class Propagator:
         ``penalty = (delta, eps_pen)`` the stiff terms (u - lo)^- / delta and
         (u - hi)^+ / eps_pen are integrated implicitly per node in closed form,
         written only where a wall is crossed; each wall's closed form is
-        computed only when some node crosses it.  ``free`` receives the
-        solved value before the walls are restored, for ``restoring_forces``,
-        which is where a caller learns which nodes a wall restored.  Returns
-        the new state.
+        computed only when some node crosses it.  ``free``, a row the caller
+        keeps, receives the solved value before the walls are restored: the
+        solve writes it there, and the walls restore from it into ``out``.
+        ``restoring_forces`` reads it, which is where a caller learns which
+        nodes a wall restored.  Returns the new state.
         """
-        y = self.solve(rhs)
-        if free is not None:
-            free[...] = y
+        y = self.solve(rhs, out=free)
         if penalty is None:
             return np.minimum(np.maximum(y, lo, out=out), hi, out=out)
         r1, r2 = self.dt / penalty[0], self.dt / penalty[1]

@@ -282,10 +282,10 @@ class _ActionProblem:
     ``forward`` returns the states, these 0/1 slopes and the sigma rows it
     used (the declared profile, when there is one); ``value_and_grad`` takes
     the scheme's linearization once on the stored states and folds the
-    slopes into it, so its reverse loop is only a transposed solve and a
-    scale per step.  It keeps the last evaluated
-    point and its terminal state, so ``terminal`` at that point costs no
-    forward pass.
+    slopes into it, so its reverse loop is only a transposed solve into the
+    step's row of the adjoint and a scale in place per step.  It keeps the
+    last evaluated point and its terminal state, so ``terminal`` at that
+    point costs no forward pass.
 
     ``scaled_value_and_grad`` is the same function of y = z / ``scale``, with
     ``scale`` = sqrt(dx / w) on every row, u0 included: the coordinates in
@@ -352,8 +352,8 @@ class _ActionProblem:
         lam = slopes[-1] * (2.0 * self.w_pen * w * miss + w * self.mu)
         q = np.empty_like(h)
         for k in range(self.steps - 1, -1, -1):
-            q[k] = self.prop.solve_transpose(lam)
-            lam = q[k] * factor[k]
+            self.prop.solve_transpose(lam, out=q[k])
+            np.multiply(q[k], factor[k], out=lam)
         grad_h = dt * w * h + dt * sig * q
         if self.free_start:
             grad0 = lam + 2.0 * self.w_init * w * u0

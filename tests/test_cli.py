@@ -477,8 +477,8 @@ def test_selftest_fails_on_a_wrong_csv_spelling(tmp_path, monkeypatch, capsys):
 def test_selftest_fails_when_a_stack_solves_unlike_its_batches(tmp_path, monkeypatch, capsys):
     solve = lattice.Propagator.solve
 
-    def stack_off_by_one_ulp(self, values):
-        solved = solve(self, values)
+    def stack_off_by_one_ulp(self, values, out=None):
+        solved = solve(self, values, out)
         return np.nextafter(solved, np.inf) if solved.ndim == 3 else solved
 
     monkeypatch.setattr(lattice.Propagator, "solve", stack_off_by_one_ulp)

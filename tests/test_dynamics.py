@@ -216,17 +216,55 @@ def test_declared_coefficients_keep_the_undeclared_bits(f_kind, sigma_kind):
         assert got.xi.density.tobytes() == want.xi.density.tobytes()
 
 
-@pytest.mark.parametrize("sigma_kind", ["one", "cosine_profile"])
-def test_declared_spde_has_the_undeclared_bits_on_a_long_path(sigma_kind):
-    # 4000 steps at n=16 outrun one row block of 3855 rows.
-    grid = build_grid(16)
+def long_declared_runs(grid):
+    """The declared marches of a 4000-step path at n=16, which outruns one row
+    block of 3855 rows: the noisy path, and the controlled one in both modes."""
     walls = Walls.constant(grid, -0.2, 0.3)
     u0 = 0.1 * np.cos(np.pi * grid.nodes)
-    steps = 4000
-    declared = registry_coeffs(4.0, "zero", sigma_kind)
-    got, want = (solve_spde(u0, 0.8, c, walls, steps * 1e-3, 1e-3, seed=6) for c in (declared, undeclared(declared)))
-    assert got.u.values.tobytes() == want.u.values.tobytes()
-    assert got.eta.density.tobytes() == want.eta.density.tobytes()
+    T, dt = 4.0, 1e-3
+    control = Control.from_function(grid, T, dt, lambda x, t: 50.0 * np.cos(np.pi * x) * np.sin(5.0 * t))
+    return [
+        lambda c: solve_spde(u0, 0.8, c, walls, T, dt, seed=6),
+        lambda c: solve_skeleton(u0, control, c, walls, T, dt),
+        lambda c: solve_skeleton(u0, control, c, walls, T, dt, mode="penalized"),
+    ]
+
+
+@pytest.mark.parametrize("f_kind", ["zero", "sinusoidal"])
+@pytest.mark.parametrize("sigma_kind", ["one", "cosine_profile"])
+def test_declared_spde_has_the_undeclared_bits_on_a_long_path(sigma_kind, f_kind):
+    # The declared marches build their kicks and drives a row block at a time;
+    # both walls bind in the second block.
+    grid = build_grid(16)
+    declared = registry_coeffs(4.0, f_kind, sigma_kind)
+    block = lattice.row_blocks(grid, 4000)[0][1]
+    for run in long_declared_runs(grid):
+        got, want = run(declared), run(undeclared(declared))
+        assert got.eta.density[block:].any() and got.xi.density[block:].any()
+        assert got.u.values.tobytes() == want.u.values.tobytes()
+        assert got.eta.density.tobytes() == want.eta.density.tobytes()
+        assert got.xi.density.tobytes() == want.xi.density.tobytes()
+
+
+@pytest.mark.parametrize("f_kind", ["zero", "sinusoidal"])
+def test_declared_marches_build_their_terms_once_per_row_block(monkeypatch, f_kind):
+    # Two row blocks, two calls that build terms, whatever the step count; sigma
+    # is called only for the declaration's two probes.
+    built = {"kicks": 0, "drives": 0}
+    for name in built:
+
+        def counted(self, *args, _name=name, _method=getattr(dynamics._Scheme, name), **kwargs):
+            built[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics._Scheme, name, counted)
+    coeffs, calls = counting(registry_coeffs(4.0, f_kind, "cosine_profile"))
+    spde, *skeletons = long_declared_runs(build_grid(16))
+    spde(coeffs)
+    assert built == {"kicks": 2, "drives": 0} and calls["sigma"] == 2
+    for k, run in enumerate(skeletons, start=1):
+        run(coeffs)
+        assert built == {"kicks": 2, "drives": 2 * k} and calls["sigma"] == 2 + 2 * k
 
 
 @pytest.mark.parametrize("sigma_kind", ["one", "state_modulated"])
@@ -260,6 +298,20 @@ def test_kicks_keep_the_sign_of_zero(n):
     rhs = rows + dt * declared.f(x, rows) + eps * declared.sigma(x, rows) * increments / grid.dx
     assert not np.signbit(rhs[0]).any() and np.signbit(rows + eps * increments / grid.dx)[0].all()
     assert got.tobytes() == scheme.prop.step(rhs.T, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 512], ids=["dense", "banded"])
+def test_drives_keep_the_sign_of_zero(n):
+    # The declared drive carries the half-step's + 0.0 as the kick does, so a
+    # -0.0 path driven by a -0.0 control keeps the bits of calling f and
+    # sigma; the banded solve shows its sign.
+    grid = build_grid(n)
+    walls = Walls.constant(grid, -1.0, 1.0)
+    control = Control(grid, np.linspace(0.0, 5e-3, 6), np.full((5, grid.n + 1), -0.0))
+    declared = registry_coeffs(2.0, "zero", "one")
+    u0 = np.full(grid.n + 1, -0.0)
+    got, want = (solve_skeleton(u0, control, c, walls, 5e-3, 1e-3).u.values for c in (declared, undeclared(declared)))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_declared_coefficients_are_not_called_per_step():

@@ -265,6 +265,29 @@ def test_tridiagonal_transposed_solve_is_the_adjoint(n):
     assert float(a @ prop.solve(b)) == pytest.approx(float(transposed @ b), rel=1e-13)
 
 
+@pytest.mark.parametrize("penalty", [None, (1e-3, 2e-3)], ids=["projected", "penalized"])
+@pytest.mark.parametrize("n", [16, TRIDIAGONAL_MIN_N], ids=["dense", "banded"])
+def test_step_solves_into_the_callers_free_row(n, penalty):
+    # A march keeps each step's free value in a row of a path-sized array, and
+    # the solve writes it there with the bits of a plain solve; a strided row
+    # gets them too.  The adjoint's transposed solve writes into its row alike.
+    grid = build_grid(n)
+    prop = Propagator(grid, 2.0, 1e-3)
+    rhs = np.random.default_rng(n).normal(size=n + 1)
+    lo, hi = -0.3 - 0.1 * grid.nodes, 0.4 + 0.1 * grid.nodes
+    expected = prop.step(rhs, lo, hi, penalty)
+    assert np.any(expected != prop.solve(rhs))
+    for rows in (np.full((3, n + 1), np.nan), np.full((n + 1, 3), np.nan).T):
+        out = np.empty(n + 1)
+        assert prop.step(rhs, lo, hi, penalty, out=out, free=rows[1]) is out
+        assert out.tobytes() == expected.tobytes()
+        assert rows[1].tobytes() == prop.solve(rhs).tobytes()
+        assert np.isnan(rows[[0, 2]]).all()
+        adjoint = rows[2]
+        assert prop.solve_transpose(rhs, out=adjoint) is adjoint
+        assert adjoint.tobytes() == prop.solve_transpose(rhs).tobytes()
+
+
 @pytest.mark.parametrize("n", [32, TRIDIAGONAL_MIN_N])
 def test_stacked_solve_equals_per_batch_solves_bit_for_bit(n):
     # The sampler solves every noise level's node-major (n+1, chains) batch as

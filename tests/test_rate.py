@@ -480,6 +480,29 @@ def test_declared_coefficients_keep_the_undeclared_rates_and_gradients(f_kind, s
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("f_kind", ["zero", "sinusoidal"])
+@pytest.mark.parametrize("sigma_kind", ["one", "cosine_profile"])
+def test_declared_gradient_has_the_undeclared_bits_past_a_row_block(f_kind, sigma_kind):
+    # 200 steps at n=512 are two row blocks of 127 rows, so the declared
+    # forward pass drives the path a block at a time on the banded solve.
+    grid = build_grid(512)
+    walls = Walls.constant(grid, -0.12, 0.12)
+    declared = registry_coeffs(2.0, f_kind, sigma_kind)
+    steps = 200
+    z = np.tile(8.0 * np.cos(np.pi * grid.nodes), steps) * np.repeat(np.sin(np.linspace(0.0, 6.0, steps)), grid.n + 1)
+    results = []
+    for coeffs in (declared, undeclared(declared)):
+        problem = _ActionProblem(coeffs, walls, 0.02, steps, 0.1 * np.ones(grid.n + 1))
+        problem.w_pen, problem.mu = 1e3, np.linspace(-1.0, 1.0, grid.n + 1)
+        assert problem.prop.matrix is None
+        value, grad = problem.value_and_grad(z)
+        slopes = problem.forward(*problem.split(z))[1]
+        results.append((value, grad.tobytes()))
+    second_block = slopes[BLOCK_VALUES // (grid.n + 1) :]
+    assert second_block.any() and not second_block.all()
+    assert results[0] == results[1]
+
+
 def test_optimizer_calls_each_coefficient_once_per_step_or_gradient():
     # perfbench's coeff_calls and adjoint_sweeps count these calls: the
     # forward pass calls f and sigma once per step, and the gradient adds one
