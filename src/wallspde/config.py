@@ -2,7 +2,8 @@
 registry.
 
 ``config_schema.json`` states every per-key rule (type, enum, range, array
-items) and every default; ``_get`` applies them, and the ``build_*``
+items, the keys an object may hold) and every default; ``_get`` applies
+them, ``build_run`` checks the root's keys, and the ``build_*``
 functions are the only readers of a config.  Each rule the schema cannot
 say (a horizon on the step mesh, fields between the walls, hypothesis H, a
 long enough burn-in) is checked by the library function that owns it, and
@@ -67,7 +68,9 @@ _BOUNDS = {
     "exclusiveMinimum": (operator.gt, "above"),
     "exclusiveMaximum": (operator.lt, "below"),
 }
-_KEYWORDS = frozenset(_BOUNDS) | {"type", "enum", "items", "minItems", "required", "default", "properties"}
+_KEYWORDS = frozenset(_BOUNDS) | {
+    "type", "enum", "items", "minItems", "required", "default", "properties", "additionalProperties",
+}
 _TYPES = {"number": (int, float), "integer": int, "array": list, "object": dict}
 
 
@@ -134,6 +137,10 @@ def _check(value, node: dict, dotted: str):
         for word, (holds, text) in _BOUNDS.items():
             if word in node and not holds(value, node[word]):
                 raise ConfigError(f"{dotted} must be {text} {node[word]}, got {value}")
+    if isinstance(value, dict) and node.get("additionalProperties") is False:
+        unknown = [key for key in value if key not in node.get("properties", {})]
+        if unknown:
+            raise ConfigError(f"unknown key: {dotted + '.' if dotted else ''}{unknown[0]}")
     if isinstance(value, list):
         if len(value) < node.get("minItems", 0):
             raise ConfigError(f"{dotted} needs at least {node['minItems']} entries")
@@ -365,6 +372,7 @@ def build_run(cfg: dict, command: str) -> SimpleNamespace:
         raise ConfigError(f"unknown command: {command}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
+    _check(cfg, _schema(), "")
     grid = build_grid(_get(_need(cfg, "grid"), "grid.n"))
     run = SimpleNamespace(grid=grid, coeffs=build_coefficients(_need(cfg, "coefficients")))
     run.walls = build_walls(_need(cfg, "walls"), grid)

@@ -4,9 +4,9 @@ Four flavours share one step: the controlled (skeleton) equation, its
 penalized approximation, the zero-control flow, and the stochastic equation
 driven by discretized space-time white noise.  The step is written once, in
 the private ``_Scheme`` that these solvers, the sampler in ``measure`` and
-the optimizer in ``rate`` call: it adds the explicit reaction and drive
-terms and the noise, always as a kick that ``_Scheme.kicks`` builds, to the
-previous state and hands the result to
+the optimizer in ``rate`` call: it adds the explicit reaction term and at
+most one more, a control drive from ``_Scheme.drives`` or a noise kick from
+``_Scheme.kicks``, to the previous state and hands the result to
 ``lattice.Propagator.step``, which does the implicit linear solve and
 restores the walls by clipping onto [K1, K2] (projected mode, the
 production default) or by the closed-form implicit penalty (penalized mode);
@@ -44,8 +44,8 @@ from itertools import repeat
 import numpy as np
 
 from wallspde.lattice import (
-    Grid, Propagator, SpaceTimeField, Walls, _step_tolerance, check_dt, check_field, check_times, match_dt,
-    match_grid, mesh_steps, neumann_operator, row_blocks, uniform_step,
+    Grid, Propagator, SpaceTimeField, Walls, _check_alpha, _step_tolerance, check_dt, check_field, check_times,
+    match_dt, match_grid, mesh_steps, neumann_operator, uniform_step,
 )
 from wallspde.obstacle import LocalTime
 
@@ -176,6 +176,13 @@ class NoiseRealization:
     dt: float
     increments: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.dt = check_dt(self.dt)
+        self.increments = np.asarray(self.increments, dtype=float)
+        shape = self.increments.shape
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != self.grid.n + 1:
+            raise ValueError(f"noise increments shaped {shape}, expected (steps >= 1, {self.grid.n + 1})")
+
     @property
     def steps(self) -> int:
         return self.increments.shape[0]
@@ -224,7 +231,7 @@ def sample_noise(grid: Grid, dt: float, steps: int, seed: int, stream: int = 0) 
         raise ValueError(f"need at least one step, got {steps}")
     scale = increment_scale(grid, dt)
     draws = noise_generator(seed, stream).normal(0.0, scale, size=(steps, grid.n + 1))
-    return NoiseRealization(grid, float(dt), draws)
+    return NoiseRealization(grid, dt, draws)
 
 
 @dataclass(eq=False)
@@ -239,9 +246,9 @@ class Trajectory:
 class _Scheme:
     """The semi-implicit scheme on one (coeffs, grid, dt); its arithmetic is written only here.
 
-    A step hands ``Propagator.step`` the right-hand side state + dt*f(x, state)
-    plus the drive dt*sig*hdot, with sig = sigma(x, state), and a kick.  Noise
-    enters a step only as a kick from ``kicks``, eps*sig*dW/dx, which pairs as
+    A step hands ``Propagator.step`` the explicit half-step state + dt*f(x, state)
+    plus at most one term: a drive dt*sig*hdot from ``drives`` or a kick
+    eps*sig*dW/dx from ``kicks``, with sig = sigma(x, state).  A kick pairs as
     white noise does under trapezoid weights at the interior nodes only: at
     the two end nodes it is O(dx) off the W metric of the action.  The
     propagator is built on first use, so ``residual``, the inverse, never
@@ -255,19 +262,19 @@ class _Scheme:
 
     The coefficients' declarations are checked once, when the scheme is built.
     With ``sigma_profile`` declared, sig is that profile, evaluated once, so no
-    drive or kick depends on the state: ``kicks`` turns a whole block of
-    increments into kicks and ``drives`` a block of control rows into drives,
-    and ``march`` builds them a row block at a time.  With ``f_zero`` the
-    explicit half-step is state + 0.0: the add stays, because it maps -0.0 to
-    +0.0, and ``kicks`` and ``drives`` move it onto the term, since
-    (s + 0.0) + k equals s + (k + 0.0) bit for bit.  Each value keeps the bits
-    that calling f and sigma would give it.
+    term depends on the state: ``drives`` and ``kicks`` turn a whole block of
+    rows into terms, and ``march`` builds all of a path's terms at once, in
+    the path's own rows.  With ``f_zero`` the explicit half-step is
+    state + 0.0: the add stays, because it maps -0.0 to +0.0, and ``drives``
+    and ``kicks`` move it onto the term, since (s + 0.0) + t equals
+    s + (t + 0.0) bit for bit.  Each value keeps the bits that calling f and
+    sigma would give it.
     """
 
     def __init__(self, coeffs: CoefficientSpec, grid: Grid, dt: float, batch: bool = False):
         self.coeffs, self.grid, self.dt = coeffs, grid, check_dt(dt)
         self.x = grid.nodes[:, None] if batch else grid.nodes
-        self.dx, self.f, self.sigma = grid.dx, coeffs.f, coeffs.sigma
+        self.dx, self.f, self.sigma, self.f_zero = grid.dx, coeffs.f, coeffs.sigma, coeffs.f_zero
         self.profile = coeffs.check_declarations(grid)
 
     @cached_property
@@ -276,6 +283,20 @@ class _Scheme:
 
     def _sig(self, state):
         return self.sigma(self.x, state) if self.profile is None else self.profile
+
+    def drives(self, hdot, state=None, out=None, tape=None):
+        """The drives dt*sig*hdot of ``hdot``, with the half-step's + 0.0 when f is
+        zero, written into ``out`` (a new array when it is None).  With the
+        declared profile ``hdot`` may be a block of control rows; otherwise sig
+        is evaluated at ``state``, the state the drive acts on, and written into
+        ``tape`` when one is given."""
+        sig = self._sig(state)
+        if tape is not None:
+            tape[...] = sig
+        drive = self.dt * sig * hdot if out is None else np.multiply(self.dt * sig, hdot, out=out)
+        if self.f_zero:
+            drive += 0.0
+        return drive
 
     def kicks(self, increments, eps, state=None, out=None):
         """The kicks eps*sig*dW/dx of ``increments``, with the half-step's + 0.0 when
@@ -286,67 +307,52 @@ class _Scheme:
         scale = eps * self._sig(state)
         kick = scale * increments if out is None else np.multiply(scale, increments, out=out)
         kick /= self.dx
-        if self.coeffs.f_zero:
+        if self.f_zero:
             kick += 0.0
         return kick
 
-    def step(self, state, lo, hi, hdot=None, kick=None, penalty=None, out=None, free=None, tape=None):
-        """One step between the walls ``lo`` and ``hi``, returning the new state from
-        ``Propagator.step``; ``tape`` receives the sig of the drive.  ``kick``, from
-        ``kicks`` or ``drives``, acts on the leading levels of a stack that it
-        covers, so a stack led by its noisy levels is one step."""
-        f_zero = self.coeffs.f_zero
-        if f_zero and hdot is None and kick is not None and len(kick) == len(state):
-            return self.prop.step(state + kick, lo, hi, penalty, out, free)
-        rhs = state + 0.0 if f_zero else state + self.dt * self.f(self.x, state)
-        if hdot is not None:
-            sig = self._sig(state)
-            if tape is not None:
-                tape[...] = sig
-            rhs += self.dt * sig * hdot
-        if kick is not None:
-            lead = rhs if len(kick) == len(rhs) else rhs[: len(kick)]
-            lead += kick
+    def step(self, state, lo, hi, term=None, penalty=None, out=None, free=None):
+        """One step between the walls ``lo`` and ``hi``: the explicit half-step plus
+        ``term``, a drive or kick laid out as ``state``, handed to ``Propagator.step``.
+        The right-hand side is a new array, so ``term`` may be ``out`` itself."""
+        if self.f_zero:
+            rhs = state + (0.0 if term is None else term)
+        else:
+            rhs = state + self.dt * self.f(self.x, state)
+            if term is not None:
+                rhs += term
         return self.prop.step(rhs, lo, hi, penalty, out, free)
-
-    def drives(self, hdot, out):
-        """The drives dt*sig*hdot of a block of control rows under the declared
-        profile, with the half-step's + 0.0 when f is zero, written into ``out``."""
-        drive = np.multiply(self.dt * self.profile, hdot, out=out)
-        if self.coeffs.f_zero:
-            drive += 0.0
-        return drive
 
     def march(self, u, walls, hdot=None, increments=None, eps=0.0, penalty=None, free=None, tape=None):
         """Step row 0 of the path ``u`` into its later rows; step k takes row k of
         ``hdot`` or of ``increments`` (a march takes at most one of them) and fills
         row k of ``free``.
 
-        With the declared profile a step's drive or kick does not depend on its
-        state: the march walks the path in ``lattice.row_blocks``, ``drives`` or
-        ``kicks`` turns each block of rows into terms in one scratch buffer, and
-        each step adds its term as a kick.  The caller's rows are only read.
-        Otherwise each step builds its drive or kick at its own state and
-        writes the sig of its drive into row k of ``tape``."""
-        step, lo, hi, steps = self.step, walls.k1, walls.k2, len(u) - 1
-        free_rows = repeat(None) if free is None else iter(free)
-        if self.profile is None or (hdot is None and increments is None):
-            per_step = [repeat(None) if a is None else a for a in (hdot, increments, tape)]
-            for k, h, inc, tp, fr in zip(range(steps), *per_step, free_rows):
-                kick = None if inc is None else self.kicks(inc, eps, u[k])
-                step(u[k], lo, hi, h, kick, penalty, u[k + 1], fr, tp)
-            return
-        blocks = row_blocks(self.grid, steps)
-        scratch = np.empty((blocks[0][1], self.grid.n + 1))
-        for a, b in blocks:
-            terms = scratch[: b - a]
+        With the declared profile no term depends on its state: one ``drives`` or
+        ``kicks`` call writes step k's term into row k + 1 of ``u``, which step k
+        reads and then overwrites with its state.  Otherwise each step builds its
+        term at its own state and writes the sig of its drive into row k of
+        ``tape``.  The caller's ``hdot`` and ``increments`` are only read."""
+        steps, step, lo, hi = len(u) - 1, self.step, walls.k1, walls.k2
+        free_rows = repeat(None) if free is None else free
+        if hdot is None and increments is None:
+            terms = repeat(None)
+        elif self.profile is not None:
+            terms = u[1:]
             if increments is None:
-                self.drives(hdot[a:b], terms)
+                self.drives(hdot[:steps], out=terms)
             else:
-                self.kicks(increments[a:b], eps, out=terms)
-            # zip stops at the block's last step, before it takes a free row.
-            for k, term, fr in zip(range(a, b), terms, free_rows):
-                step(u[k], lo, hi, None, term, penalty, u[k + 1], fr)
+                self.kicks(increments[:steps], eps, out=terms)
+        elif increments is None:
+            for state, h, tp, new, fr in zip(u, hdot, repeat(None) if tape is None else tape, u[1:], free_rows):
+                step(state, lo, hi, self.drives(h, state, None, tp), penalty, new, fr)
+            return
+        else:
+            for state, inc, new, fr in zip(u, increments, u[1:], free_rows):
+                step(state, lo, hi, self.kicks(inc, eps, state), penalty, new, fr)
+            return
+        for state, term, new, fr in zip(u, terms, u[1:], free_rows):
+            step(state, lo, hi, term, penalty, new, fr)
 
     def trajectory(self, u0, walls, times, **drive) -> Trajectory:
         """March u0 across ``times`` (``drive`` as for ``march``) with its force densities."""
@@ -362,7 +368,7 @@ class _Scheme:
         of ``states``.  A declaration drops the term it makes zero: adding that term's
         zeros to a sum that starts at 1.0 changes no bit."""
         x, dt = self.x, self.dt
-        factor = np.ones_like(states) if self.coeffs.f_zero else 1.0 + dt * self.coeffs.df_du(x, states)
+        factor = np.ones_like(states) if self.f_zero else 1.0 + dt * self.coeffs.df_du(x, states)
         if self.profile is None:
             factor = factor + dt * self.coeffs.dsigma_du(x, states) * hdot
         return factor
@@ -374,7 +380,7 @@ class _Scheme:
         ``f_zero`` no f is subtracted (subtracting +0.0 changes no bit)."""
         op = neumann_operator(self.grid, self.coeffs.alpha)
         residual = (new - prev) / self.dt - op.apply(new)
-        if not self.coeffs.f_zero:
+        if not self.f_zero:
             residual -= self.f(self.x, prev)
         return self._sig(prev), residual
 
@@ -471,6 +477,7 @@ def local_time_energy(lt: LocalTime, alpha: float, T: float) -> float:
     with the weight at step ends.  Diagnostic: stays of order
     1 + l2_norm_sq(control) uniformly in T for skeleton runs.
     """
+    _check_alpha(alpha)
     if not math.isfinite(T):
         raise ValueError(f"T must be finite, got {T}")
     grid = lt.grid

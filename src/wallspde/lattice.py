@@ -200,6 +200,9 @@ class Walls:
             raise ValueError("lower wall must be negative everywhere (K1 < 0)")
         if not np.all(self.k2 > 0.0):
             raise ValueError("upper wall must be positive everywhere (K2 > 0)")
+        # An infinite wall would make every node count as in contact.
+        if not (np.isfinite(self.k1).all() and np.isfinite(self.k2).all()):
+            raise ValueError("walls must be finite everywhere")
 
     def contains(self, values: np.ndarray, tol: float = 0.0) -> bool:
         return bool(np.all(values >= self.k1 - tol) and np.all(values <= self.k2 + tol))
@@ -508,6 +511,9 @@ class SpaceTimeField:
         return float(np.max(np.abs(self.values)))
 
     def index_of(self, t: float) -> int:
+        """The level at time ``t``; raises unless ``t`` is finite and on the mesh to 1e-9."""
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
         k = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[k] - t) > 1e-9 * (1.0 + abs(t)):
             raise ValueError(f"time {t} is not on the mesh")

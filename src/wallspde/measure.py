@@ -152,18 +152,17 @@ def _level_seeds(base_seed: int, levels: int, chains: int) -> list:
 def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
     """Step every noise level as one stacked batch and yield each kept round.
 
-    ``levels`` lists (eps, plan, seeds) in nonincreasing eps, every level
-    with the same number of chains; the inputs are checked by the callers.
-    The state is one node-major (levels, n+1, chains) stack, ``Propagator``'s
-    batch layout, so each step's solve reads it in place.  The walls are
-    expanded once to (n+1, chains), so the clip restores the stack on
-    contiguous memory.  The noisy levels' eps is a (levels, 1, 1) column.
-    Each level keeps its own burn-in, thin and count schedule and is dropped
-    from the stack after its last round.  Yields (level, round, rows): the
-    states of the chains that keep that round as (chains, n+1) rows, a
-    transposed view valid until the next step.  Chain j keeps
-    ``count // chains + (j < count % chains)`` rounds, so the keeping chains
-    are always the first ``len(rows)``.
+    ``levels`` lists (eps, plan, seeds), every level with the same number of
+    chains; the inputs are checked by the callers.  The state is one
+    node-major (levels, n+1, chains) stack, ``Propagator``'s batch layout, so
+    each step's solve reads it in place.  The walls are expanded once to
+    (n+1, chains), so the clip restores the stack on contiguous memory.  The
+    levels' eps is a (levels, 1, 1) column.  Each level keeps its own burn-in,
+    thin and count schedule and is dropped from the stack after its last
+    round.  Yields (level, round, rows): the states of the chains that keep
+    that round as (chains, n+1) rows, a transposed view valid until the next
+    step.  Chain j keeps ``count // chains + (j < count % chains)`` rounds, so
+    the keeping chains are always the first ``len(rows)``.
 
     Each level's chains draw from their own seeds' streams in blocks that
     share a buffer of ``_NOISE_VALUES`` values (one step's worth when a step
@@ -171,14 +170,15 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
     stream is drawn beyond its level's last step.  The buffer stays
     chain-major, (levels, chains, steps, n+1), because each stream fills its
     own chain's rows; a step reads its increments through a transposed view,
-    so no second buffer is needed.  Noise enters a step only as a kick from
-    ``_Scheme.kicks``: with a declared sigma profile it turns each block into
-    kicks in the same buffer, so no step evaluates sigma or builds a kick;
-    otherwise each step's kick is built at the noisy levels' states, the
-    states it acts on.  Chunked draws continue each stream exactly as one
-    draw would, and every per-level operation has the same operands as when
-    the level is sampled alone, so the rows are bit-identical to per-level
-    sampling.
+    so no second buffer is needed.  Every level is stepped alike, with a kick
+    from ``_Scheme.kicks``: with a declared sigma profile it turns each block
+    into kicks in the same buffer, so no step evaluates sigma or builds a
+    kick; otherwise each step's kick is built at the stack's states.  A level
+    at eps = 0 draws its streams too, and its kicks are +0.0 or -0.0, so a
+    state at rest stays at +0.0 where f(x, 0) = 0.  Chunked draws continue
+    each stream exactly as one draw would, and every per-level operation has
+    the same operands as when the level is sampled alone, so the rows are
+    bit-identical to per-level sampling.
     """
     grid = walls.grid
     n1 = grid.n + 1
@@ -193,35 +193,31 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
     ends = [b + -(-c // chains) * t for b, t, c in zip(burn, thin, counts)]
     keep_at = [b + t for b, t in zip(burn, thin)]
     rngs = [[noise_generator(s) for s in seeds] for _, _, seeds in levels]
-    step_values = max(1, sum(eps > 0.0 for eps, _, _ in levels)) * chains * n1
+    step_values = len(levels) * chains * n1
     buffer = np.empty(step_values * max(1, min(_NOISE_VALUES // step_values, max(ends))))
 
     active = list(range(len(levels)))
     state = np.zeros((len(levels), n1, chains))
     step = 0
     while active:
-        # eps does not increase along the stack, so the noisy levels lead it.
-        eps = np.array([levels[lv][0] for lv in active if levels[lv][0] > 0.0], dtype=float).reshape(-1, 1, 1)
-        noisy = len(eps)
-        per_block = buffer.size // (max(noisy, 1) * chains * n1)
-        noise = buffer[: noisy * chains * per_block * n1].reshape(noisy, chains, per_block, n1)
+        eps = np.array([levels[lv][0] for lv in active], dtype=float).reshape(-1, 1, 1)
+        per_block = buffer.size // (len(active) * chains * n1)
+        noise = buffer[: len(active) * chains * per_block * n1].reshape(len(active), chains, per_block, n1)
         finish = min(ends[lv] for lv in active)
         next_keep = min(keep_at[lv] for lv in active)
         while step < finish:
             block = min(per_block, finish - step)
-            for i in range(noisy):
-                for rng, buf in zip(rngs[active[i]], noise[i]):
+            for lv, level_noise in zip(active, noise):
+                for rng, buf in zip(rngs[lv], level_noise):
                     rng.standard_normal(out=buf[:block])
             noise[:, :, :block] *= scale
-            if noisy and declared:
+            if declared:
                 scheme.kicks(noise[:, :, :block], eps[..., None], out=noise[:, :, :block])
             # Each step's increments (kicks, with a declared profile) as a
-            # node-major (noisy, n+1, chains) view of the block.
+            # node-major (levels, n+1, chains) view of the block.
             for increments in noise[:, :, :block].transpose(2, 0, 3, 1):
-                kick = None
-                if noisy:
-                    kick = increments if declared else scheme.kicks(increments, eps, state[:noisy])
-                advance(state, lo, hi, kick=kick, out=state)
+                kick = increments if declared else scheme.kicks(increments, eps, state)
+                advance(state, lo, hi, kick, out=state)
                 step += 1
                 if step < next_keep:
                     continue

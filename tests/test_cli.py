@@ -151,6 +151,16 @@ CORPUS = [
     ("seeds_repeated", "invariant", base_cfg(sampling={"count": 10, "eps": 0.2, "seeds": [5, 5]}), "sampling.seeds", False),
     # Level i seeds base_seed + 1000*i + j: chain 1000 of level 0 would be chain 0 of level 1.
     ("chains_over_1000", "diagnose", diagnose_cfg(chains=1001), "diagnose.chains", False),
+    # A misspelled key would otherwise be ignored and its default used.
+    ("key_misspelled", "simulate", base_cfg(noise={"eps": 0.3, "sed": 5}), "noise.sed", True),
+    ("section_misspelled", "simulate", base_cfg(noise={"eps": 0.3}, nosie={"seed": 5}), "nosie", True),
+    (
+        "diagnose_target_key_misspelled",
+        "diagnose",
+        diagnose_cfg(targets=[{"kind": "constant", "value": 0.3, "delta": 0.1, "dleta": 0.2}]),
+        "diagnose.targets[0].dleta",
+        True,
+    ),
 ]
 
 
@@ -290,6 +300,7 @@ def rerun_cases():
     cases["rate"] = ("rate", base_cfg(grid={"n": 8}, control=controls["cosine_pulse"]))
     cases["quasipotential"] = ("quasipotential", qp_cfg(horizons=[0.5, 1.0], dt=0.05, maxiter=50))
     cases["invariant"] = ("invariant", base_cfg(sampling={"count": 20, "eps": 0.3, "seeds": [3, 1], "dt": 2e-3}))
+    cases["invariant_noiseless"] = ("invariant", base_cfg(sampling={"count": 20, "eps": 0.0, "seeds": [3, 1], "dt": 2e-3}))
     diagnose = diagnose_cfg(gamma=0.4, radii=[0.5, 2.0])
     diagnose["optimizer"] = {"horizons": [0.5], "dt": 0.05, "maxiter": 20}
     cases["diagnose_gamma"] = ("diagnose", diagnose)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -247,9 +248,9 @@ def test_declared_spde_has_the_undeclared_bits_on_a_long_path(sigma_kind, f_kind
 
 
 @pytest.mark.parametrize("f_kind", ["zero", "sinusoidal"])
-def test_declared_marches_build_their_terms_once_per_row_block(monkeypatch, f_kind):
-    # Two row blocks, two calls that build terms, whatever the step count; sigma
-    # is called only for the declaration's two probes.
+def test_declared_marches_build_their_terms_once_per_march(monkeypatch, f_kind):
+    # One call builds every term of a march, whatever the step count; sigma is
+    # called only for the declaration's two probes.
     built = {"kicks": 0, "drives": 0}
     for name in built:
 
@@ -261,10 +262,24 @@ def test_declared_marches_build_their_terms_once_per_row_block(monkeypatch, f_ki
     coeffs, calls = counting(registry_coeffs(4.0, f_kind, "cosine_profile"))
     spde, *skeletons = long_declared_runs(build_grid(16))
     spde(coeffs)
-    assert built == {"kicks": 2, "drives": 0} and calls["sigma"] == 2
+    assert built == {"kicks": 1, "drives": 0} and calls["sigma"] == 2
     for k, run in enumerate(skeletons, start=1):
         run(coeffs)
-        assert built == {"kicks": 2, "drives": 2 * k} and calls["sigma"] == 2 + 2 * k
+        assert built == {"kicks": 1, "drives": k} and calls["sigma"] == 2 + 2 * k
+
+
+@pytest.mark.parametrize("shape", [(50, 1), (50,), (0, 17), (50, 16), (2, 50, 17)])
+def test_noise_realization_rejects_increments_of_the_wrong_shape(shape):
+    # Increments shaped (m, 1) or (m,) were broadcast: solve_spde ran to the
+    # end with one increment at every node.
+    with pytest.raises(ValueError, match=re.escape(f"noise increments shaped {shape}, expected (steps >= 1, 17)")):
+        NoiseRealization(build_grid(16), 1e-3, np.zeros(shape))
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-3])
+def test_noise_realization_rejects_a_bad_dt(dt):
+    with pytest.raises(ValueError, match=f"dt must be finite and positive, got {dt}"):
+        NoiseRealization(build_grid(16), dt, np.zeros((50, 17)))
 
 
 @pytest.mark.parametrize("sigma_kind", ["one", "state_modulated"])
@@ -293,7 +308,7 @@ def test_kicks_keep_the_sign_of_zero(n):
     eps = np.array([[0.5], [0.3]])
     lo, hi = walls.k1[:, None], walls.k2[:, None]
     scheme = dynamics._Scheme(declared, grid, dt, batch=True)
-    got = scheme.step(state, lo, hi, kick=scheme.kicks(increments, eps).T)
+    got = scheme.step(state, lo, hi, term=scheme.kicks(increments, eps).T)
     x, rows = grid.nodes, state.T
     rhs = rows + dt * declared.f(x, rows) + eps * declared.sigma(x, rows) * increments / grid.dx
     assert not np.signbit(rhs[0]).any() and np.signbit(rows + eps * increments / grid.dx)[0].all()
@@ -694,6 +709,17 @@ def test_local_time_energy_rejects_a_non_finite_horizon(T):
     assert local_time_energy(lt, 1.0, 1.0) == pytest.approx(0.664, abs=1e-3)
     with pytest.raises(ValueError, match=f"T must be finite, got {T}"):
         local_time_energy(lt, 1.0, T)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
+def test_local_time_energy_checks_alpha_as_the_operator_does(alpha):
+    # alpha=nan returned NaN.
+    from wallspde.obstacle import LocalTime
+
+    grid = build_grid(8)
+    lt = LocalTime(grid, np.linspace(0.0, 1.0, 11), np.ones((10, grid.n + 1)))
+    with pytest.raises(ValueError, match=f"alpha must be finite and nonnegative, got {alpha}"):
+        local_time_energy(lt, alpha, 1.0)
 
 
 def test_local_time_energy_keeps_the_level_at_T_on_a_long_mesh():

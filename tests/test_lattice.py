@@ -233,6 +233,19 @@ def test_walls_validation():
         Walls.constant(grid, -1.0, -0.5)
 
 
+@pytest.mark.parametrize("k1, k2", [(-np.inf, 1.0), (-1.0, np.inf)])
+def test_walls_reject_an_infinite_profile(k1, k2):
+    # An infinite wall made rate.contact_tolerance infinite: every node then
+    # counted as in contact, and rate_I priced a controlled path at 0.
+    grid = build_grid(8)
+    with pytest.raises(ValueError, match="walls must be finite everywhere"):
+        Walls.constant(grid, k1, k2)
+    lower, upper = np.full(grid.n + 1, -1.0), np.full(grid.n + 1, 1.0)
+    lower[3], upper[5] = k1, k2
+    with pytest.raises(ValueError, match="walls must be finite everywhere"):
+        Walls.from_profiles(grid, lower, upper)
+
+
 def _forcing_from(field):
     """A two-level forcing path that starts at ``field``, on its own grid."""
     grid = build_grid(len(field) - 1)
@@ -376,3 +389,15 @@ def test_space_time_field_restrict():
     assert np.shares_memory(sub.values, field.values)
     with pytest.raises(ValueError, match="mesh"):
         field.restrict(0.15, 0.7)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_space_time_field_rejects_a_non_finite_time(t):
+    # argmin over an all-NaN distance is 0 and nan > tol is False, so a NaN
+    # time was read as the first level.
+    grid = build_grid(4)
+    times = np.linspace(0.0, 1.0, 11)
+    field = SpaceTimeField(grid, times, np.outer(times, np.ones(5)))
+    for call in (lambda: field.index_of(t), lambda: field.restrict(t, 0.7), lambda: field.restrict(0.2, t)):
+        with pytest.raises(ValueError, match=f"time must be finite, got {t}"):
+            call()

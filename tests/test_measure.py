@@ -69,16 +69,17 @@ def test_sampler_steps_the_spde_scheme(coeffs):
     assert np.array_equal(measure.samples, kept)
 
 
-@pytest.mark.parametrize("eps, sigma_per_step", [(0.5, 1), (0.0, 0)])
-def test_sampler_calls_f_once_per_step_and_sigma_once_per_noisy_step(eps, sigma_per_step):
-    # perfbench's coeff_calls counts these calls.  Both chains share each call.
+@pytest.mark.parametrize("eps", [0.5, 0.0])
+def test_sampler_calls_f_and_sigma_once_per_step(eps):
+    # perfbench's coeff_calls counts these calls.  Both chains share each call,
+    # and a zero-noise level is kicked like any other.
     grid = build_grid(16)
     coeffs, calls = counting(coeffs_sin_statesigma(4.0, 1.5))
     plan = SamplingPlan(burn_in=2.0, thin=0.05, count=6)
     sample_invariant(coeffs, Walls.constant(grid, -0.3, 0.4), eps, plan, seeds=[1, 2], dt=1e-2)
     steps = 200 + 3 * 5
     # require_h evaluates f once at zero before the first step.
-    assert calls == {"f": steps + 1, "sigma": sigma_per_step * steps, "df_du": 0, "dsigma_du": 0}
+    assert calls == {"f": steps + 1, "sigma": steps, "df_du": 0, "dsigma_du": 0}
 
 
 # 215 steps: 200 of burn-in, then 3 rounds of 5.  require_h calls f once;
@@ -505,6 +506,27 @@ def test_stacked_rounds_keep_the_per_level_bits(name):
         assert got.tobytes() == want.tobytes()
         alone = sample_invariant(case["coeffs"], case["walls"], eps, plan, seeds, dt=dt)
         assert alone.samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("f_kind, sigma_kind", [("zero", "one"), ("sinusoidal", "cosine_profile")])
+def test_declared_stack_with_a_zero_noise_level_keeps_the_per_level_bits(f_kind, sigma_kind):
+    # The case's stack ends in a zero-noise level, which is kicked like the
+    # others: its kicks are +0.0 or -0.0 (+0.0 once f = 0 adds the + 0.0),
+    # so its chains stay at +0.0, and every level keeps the bits of the
+    # sampler that stepped one level at a time.
+    grid, case = stack_case("state_dependent_profile_walls")
+    assert case["eps"][-1] == 0.0
+    coeffs = registry_coeffs(case["coeffs"].alpha, f_kind, sigma_kind)
+    dt, chains = 1e-2, case["chains"]
+    levels = [
+        (eps, plan, tuple(43 + 1000 * i + j for j in range(chains)))
+        for i, (eps, plan) in enumerate(zip(case["eps"], case["plans"]))
+    ]
+    stacked = stacked_samples(coeffs, case["walls"], levels, dt)
+    for (eps, plan, seeds), got in zip(levels, stacked):
+        want = per_level_samples(coeffs, case["walls"], eps, plan, seeds, dt)
+        assert got.tobytes() == want.tobytes()
+    assert stacked[-1].tobytes() == np.zeros_like(stacked[-1]).tobytes()
 
 
 @pytest.mark.parametrize("sigma_kind", ["state_modulated", "cosine_profile"])

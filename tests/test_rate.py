@@ -268,6 +268,19 @@ def test_path_functionals_raise_on_bad_windows():
             fn(0.0, 0.105)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_path_functionals_reject_a_non_finite_time(t):
+    # A NaN t1 was read as t = 0, so the window [nan, 0.2] was priced as [0, 0.2].
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.5, 0.5)
+    coeffs = coeffs_sin_statesigma(2.0, 0.5, amp=0.3)
+    v = clipped_walk(grid, 40, 1e-2, 3, walls)
+    for fn in (lambda a, b: rate_I(v, a, b, coeffs, walls), lambda a, b: rate_S(v, a, b, coeffs)):
+        for window in ((t, 0.2), (0.0, t)):
+            with pytest.raises(ValueError, match=f"time must be finite, got {t}"):
+                fn(*window)
+
+
 def test_rate_I_memory_stays_bounded_at_large_n():
     # The full-array formulas held about eight (512, 2049) temporaries, 66 MiB.
     grid = build_grid(2048)
