@@ -268,6 +268,13 @@ def _run_selftest(out, args) -> int:
     checks["stacked_step_keeps_batch_bits"] = all(
         stepped[k].tobytes() == prop.step(stack[k].copy(), lo, hi).tobytes() for k in range(len(stack))
     )
+    # A single state is solved by np.dot's gemv: every path keeps its bits
+    # only if that gemv rounds as matmul does, plain and transposed.
+    state = stack[0, :, 0].copy()
+    checks["single_state_gemv_bits"] = all(
+        solve(state).tobytes() == np.matmul(matrix, state).tobytes()
+        for solve, matrix in ((prop.solve, prop.matrix), (prop.solve_transpose, np.ascontiguousarray(prop.matrix.T)))
+    )
 
     # The CSV cell speller against format_float where it is easiest to get
     # wrong: next to powers of ten, on exact ties, and outside its range.

@@ -3,10 +3,11 @@ registry.
 
 ``config_schema.json`` states every per-key rule (type, enum, range, array
 items, the keys an object may hold) and every default; ``_get`` applies
-them, ``build_run`` checks the root's keys, and the ``build_*``
-functions are the only readers of a config.  Each rule the schema cannot
-say (a horizon on the step mesh, fields between the walls, hypothesis H, a
-long enough burn-in) is checked by the library function that owns it, and
+them, ``build_run`` holds every section present to them, whether its
+command reads that section or not, and the ``build_*`` functions are the
+only readers of a config.  Each rule the schema cannot say (a horizon on
+the step mesh, fields between the walls, hypothesis H, a long enough
+burn-in) is checked by the library function that owns it, and
 ``config`` only names the key: ``_naming`` turns that function's
 ``ValueError`` into a ``ConfigError`` naming the dotted key, which the CLI
 maps to exit code 2.  Coefficient functions come from a closed registry
@@ -137,10 +138,16 @@ def _check(value, node: dict, dotted: str):
         for word, (holds, text) in _BOUNDS.items():
             if word in node and not holds(value, node[word]):
                 raise ConfigError(f"{dotted} must be {text} {node[word]}, got {value}")
-    if isinstance(value, dict) and node.get("additionalProperties") is False:
-        unknown = [key for key in value if key not in node.get("properties", {})]
-        if unknown:
-            raise ConfigError(f"unknown key: {dotted + '.' if dotted else ''}{unknown[0]}")
+    if isinstance(value, dict):
+        prefix = dotted + "." if dotted else ""
+        if node.get("additionalProperties") is False:
+            unknown = [key for key in value if key not in node.get("properties", {})]
+            if unknown:
+                raise ConfigError(f"unknown key: {prefix}{unknown[0]}")
+        # Every key present, whether the command reads it or not.
+        for key, child in node.get("properties", {}).items():
+            if _present(value, key, node, prefix + key):
+                _check(value[key], child, prefix + key)
     if isinstance(value, list):
         if len(value) < node.get("minItems", 0):
             raise ConfigError(f"{dotted} needs at least {node['minItems']} entries")
@@ -149,13 +156,21 @@ def _check(value, node: dict, dotted: str):
     return value
 
 
+def _present(section: dict, key: str, parent: dict, dotted: str) -> bool:
+    """Whether ``section`` holds ``key``; raises when it does not but the
+    schema node ``parent`` of the section requires it."""
+    if key in section:
+        return True
+    if key in parent.get("required", ()):
+        raise ConfigError(f"missing key: {dotted}")
+    return False
+
+
 def _get(section: dict, dotted: str):
     """The checked value of a key, or its schema default when absent."""
     head, _, key = dotted.rpartition(".")
     node = _node(dotted)
-    if key not in section:
-        if key in _node(head).get("required", ()):
-            raise ConfigError(f"missing key: {dotted}")
+    if not _present(section, key, _node(head), dotted):
         return node.get("default")
     return _check(section[key], node, dotted)
 
@@ -361,7 +376,8 @@ def build_diagnose(cfg: dict, grid: Grid, coeffs: CoefficientSpec, walls: Walls)
 
 
 def build_run(cfg: dict, command: str) -> SimpleNamespace:
-    """Build and check everything the command's handler uses.
+    """Build and check everything the command's handler uses, after holding
+    every section present to the schema.
 
     Always grid, coeffs and walls; T, dt and u0 for simulate, skeleton and
     rate; eps, seed and stream for simulate; control and penalty for skeleton

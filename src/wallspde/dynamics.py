@@ -5,8 +5,8 @@ penalized approximation, the zero-control flow, and the stochastic equation
 driven by discretized space-time white noise.  The step is written once, in
 the private ``_Scheme`` that these solvers, the sampler in ``measure`` and
 the optimizer in ``rate`` call: it adds the explicit reaction term and at
-most one more, a control drive from ``_Scheme.drives`` or a noise kick from
-``_Scheme.kicks``, to the previous state and hands the result to
+most one more, a control drive or a noise kick from ``_Scheme.kicks``, to
+the previous state and hands the result to
 ``lattice.Propagator.step``, which does the implicit linear solve and
 restores the walls by clipping onto [K1, K2] (projected mode, the
 production default) or by the closed-form implicit penalty (penalized mode);
@@ -247,12 +247,13 @@ class _Scheme:
     """The semi-implicit scheme on one (coeffs, grid, dt); its arithmetic is written only here.
 
     A step hands ``Propagator.step`` the explicit half-step state + dt*f(x, state)
-    plus at most one term: a drive dt*sig*hdot from ``drives`` or a kick
-    eps*sig*dW/dx from ``kicks``, with sig = sigma(x, state).  A kick pairs as
-    white noise does under trapezoid weights at the interior nodes only: at
-    the two end nodes it is O(dx) off the W metric of the action.  The
-    propagator is built on first use, so ``residual``, the inverse, never
-    builds one.
+    plus at most one term: a drive dt*sig*hdot or a kick eps*sig*dW/dx from
+    ``kicks``, with sig = sigma(x, state).  A kick pairs as white noise does
+    under trapezoid weights at the interior nodes only: at the two end nodes
+    it is O(dx) off the W metric of the action.  The propagator is built on
+    first use, so ``residual``, the inverse, never builds one.  It solves a
+    single state as one gemv through np.dot, and a batch or stack by
+    matmul's gemm per batch.
 
     A step's state is one (n+1,) field, or with ``batch`` set a batch in
     ``Propagator``'s node-major layout, (..., n+1, batch), whose walls the
@@ -264,11 +265,12 @@ class _Scheme:
     With ``sigma_profile`` declared, sig is that profile, evaluated once, so no
     term depends on the state: ``drives`` and ``kicks`` turn a whole block of
     rows into terms, and ``march`` builds all of a path's terms at once, in
-    the path's own rows.  With ``f_zero`` the explicit half-step is
-    state + 0.0: the add stays, because it maps -0.0 to +0.0, and ``drives``
-    and ``kicks`` move it onto the term, since (s + 0.0) + t equals
-    s + (t + 0.0) bit for bit.  Each value keeps the bits that calling f and
-    sigma would give it.
+    the path's own rows.  Without it ``march`` builds each drive in its own
+    loop, dt*sig at the step's state times the control row, and tapes that
+    dt*sig.  With ``f_zero`` the explicit half-step is state + 0.0: the add
+    stays, because it maps -0.0 to +0.0, and the drive or kick carries it,
+    since (s + 0.0) + t equals s + (t + 0.0) bit for bit.  Each value keeps
+    the bits that calling f and sigma would give it.
     """
 
     def __init__(self, coeffs: CoefficientSpec, grid: Grid, dt: float, batch: bool = False):
@@ -284,16 +286,11 @@ class _Scheme:
     def _sig(self, state):
         return self.sigma(self.x, state) if self.profile is None else self.profile
 
-    def drives(self, hdot, state=None, out=None, tape=None):
-        """The drives dt*sig*hdot of ``hdot``, with the half-step's + 0.0 when f is
-        zero, written into ``out`` (a new array when it is None).  With the
-        declared profile ``hdot`` may be a block of control rows; otherwise sig
-        is evaluated at ``state``, the state the drive acts on, and written into
-        ``tape`` when one is given."""
-        sig = self._sig(state)
-        if tape is not None:
-            tape[...] = sig
-        drive = self.dt * sig * hdot if out is None else np.multiply(self.dt * sig, hdot, out=out)
+    def drives(self, hdot, out):
+        """The drives dt*sig*hdot of a block of control rows ``hdot`` under the
+        declared profile, with the half-step's + 0.0 when f is zero, written
+        into ``out``."""
+        drive = np.multiply(self.dt * self.profile, hdot, out=out)
         if self.f_zero:
             drive += 0.0
         return drive
@@ -331,7 +328,7 @@ class _Scheme:
         With the declared profile no term depends on its state: one ``drives`` or
         ``kicks`` call writes step k's term into row k + 1 of ``u``, which step k
         reads and then overwrites with its state.  Otherwise each step builds its
-        term at its own state and writes the sig of its drive into row k of
+        term at its own state and writes the dt*sig of its drive into row k of
         ``tape``.  The caller's ``hdot`` and ``increments`` are only read."""
         steps, step, lo, hi = len(u) - 1, self.step, walls.k1, walls.k2
         free_rows = repeat(None) if free is None else free
@@ -340,12 +337,20 @@ class _Scheme:
         elif self.profile is not None:
             terms = u[1:]
             if increments is None:
-                self.drives(hdot[:steps], out=terms)
+                self.drives(hdot[:steps], terms)
             else:
                 self.kicks(increments[:steps], eps, out=terms)
         elif increments is None:
-            for state, h, tp, new, fr in zip(u, hdot, repeat(None) if tape is None else tape, u[1:], free_rows):
-                step(state, lo, hi, self.drives(h, state, None, tp), penalty, new, fr)
+            # The drive at each state, without the term builders' frames: dt*sig
+            # goes into the step's row of ``tape`` (one scratch row without a
+            # tape), and the drive is that row times the control row.
+            dt, x, sigma, f_zero = self.dt, self.x, self.sigma, self.f_zero
+            dsig_rows = repeat(np.empty(self.grid.n + 1)) if tape is None else tape
+            for state, h, dsig, new, fr in zip(u, hdot, dsig_rows, u[1:], free_rows):
+                drive = np.multiply(dt, sigma(x, state), out=dsig) * h
+                if f_zero:
+                    drive += 0.0
+                step(state, lo, hi, drive, penalty, new, fr)
             return
         else:
             for state, inc, new, fr in zip(u, increments, u[1:], free_rows):

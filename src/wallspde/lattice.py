@@ -335,7 +335,9 @@ class Propagator:
     operand, so a solve reads a contiguous batch in place, and walls
     expanded once to (n+1, batch) restore it on contiguous memory.
     Below ``TRIDIAGONAL_MIN_N`` intervals the solve multiplies by the dense
-    ``backward_euler_inverse``.  From ``TRIDIAGONAL_MIN_N`` on, the
+    ``backward_euler_inverse``: a single state as one gemv through np.dot,
+    which rounds as matmul does with less dispatch, and a batch or stack by
+    matmul's gemm per batch.  From ``TRIDIAGONAL_MIN_N`` on, the
     tridiagonal I - dt*A is LU-factored once (LAPACK gttrf) and each solve,
     plain or transposed, is one gttrs call; only the five factor arrays,
     5(n+1) numbers, are stored.  The two paths agree to round-off.  A solve
@@ -394,13 +396,20 @@ class Propagator:
         """
         if self.matrix is None:
             return self._banded(values, "N", out)
-        if values.ndim > 1:
-            # A stack is one matmul that runs one (n+1, batch) gemm per batch:
-            # gemm rounding depends on the column count and offset, so folding
-            # the stack into one wide product would not keep the bits.  A
-            # strided batch is copied first, because numpy multiplies some
-            # strided operands without BLAS; the copy is free on a contiguous one.
-            values = np.ascontiguousarray(values)
+        if values.ndim == 1:
+            # One state is one gemv, which np.dot reaches with less dispatch
+            # than matmul.  np.dot writes only into a C-contiguous ``out`` of
+            # its result's dtype; any other ``out`` takes matmul.
+            try:
+                return np.dot(self.matrix, values, out)
+            except ValueError:
+                return np.matmul(self.matrix, values, out=out)
+        # A stack is one matmul that runs one (n+1, batch) gemm per batch:
+        # gemm rounding depends on the column count and offset, so folding
+        # the stack into one wide product would not keep the bits.  A strided
+        # batch is copied first, because numpy multiplies some strided
+        # operands without BLAS; the copy is free on a contiguous one.
+        values = np.ascontiguousarray(values)
         # The operator form skips the keyword call's overhead on the sampler's steps.
         return self.matrix @ values if out is None else np.matmul(self.matrix, values, out=out)
 
@@ -408,7 +417,10 @@ class Propagator:
         """Transposed solve of a single state, for adjoint sweeps, written into ``out``."""
         if self.matrix is None:
             return self._banded(values, "T", out)
-        return np.matmul(self._matrix_t, values, out=out)
+        try:
+            return np.dot(self._matrix_t, values, out)
+        except ValueError:
+            return np.matmul(self._matrix_t, values, out=out)
 
     def step(
         self,

@@ -21,7 +21,8 @@ its action, so the best value is monotone in the horizon), and by carrying
 the terminal multiplier from stage to stage (the wait leaves the terminal
 state unchanged, so a stage after the first usually needs one L-BFGS
 round).  Each stage leaves a ``StageRecord`` on the result.  The forward
-pass tapes sigma along the path and the reverse sweep takes the scheme's
+pass tapes dt*sigma along the path, the product that both the drive and the
+gradient multiply by, and the reverse sweep takes the scheme's
 linearization once on the stored states, so each gradient costs one
 coefficient call per derivative rather than one per step.
 L-BFGS assumes a Euclidean metric (Liu & Nocedal 1989), so it runs on the
@@ -279,13 +280,14 @@ class _ActionProblem:
     prices.  The clip is piecewise linear: its slope is 1 at a node whose
     free (pre-clip) value lies in [k1, k2] and 0 where a wall restores it,
     exact off the measure-zero set where a free value sits on a wall.
-    ``forward`` returns the states, these 0/1 slopes and the sigma rows it
-    used (the declared profile, when there is one); ``value_and_grad`` takes
-    the scheme's linearization once on the stored states and folds the
-    slopes into it, so its reverse loop is only a transposed solve into the
-    step's row of the adjoint and a scale in place per step.  It keeps the
-    last evaluated point and its terminal state, so ``terminal`` at that
-    point costs no forward pass.
+    ``forward`` returns the states, these 0/1 slopes and the dt*sigma rows
+    its drives used (dt times the declared profile, once, when there is
+    one), so the gradient's dt*sigma*q is one product; ``value_and_grad``
+    takes the scheme's linearization once on the stored states and folds the
+    slopes into it, so its reverse loop walks the rows backwards with only a
+    transposed solve into the step's row of the adjoint and a scale in place
+    per step.  It keeps the last evaluated point and its terminal state, so
+    ``terminal`` at that point costs no forward pass.
 
     ``scaled_value_and_grad`` is the same function of y = z / ``scale``, with
     ``scale`` = sqrt(dx / w) on every row, u0 included: the coordinates in
@@ -320,12 +322,12 @@ class _ActionProblem:
         states = np.empty((self.steps + 1, self.n1))
         free = np.empty((self.steps, self.n1))
         # A declared sigma profile is every step's sig, so nothing is taped.
-        sig = self.scheme.profile
-        tape = np.empty((self.steps, self.n1)) if sig is None else None
+        profile = self.scheme.profile
+        tape = np.empty((self.steps, self.n1)) if profile is None else None
         states[0] = u0
         self.scheme.march(states, self.walls, hdot=h, free=free, tape=tape)
         slopes = (self.walls.k1 <= free) & (free <= self.walls.k2)
-        return states, slopes, sig if tape is None else tape
+        return states, slopes, self.dt * profile if tape is None else tape
 
     def terminal(self, z):
         """The path's terminal state for the control z."""
@@ -335,7 +337,7 @@ class _ActionProblem:
 
     def value_and_grad(self, z):
         u0, h = self.split(z)
-        states, slopes, sig = self.forward(u0, h)
+        states, slopes, dsig = self.forward(u0, h)
         self._last = (z.copy(), states[-1].copy())
         w, dt = self.weights, self.dt
 
@@ -351,10 +353,11 @@ class _ActionProblem:
         factor[1:] *= slopes[:-1]
         lam = slopes[-1] * (2.0 * self.w_pen * w * miss + w * self.mu)
         q = np.empty_like(h)
-        for k in range(self.steps - 1, -1, -1):
-            self.prop.solve_transpose(lam, out=q[k])
-            np.multiply(q[k], factor[k], out=lam)
-        grad_h = dt * w * h + dt * sig * q
+        solve_transpose, multiply = self.prop.solve_transpose, np.multiply
+        for q_row, factor_row in zip(q[::-1], factor[::-1]):
+            solve_transpose(lam, q_row)
+            multiply(q_row, factor_row, out=lam)
+        grad_h = dt * w * h + dsig * q
         if self.free_start:
             grad0 = lam + 2.0 * self.w_init * w * u0
             return value, np.concatenate([grad0, grad_h.ravel()])

@@ -161,6 +161,11 @@ CORPUS = [
         "diagnose.targets[0].dleta",
         True,
     ),
+    # A section the command does not read is held to the schema too: these
+    # used to validate, because only the read sections were checked.
+    ("unread_section_key_misspelled", "simulate", base_cfg(sampling={"cuont": 1}, **SIM), "sampling.cuont", True),
+    ("unread_section_wrong_type", "simulate", base_cfg(optimizer={"dt": "x"}, **SIM), "optimizer.dt", True),
+    ("unread_section_missing_key", "simulate", base_cfg(sampling={"eps": 0.1}, **SIM), "sampling.count", True),
 ]
 
 
@@ -469,6 +474,7 @@ def test_selftest_command(tmp_path):
     assert record["passed"]
     assert record["checks"]["csv_spelling"]
     assert record["checks"]["stacked_step_keeps_batch_bits"]
+    assert record["checks"]["single_state_gemv_bits"]
     assert "PASS" in proc.stdout
 
 
@@ -495,6 +501,17 @@ def test_selftest_fails_when_a_stack_solves_unlike_its_batches(tmp_path, monkeyp
     monkeypatch.setattr(lattice.Propagator, "solve", stack_off_by_one_ulp)
     assert main(["selftest", "--out", str(tmp_path / "out")]) == 1
     assert "FAIL stacked_step_keeps_batch_bits" in capsys.readouterr().out
+
+
+def test_selftest_fails_when_a_single_state_solves_unlike_matmul(tmp_path, monkeypatch, capsys):
+    solve_transpose = lattice.Propagator.solve_transpose
+
+    def off_by_one_ulp(self, values, out=None):
+        return np.nextafter(solve_transpose(self, values, out), np.inf)
+
+    monkeypatch.setattr(lattice.Propagator, "solve_transpose", off_by_one_ulp)
+    assert main(["selftest", "--out", str(tmp_path / "out")]) == 1
+    assert "FAIL single_state_gemv_bits" in capsys.readouterr().out
 
 
 def test_python_dash_m_wallspde_runs_the_cli(tmp_path):

@@ -234,8 +234,8 @@ def long_declared_runs(grid):
 @pytest.mark.parametrize("f_kind", ["zero", "sinusoidal"])
 @pytest.mark.parametrize("sigma_kind", ["one", "cosine_profile"])
 def test_declared_spde_has_the_undeclared_bits_on_a_long_path(sigma_kind, f_kind):
-    # The declared marches build their kicks and drives a row block at a time;
-    # both walls bind in the second block.
+    # A declared march builds all its kicks or drives in one call, into the
+    # path's own rows; both walls bind past the first row block.
     grid = build_grid(16)
     declared = registry_coeffs(4.0, f_kind, sigma_kind)
     block = lattice.row_blocks(grid, 4000)[0][1]

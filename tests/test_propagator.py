@@ -288,6 +288,27 @@ def test_step_solves_into_the_callers_free_row(n, penalty):
         assert adjoint.tobytes() == prop.solve_transpose(rhs).tobytes()
 
 
+@pytest.mark.parametrize("n", [4, 16, 32, 100, TRIDIAGONAL_MIN_N - 1])
+def test_single_state_solves_keep_the_matmul_bits(n):
+    # A single state is solved by np.dot's gemv, which numpy reaches with less
+    # dispatch than matmul.  Every path keeps its bits only if the two round
+    # alike, into a new array, into ``out`` and from a strided state.  The
+    # transposed solve multiplies by the contiguous transpose: a matmul by the
+    # strided view ``matrix.T`` takes gemv's transposed kernel, which rounds
+    # differently.
+    prop = Propagator(build_grid(n), 2.0, 1e-3)
+    assert prop.matrix is not None
+    state = np.random.default_rng(n).standard_normal(n + 1)
+    strided = np.repeat(state, 2)[::2]
+    for solve, matrix in ((prop.solve, prop.matrix), (prop.solve_transpose, np.ascontiguousarray(prop.matrix.T))):
+        expected = np.matmul(matrix, state).tobytes()
+        assert solve(state).tobytes() == expected
+        assert solve(strided).tobytes() == expected
+        out = np.empty(n + 1)
+        assert solve(state, out=out) is out
+        assert out.tobytes() == expected
+
+
 @pytest.mark.parametrize("n", [32, TRIDIAGONAL_MIN_N])
 def test_stacked_solve_equals_per_batch_solves_bit_for_bit(n):
     # The sampler solves every noise level's node-major (n+1, chains) batch as

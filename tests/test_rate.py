@@ -496,8 +496,8 @@ def test_declared_coefficients_keep_the_undeclared_rates_and_gradients(f_kind, s
 @pytest.mark.parametrize("f_kind", ["zero", "sinusoidal"])
 @pytest.mark.parametrize("sigma_kind", ["one", "cosine_profile"])
 def test_declared_gradient_has_the_undeclared_bits_past_a_row_block(f_kind, sigma_kind):
-    # 200 steps at n=512 are two row blocks of 127 rows, so the declared
-    # forward pass drives the path a block at a time on the banded solve.
+    # 200 steps at n=512 are two row blocks of 127 rows; the declared forward
+    # pass builds all its drives in one call and marches them on the banded solve.
     grid = build_grid(512)
     walls = Walls.constant(grid, -0.12, 0.12)
     declared = registry_coeffs(2.0, f_kind, sigma_kind)
