@@ -19,12 +19,13 @@ from time import time
 import numpy as np
 
 from wallspde import __version__
-from wallspde.config import COMMANDS, ConfigError, build_run, config_hash, load_config
-from wallspde.dynamics import solve_skeleton, solve_spde
-from wallspde.lattice import build_grid, heat_kernel
+from wallspde.config import COMMANDS, ConfigError, build_coefficients, build_run, config_hash, load_config
+from wallspde.dynamics import solve_deterministic, solve_skeleton, solve_spde
+from wallspde.lattice import Grid, Propagator, Walls, heat_kernel, neumann_operator
 from wallspde.measure import ldp_scaling_curve, sample_invariant, tightness_probe
 from wallspde.rate import quasipotential_J, rate_I, rate_S
 from wallspde.snapshots import (
+    _spelled,
     field_hash,
     format_float,
     write_field_snapshot,
@@ -40,9 +41,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         _common_flags(p)
-    p = sub.add_parser("selftest")
-    p.add_argument("--config", required=False)
-    _common_flags(p)
+    _common_flags(sub.add_parser("selftest"))
 
     args = parser.parse_args(argv)
     if args.command is None:
@@ -94,48 +93,40 @@ def _write_manifest(out: Path, args, cfg, outputs) -> None:
     write_json_record(manifest, out / "manifest.json")
 
 
-def _run_simulate(cfg, run, out):
-    traj = solve_spde(
-        run.u0, run.eps, run.coeffs, run.walls, run.T, run.dt, seed=run.seed, stream=run.stream
-    )
+def _write_path(traj, out: Path, **entry):
+    """The path's artifacts: CSV and binary snapshots, and a summary of its
+    force masses and hash plus the command's one ``entry``."""
     write_trajectory_csv(traj, out / "trajectory.csv")
     write_field_snapshot(traj.u, out / "trajectory.bin")
-    summary = {
-        "eta_mass": traj.eta.total_mass,
-        "xi_mass": traj.xi.total_mass,
-        "sup_norm": traj.u.sup_norm(),
-        "u_hash": field_hash(traj.u.values),
-    }
-    write_json_record(summary, out / "summary.json")
+    summary = {"eta_mass": traj.eta.total_mass, "xi_mass": traj.xi.total_mass, "u_hash": field_hash(traj.u.values)}
+    write_json_record({**summary, **entry}, out / "summary.json")
     return 0, ["trajectory.csv", "trajectory.bin", "summary.json"]
+
+
+def _run_simulate(cfg, run, out):
+    traj = solve_spde(run.u0, run.eps, run.coeffs, run.walls, run.T, run.dt, seed=run.seed, stream=run.stream)
+    return _write_path(traj, out, sup_norm=traj.u.sup_norm())
 
 
 def _skeleton_run(run):
-    return solve_skeleton(run.u0, run.control, run.coeffs, run.walls, run.T, run.dt, **run.penalty)
+    """The skeleton's path and the action of its control (0 for none)."""
+    traj = solve_skeleton(run.u0, run.control, run.coeffs, run.walls, run.T, run.dt, **run.penalty)
+    return traj, run.control.action if run.control is not None else 0.0
 
 
 def _run_skeleton(cfg, run, out):
-    traj = _skeleton_run(run)
-    write_trajectory_csv(traj, out / "trajectory.csv")
-    write_field_snapshot(traj.u, out / "trajectory.bin")
-    summary = {
-        "control_action": run.control.action if run.control is not None else 0.0,
-        "eta_mass": traj.eta.total_mass,
-        "xi_mass": traj.xi.total_mass,
-        "u_hash": field_hash(traj.u.values),
-    }
-    write_json_record(summary, out / "summary.json")
-    return 0, ["trajectory.csv", "trajectory.bin", "summary.json"]
+    traj, action = _skeleton_run(run)
+    return _write_path(traj, out, control_action=action)
 
 
 def _run_rate(cfg, run, out):
-    traj = _skeleton_run(run)
+    traj, action = _skeleton_run(run)
     i_val = rate_I(traj.u, 0.0, run.T, run.coeffs, run.walls)
     s_val = rate_S(traj.u, 0.0, run.T, run.coeffs)
     record = {
         "rate_I": i_val if math.isfinite(i_val) else "inf",
         "rate_S": s_val,
-        "control_action": run.control.action if run.control is not None else 0.0,
+        "control_action": action,
         "window": [0.0, run.T],
     }
     write_json_record(record, out / "rates.json")
@@ -223,11 +214,9 @@ def _run_diagnose(cfg, run, out):
 
 def _run_selftest(out, args) -> int:
     """Quick internal identity checks; exit 0 when everything holds."""
-    import wallspde.lattice as lattice
-
     checks = {}
-    grid = build_grid(32)
-    op = lattice.neumann_operator(grid, 2.0)
+    grid = Grid(32)
+    op = neumann_operator(grid, 2.0)
     const = np.full(grid.n + 1, 1.7)
     checks["operator_kills_constants"] = bool(
         np.max(np.abs(op.apply(const) + 2.0 * const)) < 1e-10
@@ -239,18 +228,7 @@ def _run_selftest(out, args) -> int:
     )
     checks["kernel_positive"] = bool(ker.min() >= -1e-12)
 
-    from wallspde.dynamics import CoefficientSpec, solve_deterministic
-    from wallspde.lattice import Walls
-
-    coeffs = CoefficientSpec(
-        f=lambda x, u: np.zeros_like(u),
-        sigma=lambda x, u: np.ones_like(u),
-        alpha=2.0,
-        lipschitz_c=0.0,
-        sigma_min=1.0,
-        df_du=lambda x, u: np.zeros_like(u),
-        dsigma_du=lambda x, u: np.zeros_like(u),
-    )
+    coeffs = build_coefficients({"alpha": 2.0, "f": "zero", "sigma": "one"})
     walls = Walls.constant(grid, -1.0, 1.0)
     traj = solve_deterministic(np.full(grid.n + 1, 0.5), coeffs, walls, 0.5, 1e-3)
     exact = 0.5 * np.exp(-2.0 * traj.u.times)
@@ -261,7 +239,7 @@ def _run_selftest(out, args) -> int:
 
     # The sampler steps its noise levels as one node-major stack and keeps
     # each level's bits only if numpy's matmul runs each batch's own gemm.
-    prop = lattice.Propagator(grid, 2.0, 1e-3)
+    prop = Propagator(grid, 2.0, 1e-3)
     stack = np.random.default_rng(0).standard_normal((3, grid.n + 1, 16))
     lo, hi = (np.repeat(wall[:, None], 16, axis=1) for wall in (-0.5 - 0.1 * grid.nodes, 0.5 + 0.1 * grid.nodes))
     stepped = prop.step(stack, lo, hi)
@@ -278,8 +256,6 @@ def _run_selftest(out, args) -> int:
 
     # The CSV cell speller against format_float where it is easiest to get
     # wrong: next to powers of ten, on exact ties, and outside its range.
-    from wallspde.snapshots import _spelled
-
     edges = [float(f"1e{k}") for k in range(-12, 18)]
     ties = [2.0**-25, 3 * 2.0**-25, 1234567890123456.25, 1234567890123456.75]
     outside = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e300]

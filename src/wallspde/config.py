@@ -31,7 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from wallspde.dynamics import CoefficientSpec, Control, check_noise_step
-from wallspde.lattice import Grid, Walls, build_grid, mesh_steps
+from wallspde.lattice import Grid, Walls, mesh_steps
 from wallspde.measure import SamplingPlan, _check_schedule, _check_streams, _level_seeds, _plan_per_level
 from wallspde.rate import OptimizerOptions
 
@@ -99,6 +99,8 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from None
 
 
 @functools.cache
@@ -389,7 +391,7 @@ def build_run(cfg: dict, command: str) -> SimpleNamespace:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
     _check(cfg, _schema(), "")
-    grid = build_grid(_get(_need(cfg, "grid"), "grid.n"))
+    grid = Grid(_get(_need(cfg, "grid"), "grid.n"))
     run = SimpleNamespace(grid=grid, coeffs=build_coefficients(_need(cfg, "coefficients")))
     run.walls = build_walls(_need(cfg, "walls"), grid)
     if command in ("simulate", "skeleton", "rate"):

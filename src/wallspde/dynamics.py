@@ -208,11 +208,17 @@ def check_penalty(delta: float, eps_pen: float) -> None:
         raise ValueError(f"penalty parameters must be positive and finite: delta={delta}, eps_pen={eps_pen}")
 
 
-def _check_finite(values: np.ndarray, name: str) -> None:
-    """Raises unless ``values`` is finite.  min and max carry a NaN or an inf
-    through, so a path-sized input needs no path-sized temporary."""
-    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+def _check_rows(grid: Grid, dt: float, steps: int, other: Grid, times, rows: np.ndarray, name: str) -> np.ndarray:
+    """The control or noise ``rows`` that drive ``steps`` steps of ``dt`` on ``grid``;
+    raises unless their grid and mesh match and their first ``steps`` rows are
+    finite (min and max carry a NaN or an inf through: no path-sized temporary)."""
+    match_grid(grid, other, name)
+    match_dt(times, dt, name)
+    if rows.shape[0] < steps:
+        raise ValueError(f"{name} time mesh has {rows.shape[0]} steps, fewer than the trajectory's {steps}")
+    if not (math.isfinite(rows[:steps].min()) and math.isfinite(rows[:steps].max())):
         raise ValueError(f"{name} must be finite: it holds NaN or inf values")
+    return rows
 
 
 def noise_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -418,13 +424,9 @@ def solve_skeleton(
         check_penalty(delta, eps_pen)
     m = mesh_steps(T, dt, "T")
     times = np.linspace(0.0, T, m + 1)
+    hdot = None
     if control is not None:
-        match_grid(grid, control.grid, "control")
-        match_dt(control.times, dt, "control")
-        if control.values.shape[0] < m:
-            raise ValueError(f"control time mesh has {control.values.shape[0]} steps, fewer than the trajectory's {m}")
-        _check_finite(control.values[:m], "control")
-    hdot = None if control is None else control.values
+        hdot = _check_rows(grid, dt, m, control.grid, control.times, control.values, "control")
     penalty = (delta, eps_pen) if mode == "penalized" else None
     return _Scheme(coeffs, grid, dt).trajectory(u0, walls, times, hdot=hdot, penalty=penalty)
 
@@ -465,13 +467,9 @@ def solve_spde(
     if eps_noise > 0.0:
         if noise is None:
             noise = sample_noise(grid, dt, m, seed, stream)
-        match_grid(grid, noise.grid, "noise realization")
         # Increments start at t = 0, so a realization's mesh is [0, noise.dt, ...].
-        match_dt(np.array([0.0, noise.dt]), dt, "noise realization")
-        if noise.steps < m:
-            raise ValueError(f"noise realization time mesh has {noise.steps} steps, fewer than the trajectory's {m}")
-        increments = noise.increments
-        _check_finite(increments[:m], "noise realization")
+        mesh = np.array([0.0, noise.dt])
+        increments = _check_rows(grid, dt, m, noise.grid, mesh, noise.increments, "noise realization")
     return _Scheme(coeffs, grid, dt).trajectory(u0, walls, times, increments=increments, eps=eps_noise)
 
 

@@ -87,13 +87,6 @@ class Grid:
         w[-1] *= 0.5
         return w
 
-    def integrate(self, values: np.ndarray) -> np.ndarray | float:
-        """Trapezoid integral over x along the last axis."""
-        return np.asarray(values) @ self.weights
-
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.sum(self.weights * u * v))
-
 
 def build_grid(n: int) -> Grid:
     return Grid(n)
@@ -223,16 +216,6 @@ class Walls:
         return cls(grid, np.asarray(k1, dtype=float), np.asarray(k2, dtype=float))
 
 
-def _mirrored_laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Second difference with ghost nodes mirrored across both ends."""
-    inv2 = 1.0 / grid.dx**2
-    out = np.empty_like(values, dtype=float)
-    out[..., 1:-1] = (values[..., :-2] - 2.0 * values[..., 1:-1] + values[..., 2:]) * inv2
-    out[..., 0] = 2.0 * (values[..., 1] - values[..., 0]) * inv2
-    out[..., -1] = 2.0 * (values[..., -2] - values[..., -1]) * inv2
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Tridiagonal A = (d^2/dx^2) - alpha*I with mirrored-ghost Neumann rows.
@@ -250,7 +233,12 @@ class Operator:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """A acting on fields shaped (..., n+1)."""
         values = np.asarray(values, dtype=float)
-        return _mirrored_laplacian(self.grid, values) - self.alpha * values
+        inv2 = 1.0 / self.grid.dx**2
+        out = np.empty_like(values, dtype=float)
+        out[..., 1:-1] = (values[..., :-2] - 2.0 * values[..., 1:-1] + values[..., 2:]) * inv2
+        out[..., 0] = 2.0 * (values[..., 1] - values[..., 0]) * inv2
+        out[..., -1] = 2.0 * (values[..., -2] - values[..., -1]) * inv2
+        return out - self.alpha * values
 
     def dense(self) -> np.ndarray:
         n1 = self.grid.n + 1

@@ -33,6 +33,9 @@ from wallspde.rate import OptimizerOptions, quasipotential_J
 # memory does not grow with the horizon, the chain count or the grid.
 _NOISE_VALUES = 2**18
 
+# The standard normal's 0.975 quantile, for two-sided 95% intervals.
+_Z95 = 1.959963984540054
+
 __all__ = [
     "SamplingPlan",
     "EmpiricalMeasure",
@@ -89,10 +92,11 @@ class EmpiricalMeasure:
         return self.samples.shape[0]
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if total < 1:
         raise ValueError("empty sample")
+    z = _Z95
     p = successes / total
     denom = 1.0 + z * z / total
     centre = (p + z * z / (2.0 * total)) / denom
@@ -432,6 +436,7 @@ def tightness_probe(measure: EmpiricalMeasure, gamma: float, radius_schedule) ->
     norms = np.array(
         [holder_norm(measure.grid, sample, gamma) for sample in measure.samples]
     )
+    median, q90 = float(np.median(norms)), float(np.quantile(norms, 0.9))
     rows = []
     for radius in radius_schedule:
         outside = float(np.mean(norms > radius))
@@ -440,8 +445,8 @@ def tightness_probe(measure: EmpiricalMeasure, gamma: float, radius_schedule) ->
                 "radius": float(radius),
                 "complement_mass": outside,
                 "eps2_log_complement": measure.eps**2 * math.log(outside) if outside > 0.0 else None,
-                "norm_median": float(np.median(norms)),
-                "norm_q90": float(np.quantile(norms, 0.9)),
+                "norm_median": median,
+                "norm_q90": q90,
             }
         )
     return rows

@@ -52,10 +52,6 @@ class LocalTime:
         dts = np.diff(self.times)
         return float(dts @ (self.density @ self.grid.weights))
 
-    @classmethod
-    def zero(cls, grid: Grid, times: np.ndarray) -> "LocalTime":
-        return cls(grid, np.asarray(times, dtype=float), np.zeros((len(times) - 1, grid.n + 1)))
-
 
 @dataclass(eq=False)
 class ObstacleSolution:
@@ -67,6 +63,7 @@ class ObstacleSolution:
 def solve_obstacle(v: SpaceTimeField, walls: Walls, alpha: float, dt: float) -> ObstacleSolution:
     """Reflected correction z and force densities for the forcing path v."""
     grid = v.grid
+    match_grid(grid, walls.grid, "walls")
     match_dt(v.times, dt, "forcing")
     walls.check(v.initial, "initial condition v(., 0)")
 

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from wallspde.dynamics import Trajectory
-from wallspde.lattice import SpaceTimeField, build_grid, check_dt
+from wallspde.lattice import Grid, SpaceTimeField, check_dt
 
 __all__ = [
     "format_float",
@@ -215,7 +215,7 @@ def read_field_snapshot(path: str | Path) -> SpaceTimeField:
     if len(raw) < _HEADER.size:
         raise ValueError(f"snapshot is {len(raw)} bytes, shorter than its {_HEADER.size}-byte header")
     n, m, dt, dx = _HEADER.unpack_from(raw)
-    grid = build_grid(n)
+    grid = Grid(n)
     if not abs(grid.dx - dx) <= 1e-12:
         raise ValueError(f"snapshot dx={dx} inconsistent with n={n}")
     try:

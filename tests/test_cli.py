@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,14 +10,22 @@ import pytest
 
 from wallspde import lattice, snapshots
 from wallspde.cli import main
-from wallspde.config import ConfigError, MAX_PATH_VALUES, build_run, config_hash, schema_path, validate_config
+from wallspde.config import (
+    ConfigError, MAX_PATH_VALUES, build_run, config_hash, load_config, schema_path, validate_config,
+)
+from wallspde.dynamics import solve_skeleton, solve_spde
 from wallspde.rate import quasipotential_J
 from wallspde.snapshots import read_field_snapshot
 
 
+# A child interpreter imports this checkout's package, installed or not.
+SRC = str(Path(lattice.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "wallspde.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "wallspde.cli", *argv], capture_output=True, text=True, env=CHILD_ENV
     )
 
 
@@ -224,6 +233,21 @@ def test_cli_missing_key_exits_2(tmp_path):
     assert "alpha" in proc.stderr
 
 
+@pytest.mark.parametrize("unreadable", ["directory", "utf16_bytes"])
+def test_cli_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, unreadable):
+    # Both used to escape load_config as IsADirectoryError / UnicodeDecodeError: exit 1, a traceback.
+    path = tmp_path / "config.json"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ConfigError, match="config.json"):
+        load_config(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
 def test_cli_non_finite_number_exits_2(tmp_path, literal):
     path = tmp_path / "config.json"
@@ -279,6 +303,44 @@ def test_skeleton_on_a_long_mesh_writes_its_artifacts(tmp_path):
     field = read_field_snapshot(out / "trajectory.bin")
     assert field.steps == 82000
     assert field.dt == 0.1
+
+
+PULSE = {"kind": "cosine_pulse", "amplitude": -10.0, "mode": 1, "t_end": 0.15}
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", {"noise": {"eps": 0.3, "seed": 4, "stream": 1}}),
+        ("skeleton", {"control": PULSE, "penalty": {"mode": "penalized"}}),
+        ("skeleton", {"control": {"kind": "zero"}}),
+        ("rate", {"control": PULSE}),
+        ("rate", {"control": {"kind": "zero"}}),
+    ],
+    ids=["simulate", "skeleton_pulse", "skeleton_zero", "rate_pulse", "rate_zero"],
+)
+def test_path_records_match_the_solved_trajectory(tmp_path, command, extra):
+    cfg = with_walls(base_cfg(**extra), -0.1, 0.1)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out), "--deterministic"]) == 0
+    run = build_run(cfg, command)
+    if command == "simulate":
+        traj = solve_spde(run.u0, run.eps, run.coeffs, run.walls, run.T, run.dt, seed=run.seed, stream=run.stream)
+        entry = {"sup_norm": traj.u.sup_norm()}
+    else:
+        traj = solve_skeleton(run.u0, run.control, run.coeffs, run.walls, run.T, run.dt, **run.penalty)
+        entry = {"control_action": 0.0 if run.control is None else run.control.action}
+    if command == "rate":
+        record = json.loads((out / "rates.json").read_text())
+        assert set(record) == {"rate_I", "rate_S", "control_action", "window"}
+        assert record["control_action"] == entry["control_action"]
+        return
+    record = json.loads((out / "summary.json").read_text())
+    masses = {"eta_mass": traj.eta.total_mass, "xi_mass": traj.xi.total_mass}
+    assert record == {**masses, "u_hash": snapshots.field_hash(traj.u.values), **entry}
+    if "noise" in extra or run.control is not None:  # both walls bind, and the entry is not zero
+        assert min(masses.values()) > 0.0 and min(entry.values()) > 0.0
+    assert read_field_snapshot(out / "trajectory.bin").values.tobytes() == traj.u.values.tobytes()
 
 
 def test_cli_deterministic_reruns_are_byte_identical(tmp_path):
@@ -517,7 +579,7 @@ def test_selftest_fails_when_a_single_state_solves_unlike_matmul(tmp_path, monke
 def test_python_dash_m_wallspde_runs_the_cli(tmp_path):
     out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, "-m", "wallspde", "selftest", "--out", str(out)], capture_output=True, text=True
+        [sys.executable, "-m", "wallspde", "selftest", "--out", str(out)], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads((out / "selftest.json").read_text())["passed"]

@@ -659,7 +659,7 @@ def test_local_time_energy_zero():
     grid = build_grid(8)
     from wallspde.obstacle import LocalTime
 
-    lt = LocalTime.zero(grid, np.linspace(0.0, 1.0, 11))
+    lt = LocalTime(grid, np.linspace(0.0, 1.0, 11), np.zeros((10, grid.n + 1)))
     assert local_time_energy(lt, 2.0, 1.0) == 0.0
 
 

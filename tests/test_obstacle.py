@@ -205,6 +205,14 @@ def test_dt_mismatch_rejected():
         solve_obstacle(v, walls, 1.0, 5e-3)
 
 
+def test_grid_mismatch_rejected():
+    # A forcing on another grid used to fail the initial condition's shape check instead.
+    walls = Walls.constant(build_grid(32), -1.0, 1.0)
+    v = make_field(build_grid(16), 0.1, 1e-2, lambda x, t: np.zeros_like(x))
+    with pytest.raises(ValueError, match="the walls grid has n=32, which does not match n=16"):
+        solve_obstacle(v, walls, 1.0, 1e-2)
+
+
 def test_refinement_in_dt_first_order():
     grid = build_grid(16)
     walls = Walls.constant(grid, -0.4, 0.4)
