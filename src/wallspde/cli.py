@@ -4,7 +4,8 @@ Each run populates one output directory with a ``manifest.json`` (command,
 resolved config echo, content hash, output list) plus per-artifact files.
 In deterministic mode timestamps are omitted, so identical configs produce
 byte-identical directories.  Exit codes: 0 success, 2 config validation
-failure, 3 numerical non-convergence.
+failure or an ``--out`` that cannot be made a directory, 3 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -60,13 +61,16 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _dispatch(args) -> int:
+    cfg = run = None
+    if args.command != "selftest":
+        cfg = load_config(args.config)
+        run = build_run(cfg, args.command)
     out = Path(args.out)
-    if args.command == "selftest":
+    try:
         out.mkdir(parents=True, exist_ok=True)
-        return _run_selftest(out, args)
-    cfg = load_config(args.config)
-    run = build_run(cfg, args.command)
-    out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: cannot make directory {out}: {exc.strerror}", file=sys.stderr)
+        return 2
     handler = {
         "simulate": _run_simulate,
         "skeleton": _run_skeleton,
@@ -74,6 +78,7 @@ def _dispatch(args) -> int:
         "quasipotential": _run_quasipotential,
         "invariant": _run_invariant,
         "diagnose": _run_diagnose,
+        "selftest": _run_selftest,
     }[args.command]
     code, outputs = handler(cfg, run, out)
     _write_manifest(out, args, cfg, outputs)
@@ -212,7 +217,7 @@ def _run_diagnose(cfg, run, out):
     return 0, ["diagnostics.csv", "diagnostics.json"]
 
 
-def _run_selftest(out, args) -> int:
+def _run_selftest(cfg, run, out):
     """Quick internal identity checks; exit 0 when everything holds."""
     checks = {}
     grid = Grid(32)
@@ -266,10 +271,9 @@ def _run_selftest(out, args) -> int:
     passed = all(checks.values())
     record = {"checks": checks, "passed": passed}
     write_json_record(record, out / "selftest.json")
-    _write_manifest(out, args, None, ["selftest.json"])
     for name, ok in checks.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
-    return 0 if passed else 1
+    return (0 if passed else 1), ["selftest.json"]
 
 
 if __name__ == "__main__":

@@ -183,10 +183,6 @@ class NoiseRealization:
         if len(shape) != 2 or shape[0] < 1 or shape[1] != self.grid.n + 1:
             raise ValueError(f"noise increments shaped {shape}, expected (steps >= 1, {self.grid.n + 1})")
 
-    @property
-    def steps(self) -> int:
-        return self.increments.shape[0]
-
 
 def check_level(eps: float) -> float:
     """The noise level as a float; raises unless it is finite and nonnegative."""

@@ -57,7 +57,11 @@ TRIDIAGONAL_MIN_N = 512
 
 # Path-wide reductions (the rate functionals, the complementarity integrals)
 # walk a path in row blocks of about this many values, so their temporaries
-# stay near 0.5 MiB each however fine the grid or long the path.
+# stay near 0.5 MiB each however fine the grid.  Each keeps one path-sized
+# buffer on purpose (rate._action's hdot**2, check_complementarity's
+# products): its `@ weights` runs once over the whole path, because gemv
+# rounds a row sum by the block it sits in; on OpenBLAS at n=2048, 31-row
+# blocks change about 30 of 512 row sums.
 BLOCK_VALUES = 2**16
 
 
@@ -381,17 +385,14 @@ class Propagator:
         ``values`` is shaped (n+1,), a node-major batch (n+1, batch) or a
         stack of batches (..., n+1, batch).  Every column comes out with the
         same bits as when its batch is solved alone, with ``out`` or without.
+        For a single state ``out`` is None or a C-contiguous float row, as
+        every caller passes; the dense path's np.dot raises ValueError for any other.
         """
         if self.matrix is None:
             return self._banded(values, "N", out)
         if values.ndim == 1:
-            # One state is one gemv, which np.dot reaches with less dispatch
-            # than matmul.  np.dot writes only into a C-contiguous ``out`` of
-            # its result's dtype; any other ``out`` takes matmul.
-            try:
-                return np.dot(self.matrix, values, out)
-            except ValueError:
-                return np.matmul(self.matrix, values, out=out)
+            # One state is one gemv, which np.dot reaches with less dispatch than matmul.
+            return np.dot(self.matrix, values, out)
         # A stack is one matmul that runs one (n+1, batch) gemm per batch:
         # gemm rounding depends on the column count and offset, so folding
         # the stack into one wide product would not keep the bits.  A strided
@@ -402,13 +403,11 @@ class Propagator:
         return self.matrix @ values if out is None else np.matmul(self.matrix, values, out=out)
 
     def solve_transpose(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Transposed solve of a single state, for adjoint sweeps, written into ``out``."""
+        """Transposed solve of a single state, for adjoint sweeps, written into
+        ``out``: None or a C-contiguous float row, as for ``solve``."""
         if self.matrix is None:
             return self._banded(values, "T", out)
-        try:
-            return np.dot(self._matrix_t, values, out)
-        except ValueError:
-            return np.matmul(self._matrix_t, values, out=out)
+        return np.dot(self._matrix_t, values, out)
 
     def step(
         self,
@@ -428,11 +427,11 @@ class Propagator:
         ``penalty = (delta, eps_pen)`` the stiff terms (u - lo)^- / delta and
         (u - hi)^+ / eps_pen are integrated implicitly per node in closed form,
         written only where a wall is crossed; each wall's closed form is
-        computed only when some node crosses it.  ``free``, a row the caller
-        keeps, receives the solved value before the walls are restored: the
-        solve writes it there, and the walls restore from it into ``out``.
-        ``restoring_forces`` reads it, which is where a caller learns which
-        nodes a wall restored.  Returns the new state.
+        computed only when some node crosses it.  ``free``, a C-contiguous row
+        the caller keeps, receives the solved value before the walls are
+        restored: the solve writes it there, and the walls restore from it
+        into ``out``.  ``restoring_forces`` reads it, which is where a caller
+        learns which nodes a wall restored.  Returns the new state.
         """
         y = self.solve(rhs, out=free)
         if penalty is None:

@@ -99,7 +99,6 @@ class RecoveredControl:
     hdot: Control
     eta: LocalTime
     xi: LocalTime
-    residual: np.ndarray  # defect r - sigma*hdot - eta + xi, zero where exact
 
     @property
     def action(self) -> float:
@@ -179,12 +178,12 @@ def _admissible(v: SpaceTimeField, walls: Walls, tol: float = 1e-9) -> bool:
 def _decompose(v: SpaceTimeField, coeffs: CoefficientSpec, walls: Walls | None, dt: float):
     """Invert ``_Scheme`` one block of steps at a time.
 
-    Yields ``(steps, sig, residual, hdot, eta, xi)`` for the step rows in the
-    slice ``steps``.  With ``walls`` the least-squares split puts the one-signed
-    part of the residual at a contact node into the force and raises unless
-    sigma keeps to its positive bound ``coeffs.sigma_min``; with ``walls=None``
-    the control absorbs the whole residual and ``eta``, ``xi`` are None.  Each
-    value is computed node-wise, so it equals the full-array formula's bits.
+    Yields ``(rows, hdot, eta, xi)`` for the step rows in the slice ``rows``.
+    With ``walls`` the least-squares split puts the one-signed part of the
+    residual at a contact node into the force and raises unless sigma keeps to
+    its positive bound ``coeffs.sigma_min``; with ``walls=None`` the control
+    absorbs the whole residual and ``eta``, ``xi`` are None.  Each value is
+    computed node-wise, so it equals the full-array formula's bits.
     """
     if walls is not None and coeffs.sigma_min <= 0.0:
         raise ValueError("sigma lower bound must be positive")
@@ -196,11 +195,11 @@ def _decompose(v: SpaceTimeField, coeffs: CoefficientSpec, walls: Walls | None, 
         if walls is not None and np.min(np.abs(sig)) < coeffs.sigma_min * (1.0 - 1e-9):
             raise ValueError("sigma dips below its declared lower bound along the path")
         if walls is None:
-            yield slice(a, b), sig, residual, residual / sig, None, None
+            yield slice(a, b), residual / sig, None, None
             continue
         eta = np.where(np.abs(new - walls.k1) <= tol, np.maximum(residual, 0.0), 0.0)
         xi = np.where(np.abs(new - walls.k2) <= tol, np.maximum(-residual, 0.0), 0.0)
-        yield slice(a, b), sig, residual, (residual - eta + xi) / sig, eta, xi
+        yield slice(a, b), (residual - eta + xi) / sig, eta, xi
 
 
 def recover_control(
@@ -217,24 +216,22 @@ def recover_control(
     if not _admissible(v, walls):
         raise ValueError("path leaves the walls: no admissible decomposition")
 
-    hdot, eta, xi, defect = (np.empty((v.steps, grid.n + 1)) for _ in range(4))
-    for rows, sig, residual, h, lower, upper in _decompose(v, coeffs, walls, dt):
+    hdot, eta, xi = (np.empty((v.steps, grid.n + 1)) for _ in range(3))
+    for rows, h, lower, upper in _decompose(v, coeffs, walls, dt):
         hdot[rows], eta[rows], xi[rows] = h, lower, upper
-        defect[rows] = residual - sig * h - lower + upper
 
     times = v.times.copy()
     return RecoveredControl(
         hdot=Control(grid, times, hdot),
         eta=LocalTime(grid, times, eta),
         xi=LocalTime(grid, times, xi),
-        residual=defect,
     )
 
 
 def _action(window: SpaceTimeField, coeffs: CoefficientSpec, walls: Walls | None) -> float:
     """Control.action of the decomposition, with hdot**2 as the only path-sized array."""
     sq = np.empty((window.steps, window.grid.n + 1))
-    for rows, _, _, hdot, _, _ in _decompose(window, coeffs, walls, window.dt):
+    for rows, hdot, _, _ in _decompose(window, coeffs, walls, window.dt):
         np.square(hdot, out=sq[rows])
     return 0.5 * float(np.diff(window.times) @ (sq @ window.grid.weights))
 

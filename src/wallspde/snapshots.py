@@ -2,8 +2,9 @@
 
 Binary snapshot layout, all little endian: int64 n, int64 m, float64 dt,
 float64 dx, then (m+1)*(n+1) float64 field values in row-major order.  The
-writer sends the header and then the field's own buffer, and the hash reads
-that buffer in place, so neither copies the field.  Text outputs format
+writer sends the header and then the field's own buffer, the hash reads that
+buffer in place, and the reader reads the values into the array that becomes
+the field, so none of them copies the field.  Text outputs format
 floats with repr-exact precision (``format_float``, ``"%.17g"``) and write
 ``"\n"`` line ends on every platform, so identical runs produce
 byte-identical files.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from functools import cache
 from pathlib import Path
@@ -211,26 +213,27 @@ def write_field_snapshot(field: SpaceTimeField, path: str | Path) -> None:
 
 
 def read_field_snapshot(path: str | Path) -> SpaceTimeField:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"snapshot is {len(raw)} bytes, shorter than its {_HEADER.size}-byte header")
-    n, m, dt, dx = _HEADER.unpack_from(raw)
-    grid = Grid(n)
-    if not abs(grid.dx - dx) <= 1e-12:
-        raise ValueError(f"snapshot dx={dx} inconsistent with n={n}")
-    try:
-        check_dt(dt)
-    except ValueError:
-        raise ValueError(f"snapshot dt={dt} must be finite and positive") from None
-    if m < 1:
-        raise ValueError(f"snapshot has m={m} steps, need at least one")
-    count = (m + 1) * (n + 1)
-    expected = _HEADER.size + 8 * count
-    if len(raw) != expected:
-        raise ValueError(f"snapshot is {len(raw)} bytes, expected {expected} for n={n} and m={m}")
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size, count=count)
-    times = dt * np.arange(m + 1)
-    return SpaceTimeField(grid, times, values.reshape(m + 1, n + 1).copy())
+    with Path(path).open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise ValueError(f"snapshot is {size} bytes, shorter than its {_HEADER.size}-byte header")
+        n, m, dt, dx = _HEADER.unpack(fh.read(_HEADER.size))
+        grid = Grid(n)
+        if not abs(grid.dx - dx) <= 1e-12:
+            raise ValueError(f"snapshot dx={dx} inconsistent with n={n}")
+        try:
+            check_dt(dt)
+        except ValueError:
+            raise ValueError(f"snapshot dt={dt} must be finite and positive") from None
+        if m < 1:
+            raise ValueError(f"snapshot has m={m} steps, need at least one")
+        expected = _HEADER.size + 8 * (m + 1) * (n + 1)
+        if size != expected:
+            raise ValueError(f"snapshot is {size} bytes, expected {expected} for n={n} and m={m}")
+        values = np.empty((m + 1, n + 1), dtype="<f8")
+        if fh.readinto(values) != values.nbytes:
+            raise ValueError(f"snapshot shrank while it was read: expected {expected} bytes")
+    return SpaceTimeField(grid, dt * np.arange(m + 1), values)
 
 
 def field_hash(values: np.ndarray) -> str:

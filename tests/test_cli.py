@@ -248,6 +248,23 @@ def test_cli_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, unreada
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, below", [("skeleton", ""), ("selftest", "out")])
+def test_cli_out_that_cannot_be_a_directory_exits_2_naming_it(tmp_path, capsys, command, below):
+    # mkdir raises FileExistsError for an --out that is a file and
+    # NotADirectoryError for one under a file: both exit 2 on one line, and
+    # the file is left as it was.
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"")
+    out = afile / below
+    argv = [command, "--out", str(out)]
+    if command != "selftest":
+        argv += ["--config", str(write_cfg(tmp_path, base_cfg(**SKEL)))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and len(err.splitlines()) == 1
+    assert afile.read_bytes() == b""
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
 def test_cli_non_finite_number_exits_2(tmp_path, literal):
     path = tmp_path / "config.json"

@@ -269,8 +269,9 @@ def test_tridiagonal_transposed_solve_is_the_adjoint(n):
 @pytest.mark.parametrize("n", [16, TRIDIAGONAL_MIN_N], ids=["dense", "banded"])
 def test_step_solves_into_the_callers_free_row(n, penalty):
     # A march keeps each step's free value in a row of a path-sized array, and
-    # the solve writes it there with the bits of a plain solve; a strided row
-    # gets them too.  The adjoint's transposed solve writes into its row alike.
+    # the solve writes it there with the bits of a plain solve; the banded
+    # solve gives a strided row them too, and the dense one refuses it.  The
+    # adjoint's transposed solve writes into its row alike.
     grid = build_grid(n)
     prop = Propagator(grid, 2.0, 1e-3)
     rhs = np.random.default_rng(n).normal(size=n + 1)
@@ -278,6 +279,11 @@ def test_step_solves_into_the_callers_free_row(n, penalty):
     expected = prop.step(rhs, lo, hi, penalty)
     assert np.any(expected != prop.solve(rhs))
     for rows in (np.full((3, n + 1), np.nan), np.full((n + 1, 3), np.nan).T):
+        if prop.matrix is not None and not rows[1].flags.c_contiguous:
+            for solve in (prop.solve, prop.solve_transpose):
+                with pytest.raises(ValueError):
+                    solve(rhs, out=rows[1])
+            continue
         out = np.empty(n + 1)
         assert prop.step(rhs, lo, hi, penalty, out=out, free=rows[1]) is out
         assert out.tobytes() == expected.tobytes()

@@ -63,7 +63,6 @@ def test_recover_round_trip_noncontact():
     assert traj.eta.total_mass == 0.0 and traj.xi.total_mass == 0.0
     rec = recover_control(traj.u, coeffs, walls, dt)
     assert abs(rec.action - control.action) / control.action <= 2e-2
-    assert np.max(np.abs(rec.residual)) <= 1e-9
 
 
 def test_recover_pinned_patch_uses_force_not_control():
@@ -178,12 +177,11 @@ def full_array_recovery(v, coeffs, walls, dt):
     op = neumann_operator(v.grid, coeffs.alpha)
     residual = (u[1:] - u[:-1]) / dt - op.apply(u[1:]) - coeffs.f(x, u[:-1])
     if walls is None:
-        return residual / sig, None, None, None
+        return residual / sig, None, None
     tol = contact_tolerance(walls)
     eta = np.where(np.abs(u[1:] - walls.k1) <= tol, np.maximum(residual, 0.0), 0.0)
     xi = np.where(np.abs(u[1:] - walls.k2) <= tol, np.maximum(-residual, 0.0), 0.0)
-    hdot = (residual - eta + xi) / sig
-    return hdot, eta, xi, residual - sig * hdot - eta + xi
+    return (residual - eta + xi) / sig, eta, xi
 
 
 def full_array_action(v, t1, t2, coeffs, walls=None):
@@ -214,10 +212,9 @@ def test_blockwise_functionals_match_full_array_formulas_bit_for_bit(n):
     for steps in (rows - 1, rows, rows + 1, 3 * rows + 2):
         v = clipped_walk(grid, steps, dt, steps, walls)
         rec = recover_control(v, coeffs, walls, dt)
-        hdot, eta, xi, defect = full_array_recovery(v, coeffs, walls, dt)
         assert rec.eta.total_mass > 0.0 and rec.xi.total_mass > 0.0
-        got = (rec.hdot.values, rec.eta.density, rec.xi.density, rec.residual)
-        assert all(np.array_equal(a, b) for a, b in zip(got, (hdot, eta, xi, defect)))
+        got = (rec.hdot.values, rec.eta.density, rec.xi.density)
+        assert all(np.array_equal(a, b) for a, b in zip(got, full_array_recovery(v, coeffs, walls, dt)))
         T = v.times[-1]
         inner = (v.times[1], v.times[-2])
         for t1, t2 in ((0.0, T), inner):
@@ -295,6 +292,22 @@ def test_rate_I_memory_stays_bounded_at_large_n():
         tracemalloc.stop()
     assert math.isfinite(value)
     assert peak < 16 * 2**20
+
+
+def test_recovery_memory_is_its_three_outputs_plus_block_temporaries():
+    # hdot, eta and xi are the only path-sized arrays; a block's temporaries
+    # take about nine blocks, and a fourth (512, 2049) array would be sixteen.
+    grid = build_grid(2048)
+    walls = Walls.constant(grid, -0.2, 0.25)
+    coeffs = coeffs_sin_statesigma(0.5, 3.0, amp=0.3)
+    v = clipped_walk(grid, 512, 1e-3, 1, walls)
+    tracemalloc.start()
+    try:
+        recover_control(v, coeffs, walls, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * v.values[1:].nbytes + 16 * 8 * BLOCK_VALUES
 
 
 # ------------------------------------------------------------ adjoint
@@ -479,7 +492,7 @@ def test_declared_coefficients_keep_the_undeclared_rates_and_gradients(f_kind, s
     assert rate_I(path, 0.0, 0.1, declared, walls) == rate_I(path, 0.0, 0.1, stripped, walls) < math.inf
     assert rate_S(path, 0.0, 0.1, declared) == rate_S(path, 0.0, 0.1, stripped)
     got, want = recover_control(path, declared, walls, 2e-3), recover_control(path, stripped, walls, 2e-3)
-    for a, b in ((got.hdot.values, want.hdot.values), (got.eta.density, want.eta.density), (got.residual, want.residual)):
+    for a, b in ((got.hdot.values, want.hdot.values), (got.eta.density, want.eta.density), (got.xi.density, want.xi.density)):
         assert a.tobytes() == b.tobytes()
     assert np.any(path.values == walls.k1) and np.any(path.values == walls.k2)
     steps = 12

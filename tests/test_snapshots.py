@@ -3,6 +3,7 @@ import struct
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -245,6 +246,23 @@ def test_binary_writer_and_hash_do_not_copy_the_field(tmp_path):
     assert (tmp_path / "big.bin").stat().st_size == 32 + nbytes
 
 
+def test_binary_reader_allocates_one_field(tmp_path):
+    # The values are read straight into the array that becomes the field, so
+    # a read holds one field, not a bytes copy of the file as well.
+    grid = build_grid(2048)
+    field = SpaceTimeField(grid, 1e-3 * np.arange(512), np.random.default_rng(5).normal(size=(512, 2049)))
+    write_field_snapshot(field, tmp_path / "big.bin")
+    tracemalloc.start()
+    try:
+        back = read_field_snapshot(tmp_path / "big.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == field.values.tobytes()
+    assert np.array_equal(back.times, field.times)
+    assert peak < 1.25 * field.values.nbytes
+
+
 def test_binary_writer_bytes_independent_of_memory_order(tmp_path):
     grid = build_grid(8)
     values = np.random.default_rng(4).normal(size=(6, 9))
@@ -295,6 +313,17 @@ def test_read_rejects_truncated_payload(tmp_path, missing):
     path = tmp_path / "bad.bin"
     path.write_bytes(_snapshot_bytes(tmp_path)[:-missing])
     with pytest.raises(ValueError, match="bytes, expected"):
+        read_field_snapshot(path)
+
+
+def test_read_rejects_a_payload_that_shrinks_while_read(tmp_path, monkeypatch):
+    # The size comes from fstat before the values are read into the field's
+    # array; a short read must not leave part of that array unwritten.
+    raw = _snapshot_bytes(tmp_path)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(raw[:-8])
+    monkeypatch.setattr(snapshots.os, "fstat", lambda fd: SimpleNamespace(st_size=len(raw)))
+    with pytest.raises(ValueError, match="shrank while it was read"):
         read_field_snapshot(path)
 
 
