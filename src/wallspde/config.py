@@ -6,11 +6,11 @@ items, the keys an object may hold) and every default; ``_get`` applies
 them, ``build_run`` holds every section present to them, whether its
 command reads that section or not, and the ``build_*`` functions are the
 only readers of a config.  Each rule the schema cannot say (a horizon on
-the step mesh, fields between the walls, hypothesis H, a long enough
-burn-in) is checked by the library function that owns it, and
-``config`` only names the key: ``_naming`` turns that function's
-``ValueError`` into a ``ConfigError`` naming the dotted key, which the CLI
-maps to exit code 2.  Coefficient functions come from a closed registry
+the step mesh, a step whose implicit system I - dt*A stays finite, fields
+between the walls, hypothesis H, a long enough burn-in) is checked by the
+library function that owns it, and ``config`` only names the key:
+``_naming`` turns that function's ``ValueError`` into a ``ConfigError``
+naming the dotted key, which the CLI maps to exit code 2.  Coefficient functions come from a closed registry
 rather than arbitrary expressions so the declared Lipschitz constant and
 lower bound on sigma are actually true and runs stay reproducible.
 """
@@ -31,7 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from wallspde.dynamics import CoefficientSpec, Control, check_noise_step
-from wallspde.lattice import Grid, Walls, mesh_steps
+from wallspde.lattice import Grid, Walls, check_system, mesh_steps
 from wallspde.measure import SamplingPlan, _check_schedule, _check_streams, _level_seeds, _plan_per_level
 from wallspde.rate import OptimizerOptions
 
@@ -396,6 +396,8 @@ def build_run(cfg: dict, command: str) -> SimpleNamespace:
     run.walls = build_walls(_need(cfg, "walls"), grid)
     if command in ("simulate", "skeleton", "rate"):
         run.T, run.dt = build_time(cfg)
+        with _naming("time.dt"):
+            check_system(grid, run.coeffs.alpha, run.dt)
         with _naming("initial"):
             run.u0 = run.walls.check(build_initial(cfg, grid), "field")
     if command == "simulate":
@@ -406,7 +408,6 @@ def build_run(cfg: dict, command: str) -> SimpleNamespace:
     if command == "quasipotential":
         with _naming("target"):
             run.target = run.walls.check(build_target(cfg, grid), "field")
-        run.opts = build_optimizer_options(cfg)
     if command in ("invariant", "diagnose"):
         with _naming("coefficients.c"):
             run.coeffs.require_h(grid)
@@ -414,7 +415,10 @@ def build_run(cfg: dict, command: str) -> SimpleNamespace:
         run.plan, run.seeds, run.eps, run.dt = build_plan(cfg, run.coeffs)
     if command == "diagnose":
         vars(run).update(build_diagnose(cfg, grid, run.coeffs, run.walls))
+    if command in ("quasipotential", "diagnose"):
         run.opts = build_optimizer_options(cfg)
+        with _naming("optimizer.dt"):
+            check_system(grid, run.coeffs.alpha, run.opts.dt)
     return run
 
 

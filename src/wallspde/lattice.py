@@ -8,14 +8,17 @@ kernel composition and row mass are identities up to round-off rather than
 discretization errors.  ``Propagator`` holds the implicit step and the wall
 restoration that every solver steps with.  The step has two paths chosen by
 ``grid.n`` alone: below ``TRIDIAGONAL_MIN_N`` a dense inverse, whose matvec is
-the cheapest solve on coarse grids; at or above it one banded LU solve with
-the tridiagonal system factored once, O(n) per step with no (n+1)^2 array.
+the cheapest solve on coarse grids; at or above it one banded solve, O(n) per
+step with no (n+1)^2 array.  Because the operator is self-adjoint in the
+trapezoid weights W, S = W(I - dt*A) is a symmetric positive definite
+tridiagonal matrix: it is LDL^T-factored once, and a step solves S x = W b.
 Only that banded branch needs scipy, so ``Propagator`` imports LAPACK's
-``gttrf``/``gttrs`` there, when a grid that fine is first built: loading
+``pttrf``/``pttrs`` there, when a grid that fine is first built: loading
 ``scipy.linalg`` takes longer than a coarse-grid run's whole set-up, and
 ``import wallspde`` and every coarse-grid run would otherwise pay for it.
 
-The time mesh lives here too.  ``check_dt`` accepts a step and ``mesh_steps``
+The time mesh lives here too.  ``check_dt`` accepts a step, ``check_system``
+a step whose implicit system I - dt*A is finite on a grid, and ``mesh_steps``
 a horizon.  ``check_times`` validates the times of every path, control and
 force density.  ``uniform_step`` gives the step of a uniform mesh, and
 ``match_dt`` checks that step against a solver's ``dt``.  Steps are compared
@@ -49,10 +52,14 @@ __all__ = [
 ]
 
 # Grids with at least this many intervals take the factored tridiagonal solve.
-# Dense matvec against LAPACK gttrs, one CPU of a 2-core Xeon: a single state
-# 71 against 11 us at n=512 and 386 against 21 us at n=1024; a 16-state batch at
-# n=32 4.2 against 8.9 us, where one BLAS product beats 16 column solves.
-# Below the threshold the dense path also keeps coarse-grid outputs' bits.
+# Dense product against LAPACK pttrs, us per solve on one CPU of a 2-core Xeon
+# (a single state / a 16-state batch, the range of three timings): 9-12 / 50-63
+# against 2.6-3.3 / 34-42 at n=256, 40-56 / 245-360 against 4.7-5.9 / 71-83 at
+# n=511, 43-58 / 245-350 against 5.1-5.8 / 80-86 at n=512, and 344-366 /
+# 1095-1270 against 8.6-10.1 / 143-164 at n=1024.  At n=32 the dense path
+# wins, 0.7 / 1.7 against 1.2-1.3 / 6-9.5 us.  The banded solve would win
+# below 512 too, but the threshold stays: below it the dense path keeps the
+# bits of every coarse-grid output.
 TRIDIAGONAL_MIN_N = 512
 
 # Path-wide reductions (the rate functionals, the complementarity integrals)
@@ -302,6 +309,18 @@ def heat_kernel(grid: Grid, alpha: float, t: float) -> np.ndarray:
     return (basis * decay) @ basis.T
 
 
+def check_system(grid: Grid, alpha: float, dt: float) -> float:
+    """The step as a float; raises unless it is finite and positive and every
+    entry of the implicit system I - dt*A on ``grid`` is finite.  The largest
+    is the diagonal 1 + dt*(2/dx^2 + alpha): past it a dense inverse or a
+    factorization fills with NaN."""
+    dt = check_dt(dt)
+    _check_alpha(alpha)
+    if not math.isfinite(1.0 + dt * (2.0 / grid.dx**2 + alpha)):
+        raise ValueError(f"dt = {dt} overflows the implicit system I - dt*A on the n = {grid.n} grid")
+    return dt
+
+
 def backward_euler_inverse(grid: Grid, alpha: float, dt: float) -> np.ndarray:
     """Dense inverse of (I - dt*A), the implicit-step propagator.
 
@@ -311,7 +330,7 @@ def backward_euler_inverse(grid: Grid, alpha: float, dt: float) -> np.ndarray:
     cheap; it costs O(n^2) memory and an O(n^3) build, so finer grids take
     the factored tridiagonal path instead.
     """
-    dt = check_dt(dt)
+    dt = check_system(grid, alpha, dt)
     op = neumann_operator(grid, alpha)
     n1 = grid.n + 1
     return np.linalg.inv(np.eye(n1) - dt * op.dense())
@@ -329,54 +348,39 @@ class Propagator:
     Below ``TRIDIAGONAL_MIN_N`` intervals the solve multiplies by the dense
     ``backward_euler_inverse``: a single state as one gemv through np.dot,
     which rounds as matmul does with less dispatch, and a batch or stack by
-    matmul's gemm per batch.  From ``TRIDIAGONAL_MIN_N`` on, the
-    tridiagonal I - dt*A is LU-factored once (LAPACK gttrf) and each solve,
-    plain or transposed, is one gttrs call; only the five factor arrays,
-    5(n+1) numbers, are stored.  The two paths agree to round-off.  A solve
-    writes into the ``out`` its caller keeps, such as a row of a path, with
-    the bits it would have in a new array.
+    matmul's gemm per batch.  From ``TRIDIAGONAL_MIN_N`` on, the symmetric
+    positive definite S = W(I - dt*A) is LDL^T-factored once (LAPACK pttrf),
+    and each solve is one pttrs call: (I - dt*A)^{-1} b = S^{-1}(W b), and the
+    transposed solve, since (I - dt*A)^T = S W^{-1}, is W S^{-1} b.  Only the
+    two factor arrays, 2(n+1) numbers, are stored.  The two paths agree to
+    round-off.  A solve writes into the ``out`` its caller keeps, such as a
+    row of a path, with the bits it would have in a new array.
     """
 
     def __init__(self, grid: Grid, alpha: float, dt: float):
         self.grid = grid
         self.alpha = float(alpha)
-        self.dt = check_dt(dt)
+        self.dt = check_system(grid, alpha, dt)
         if grid.n < TRIDIAGONAL_MIN_N:
             self.matrix = backward_euler_inverse(grid, alpha, dt)
         else:
-            from scipy.linalg.lapack import dgttrf, dgttrs
+            from scipy.linalg.lapack import dpttrf, dpttrs
 
             self.matrix = None
-            self._gttrs = dgttrs
-            op = neumann_operator(grid, alpha)
-            *factors, info = dgttrf(-self.dt * op.lower, 1.0 - self.dt * op.main, -self.dt * op.upper)
+            self._pttrs = dpttrs
+            # S = W(I - dt*A) in its stiffness form: every coupling is -dt/dx
+            # on both sides, so S is symmetric to the bit whatever dx rounds to.
+            couple = self.dt / grid.dx
+            stiffness = np.full(grid.n + 1, 2.0 * couple)
+            stiffness[[0, -1]] = couple
+            *factors, info = dpttrf(grid.weights * (1.0 + self.dt * self.alpha) + stiffness, np.full(grid.n, -couple))
             if info != 0:
-                raise ValueError(f"implicit-step matrix is singular (gttrf info={info})")
+                raise ValueError(f"implicit-step matrix is not positive definite (pttrf info={info})")
             self._factors = factors
 
     @cached_property
     def _matrix_t(self) -> np.ndarray:
         return np.ascontiguousarray(self.matrix.T)
-
-    def _banded(self, values: np.ndarray, trans: str, out: np.ndarray | None) -> np.ndarray:
-        # gttrs solves for the columns of a column-major b, in place when b is
-        # contiguous.  A state is one column: it is copied into ``out`` and
-        # solved there.  A stack takes a chain-major copy of the node-major
-        # stack, flattened to (states, n+1) rows.  Each column is solved on
-        # its own, so a stack flattened into one batch keeps its bits.
-        if values.ndim > 1:
-            states = values.swapaxes(-1, -2).copy()
-            cols = self._gttrs(*self._factors, states.reshape(-1, values.shape[-2]).T, trans=trans, overwrite_b=1)[0]
-            solved = cols.T.reshape(states.shape).swapaxes(-1, -2)
-        elif out is None:
-            return self._gttrs(*self._factors, values, trans=trans)[0]
-        else:
-            out[...] = values
-            solved = self._gttrs(*self._factors, out, trans=trans, overwrite_b=1)[0]
-        if out is None or solved is out:
-            return solved
-        out[...] = solved
-        return out
 
     def solve(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(I - dt*A)^{-1} applied to a state or to each column of a batch,
@@ -389,7 +393,21 @@ class Propagator:
         every caller passes; the dense path's np.dot raises ValueError for any other.
         """
         if self.matrix is None:
-            return self._banded(values, "N", out)
+            # (I - dt*A)^{-1} = S^{-1} W.
+            if values.ndim == 1:
+                # W*values is written into ``out`` and solved there when it is contiguous.
+                solved = self._pttrs(*self._factors, np.multiply(values, self.grid.weights, out=out), overwrite_b=1)[0]
+            else:
+                # pttrs solves the columns of a column-major rhs one at a time,
+                # so a stack is weighted into one chain-major copy, flattened to
+                # (states, n+1) rows, and keeps the bits of its states' own solves.
+                states = np.multiply(values.swapaxes(-1, -2), self.grid.weights, order="C")
+                cols = self._pttrs(*self._factors, states.reshape(-1, values.shape[-2]).T, overwrite_b=1)[0]
+                solved = cols.T.reshape(states.shape).swapaxes(-1, -2)
+            if out is None or solved is out:
+                return solved
+            out[...] = solved
+            return out
         if values.ndim == 1:
             # One state is one gemv, which np.dot reaches with less dispatch than matmul.
             return np.dot(self.matrix, values, out)
@@ -406,7 +424,13 @@ class Propagator:
         """Transposed solve of a single state, for adjoint sweeps, written into
         ``out``: None or a C-contiguous float row, as for ``solve``."""
         if self.matrix is None:
-            return self._banded(values, "T", out)
+            # (I - dt*A)^T = S W^{-1}, so its inverse is W S^{-1}.
+            if out is None:
+                solved = self._pttrs(*self._factors, values)[0]
+            else:
+                out[...] = values
+                solved = self._pttrs(*self._factors, out, overwrite_b=1)[0]
+            return np.multiply(solved, self.grid.weights, out=solved if out is None else out)
         return np.dot(self._matrix_t, values, out)
 
     def step(

@@ -147,6 +147,17 @@ CORPUS = [
         "time.horizon",
         False,
     ),
+    # 1 + dt * 2/dx^2 overflows, so the implicit step's system is not finite.
+    ("dt_overflow_skeleton", "skeleton", base_cfg(time={"dt": 1e306, "horizon": 1e306}, **SKEL), "time.dt", False),
+    ("dt_overflow_rate", "rate", base_cfg(time={"dt": 1e306, "horizon": 1e306}, **SKEL), "time.dt", False),
+    ("dt_overflow_quasipotential", "quasipotential", qp_cfg(horizons=[1e306], dt=1e306), "optimizer.dt", False),
+    (
+        "dt_overflow_diagnose",
+        "diagnose",
+        dict(diagnose_cfg(), optimizer={"horizons": [1e306], "dt": 1e306}),
+        "optimizer.dt",
+        False,
+    ),
     ("initial_outside", "simulate", base_cfg(initial={"kind": "constant", "value": 0.9}, **SIM), "initial", False),
     (
         "sigma_amplitude_one",
@@ -371,7 +382,8 @@ def test_cli_deterministic_reruns_are_byte_identical(tmp_path):
 
 def rerun_cases():
     """(command, config) per case: every command but simulate (C12 reruns it)
-    on a small grid, the skeleton with both control kinds in both modes."""
+    on a small grid, the skeleton with both control kinds in both modes, and
+    one skeleton on a grid fine enough for the banded solve."""
     controls = {
         "uniform_decay": {"kind": "uniform_decay", "amplitude": 6.0, "beta": 1.0},
         "cosine_pulse": {"kind": "cosine_pulse", "amplitude": -10.0, "mode": 1, "t_end": 0.15},
@@ -381,6 +393,8 @@ def rerun_cases():
         for kind, control in controls.items()
         for mode in ("projected", "penalized")
     }
+    # n=512 steps on the banded solve; every other case takes the dense one.
+    cases["skeleton_banded"] = ("skeleton", base_cfg(grid={"n": 512}, control=controls["cosine_pulse"]))
     cases["rate"] = ("rate", base_cfg(grid={"n": 8}, control=controls["cosine_pulse"]))
     cases["quasipotential"] = ("quasipotential", qp_cfg(horizons=[0.5, 1.0], dt=0.05, maxiter=50))
     cases["invariant"] = ("invariant", base_cfg(sampling={"count": 20, "eps": 0.3, "seeds": [3, 1], "dt": 2e-3}))

@@ -86,10 +86,12 @@ def test_operator_rejects_negative_alpha():
         (np.nan, 1e-3, "alpha must be finite and nonnegative, got nan"),
         (np.inf, 1e-3, "alpha must be finite and nonnegative, got inf"),
         (-1.0, 1e-3, "alpha must be finite and nonnegative, got -1.0"),
+        (1.0, 1e306, "dt = 1e[+]306 overflows the implicit system"),
     ],
 )
 def test_propagator_rejects_bad_inputs(n, alpha, dt, message):
-    # A NaN or infinite dt, or a NaN alpha, built an all-NaN dense propagator.
+    # A NaN or infinite dt, or a NaN alpha, built an all-NaN dense propagator;
+    # a dt whose I - dt*A overflows built one too, or NaN factors.
     with pytest.raises(ValueError, match=message):
         Propagator(build_grid(n), alpha, dt)
 

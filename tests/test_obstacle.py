@@ -47,7 +47,7 @@ def test_matches_scalar_skorokhod_oracle():
 
 
 def test_spectral_path_matches_scalar_skorokhod_oracle():
-    # n = 1024 is above lattice.TRIDIAGONAL_MIN_N, so every step takes the banded LU solve.
+    # n = 1024 is above lattice.TRIDIAGONAL_MIN_N, so every step takes the banded LDL^T solve.
     assert skorokhod_oracle_error(1024) <= 5e-3
 
 

@@ -184,8 +184,9 @@ def relative_error(got, expected):
     return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
 
 
-# The test_spectral_path_* names predate the banded LU solve: from
-# TRIDIAGONAL_MIN_N on, every solve is one gttrs call on a factored I - dt*A.
+# The test_spectral_path_* names predate the banded solve: from
+# TRIDIAGONAL_MIN_N on, every solve is one pttrs call on the LDL^T factors
+# of the symmetric W(I - dt*A).
 @pytest.mark.parametrize("n", [512, 1024])
 def test_spectral_path_matches_reference_solve(n):
     assert n >= TRIDIAGONAL_MIN_N
@@ -263,6 +264,47 @@ def test_tridiagonal_transposed_solve_is_the_adjoint(n):
     assert relative_error(transposed, np.linalg.solve(system.T, a)) <= 1e-14
     assert relative_error(transposed, prop.solve(a)) > 1e-6
     assert float(a @ prop.solve(b)) == pytest.approx(float(transposed @ b), rel=1e-13)
+
+
+def backward_error(prop, x, b, transposed=False):
+    """Componentwise backward error of ``x`` as a solution of (I - dt*A) x = b,
+    or of its transpose, one column per state, with the residual taken in long double."""
+    op = neumann_operator(prop.grid, prop.alpha)
+    lower, upper = (op.upper, op.lower) if transposed else (op.lower, op.upper)
+    dt = np.longdouble(prop.dt)
+    x, b = (np.reshape(v, (prop.grid.n + 1, -1)).astype(np.longdouble) for v in (x, b))
+    terms = np.zeros((3,) + x.shape, dtype=np.longdouble)
+    terms[0] = (1 - dt * op.main.astype(np.longdouble))[:, None] * x
+    terms[1, 1:] = -dt * lower.astype(np.longdouble)[:, None] * x[:-1]
+    terms[2, :-1] = -dt * upper.astype(np.longdouble)[:, None] * x[1:]
+    return float(np.max(np.abs(b - terms.sum(axis=0)) / (np.abs(terms).sum(axis=0) + np.abs(b))))
+
+
+@pytest.mark.parametrize("n", [600, 1000])
+def test_tridiagonal_path_is_backward_stable_where_dx_rounds(n):
+    # dx is not a power of two here, so W*A's entries round: the factored
+    # W(I - dt*A) is the stiffness form's, not the dense system's floats times
+    # W.  Two solves then differ by the system's conditioning, not by one
+    # rounding: np.linalg.solve is 4e-14 to 1.1e-13 off a long-double solve
+    # at these n, and LAPACK gttrs on the dense system's own floats was
+    # 1.7e-14 off it at n=1000.  So each solve is held to a componentwise
+    # backward error of a few ulps against I - dt*A, as np.linalg.solve meets.
+    grid = build_grid(n)
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=(2, n + 1))
+    batch = rng.normal(size=(6, n + 1)).T  # node-major: one state per column
+    for alpha, dt in ((2.0, 1.0 / n), (0.5, 2.0 / n), (3.0, 1e-5)):
+        prop = Propagator(grid, alpha, dt)
+        assert prop.matrix is None
+        solved = prop.solve(batch)
+        transposed = prop.solve_transpose(a)
+        assert backward_error(prop, prop.solve(a), a) <= 4 * np.finfo(float).eps
+        assert backward_error(prop, solved, batch) <= 4 * np.finfo(float).eps
+        assert backward_error(prop, transposed, a, transposed=True) <= 4 * np.finfo(float).eps
+        for column, stepped in zip(batch.T, solved.T):
+            assert np.array_equal(prop.solve(column), stepped)
+        assert relative_error(transposed, prop.solve(a)) > 1e-6
+        assert float(a @ prop.solve(b)) == pytest.approx(float(transposed @ b), rel=1e-13)
 
 
 @pytest.mark.parametrize("penalty", [None, (1e-3, 2e-3)], ids=["projected", "penalized"])
