@@ -312,8 +312,8 @@ def heat_kernel(grid: Grid, alpha: float, t: float) -> np.ndarray:
 def check_system(grid: Grid, alpha: float, dt: float) -> float:
     """The step as a float; raises unless it is finite and positive and every
     entry of the implicit system I - dt*A on ``grid`` is finite.  The largest
-    is the diagonal 1 + dt*(2/dx^2 + alpha): past it a dense inverse or a
-    factorization fills with NaN."""
+    entry is the diagonal 1 + dt*(2/dx^2 + alpha); once it overflows, a dense
+    inverse or a factorization fills with NaN."""
     dt = check_dt(dt)
     _check_alpha(alpha)
     if not math.isfinite(1.0 + dt * (2.0 / grid.dx**2 + alpha)):

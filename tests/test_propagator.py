@@ -282,13 +282,15 @@ def backward_error(prop, x, b, transposed=False):
 
 @pytest.mark.parametrize("n", [600, 1000])
 def test_tridiagonal_path_is_backward_stable_where_dx_rounds(n):
-    # dx is not a power of two here, so W*A's entries round: the factored
-    # W(I - dt*A) is the stiffness form's, not the dense system's floats times
-    # W.  Two solves then differ by the system's conditioning, not by one
-    # rounding: np.linalg.solve is 4e-14 to 1.1e-13 off a long-double solve
-    # at these n, and LAPACK gttrs on the dense system's own floats was
-    # 1.7e-14 off it at n=1000.  So each solve is held to a componentwise
-    # backward error of a few ulps against I - dt*A, as np.linalg.solve meets.
+    # dx is not a power of two here, so W*A's entries round, and the factored
+    # W(I - dt*A) differs from the dense system's floats times W by an ulp per
+    # entry.  The system's conditioning, about 2*dt/dx^2, scales that up: two
+    # sound solvers differ by up to about 1e-13 here (np.linalg.solve itself
+    # is 4e-14 to 1.1e-13 off a long-double solve, and LAPACK's gttrs on the
+    # dense floats 1.7e-14 off np.linalg.solve at n=1000).  So each solve is
+    # held to a componentwise backward error of a few ulps against I - dt*A,
+    # which np.linalg.solve meets too.
+    ulps = 4 * np.finfo(float).eps
     grid = build_grid(n)
     rng = np.random.default_rng(n)
     a, b = rng.normal(size=(2, n + 1))
@@ -298,9 +300,9 @@ def test_tridiagonal_path_is_backward_stable_where_dx_rounds(n):
         assert prop.matrix is None
         solved = prop.solve(batch)
         transposed = prop.solve_transpose(a)
-        assert backward_error(prop, prop.solve(a), a) <= 4 * np.finfo(float).eps
-        assert backward_error(prop, solved, batch) <= 4 * np.finfo(float).eps
-        assert backward_error(prop, transposed, a, transposed=True) <= 4 * np.finfo(float).eps
+        assert backward_error(prop, prop.solve(a), a) <= ulps
+        assert backward_error(prop, solved, batch) <= ulps
+        assert backward_error(prop, transposed, a, transposed=True) <= ulps
         for column, stepped in zip(batch.T, solved.T):
             assert np.array_equal(prop.solve(column), stepped)
         assert relative_error(transposed, prop.solve(a)) > 1e-6
