@@ -350,9 +350,10 @@ def build_optimizer_options(cfg: dict) -> OptimizerOptions:
 
 def build_diagnose(cfg: dict, grid: Grid, coeffs: CoefficientSpec, walls: Walls) -> dict:
     """``ldp_scaling_curve`` inputs (targets, eps_schedule, plans, base_seed,
-    dt, chains) plus the tightness probe's gamma, radii and seeds.  The probe
-    is seeded as one more level of the schedule, ``_level_seeds``' level L for
-    L levels; no seed of the run may repeat."""
+    dt, a stochastic step at most dx, chains) plus the tightness probe's
+    gamma, radii and seeds.  The probe is seeded as one more level of the
+    schedule, ``_level_seeds``' level L for L levels; no seed of the run may
+    repeat."""
     section = _need(cfg, "diagnose")
     targets = []
     for i, entry in enumerate(_get(section, "diagnose.targets")):
@@ -368,6 +369,8 @@ def build_diagnose(cfg: dict, grid: Grid, coeffs: CoefficientSpec, walls: Walls)
     with _naming("diagnose.counts"):
         plans = _plan_per_level([SamplingPlan.default(coeffs, count) for count in counts], len(schedule))
     given = {key: _get(section, f"diagnose.{key}") for key in ("base_seed", "dt", "chains", "gamma", "radii")}
+    with _naming("diagnose.dt"):
+        check_noise_step(grid, given["dt"])
     base_seed, chains = given["base_seed"], given["chains"]
     probed = given["gamma"] is not None
     streams = _level_seeds(base_seed, len(schedule) + probed, chains)
@@ -413,6 +416,8 @@ def build_run(cfg: dict, command: str) -> SimpleNamespace:
             run.coeffs.require_h(grid)
     if command == "invariant":
         run.plan, run.seeds, run.eps, run.dt = build_plan(cfg, run.coeffs)
+        with _naming("sampling.dt"):
+            check_noise_step(grid, run.dt)
     if command == "diagnose":
         vars(run).update(build_diagnose(cfg, grid, run.coeffs, run.walls))
     if command in ("quasipotential", "diagnose"):

@@ -486,10 +486,11 @@ class Propagator:
 
 
 def holder_norm(grid: Grid, values: np.ndarray, gamma: float) -> float:
-    """Sup norm plus the gamma-Holder difference quotient over node pairs."""
+    """Sup norm plus the gamma-Holder difference quotient over node pairs of
+    ``values``, a finite (n+1,) field on ``grid``."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"holder exponent must lie in (0, 1), got {gamma}")
-    v = np.asarray(values, dtype=float)
+    v = check_field(grid, values, "holder_norm field")
     x = grid.nodes
     diff = np.abs(v[:, None] - v[None, :])
     dist = np.abs(x[:, None] - x[None, :])

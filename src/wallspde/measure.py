@@ -21,12 +21,13 @@ bracket as the noise decreases.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from wallspde.dynamics import CoefficientSpec, _Scheme, check_level, increment_scale, noise_generator
-from wallspde.lattice import Grid, Walls, check_dt, check_field, holder_norm
+from wallspde.dynamics import CoefficientSpec, _Scheme, check_level, check_noise_step, increment_scale, noise_generator
+from wallspde.lattice import Grid, Walls, check_field, holder_norm
 from wallspde.rate import OptimizerOptions, quasipotential_J
 
 # Values of noise drawn at a time (2 MiB), shared by every chain and level, so
@@ -50,15 +51,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Burn-in and thinning in time units plus the number of kept states."""
+    """Burn-in and thinning in time units plus the number of kept states,
+    ``count``: an integer (not a bool), at least 1."""
 
     burn_in: float
     thin: float
     count: int
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("need at least one sample")
+        count = self.count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"count must be an integer, at least 1, got {count!r}")
         for name in ("burn_in", "thin"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -121,10 +124,10 @@ def _plan_per_level(plans, levels: int) -> list:
 
 
 def _check_sampler(coeffs: CoefficientSpec, grid: Grid, levels, plans, streams, dt: float) -> list:
-    """The noise levels as floats; raises unless dt, hypothesis H, every level,
-    every plan's burn-in, the chain count and the seeds are valid.  ``streams``
-    holds each level's seeds, one per chain."""
-    check_dt(dt)
+    """The noise levels as floats; raises unless dt (a stochastic step, at most
+    dx), hypothesis H, every level, every plan's burn-in, the chain count and
+    the seeds are valid.  ``streams`` holds each level's seeds, one per chain."""
+    check_noise_step(grid, dt)
     coeffs.require_h(grid)
     levels = [check_level(eps) for eps in levels]
     for plan in plans:
@@ -249,13 +252,14 @@ def sample_invariant(
 
     Requires the dissipativity hypothesis, which justifies measuring burn-in
     against the relaxation rate; ``_check_sampler`` rejects plans shorter
-    than 5 relaxation times, an empty seed list, a repeated seed and a noise
-    level that is negative or not finite.  All chains advance together as
-    columns of one node-major state, so the cost per step is a single
-    implicit solve; this collects the rounds of the one-level sampler that
-    ``ldp_scaling_curve`` also steps, and its noise buffer holds
-    ``_NOISE_VALUES`` values whatever the horizon or chain count.  Chain j's
-    round-r state is row ``sum(per_chain[:j]) + r``: (chain, round) order.
+    than 5 relaxation times, an empty seed list, a repeated seed, a noise
+    level that is negative or not finite and a step ``dt`` above dx.  All
+    chains advance together as columns of one node-major state, so the cost
+    per step is a single implicit solve; this collects the rounds of the
+    one-level sampler that ``ldp_scaling_curve`` also steps, and its noise
+    buffer holds ``_NOISE_VALUES`` values whatever the horizon or chain
+    count.  Chain j's round-r state is row ``sum(per_chain[:j]) + r``:
+    (chain, round) order.
     """
     grid = walls.grid
     seeds = tuple(int(s) for s in seeds)
@@ -429,16 +433,22 @@ def tightness_probe(measure: EmpiricalMeasure, gamma: float, radius_schedule) ->
 
     Reports eps^2 * log of the complement mass (None once empty) together
     with the quartiles of the norm sample; mass outside must vanish for large
-    radii and shrink with the noise level.
+    radii and shrink with the noise level.  The measure must hold a sample
+    and every radius be finite and positive, as for ``ball_probability``.
     """
     if not 0.0 < gamma < 0.5:
         raise ValueError("holder exponent must lie in (0, 1/2)")
+    if measure.count == 0:
+        raise ValueError("empty measure")
+    radii = list(radius_schedule)
+    for radius in radii:
+        _check_radius(radius, "tightness radius")
     norms = np.array(
         [holder_norm(measure.grid, sample, gamma) for sample in measure.samples]
     )
     median, q90 = float(np.median(norms)), float(np.quantile(norms, 0.9))
     rows = []
-    for radius in radius_schedule:
+    for radius in radii:
         outside = float(np.mean(norms > radius))
         rows.append(
             {

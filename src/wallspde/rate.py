@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wallspde.dynamics import CoefficientSpec, Control, _Scheme, solve_skeleton
+from wallspde.dynamics import CoefficientSpec, Control, _Scheme
 from wallspde.lattice import SpaceTimeField, Walls, match_dt, match_grid, mesh_steps, row_blocks
 from wallspde.obstacle import LocalTime
 
@@ -273,10 +273,12 @@ class _ActionProblem:
     gradients; the multiplier row ``mu`` only shifts the adjoint's start.
 
     Forward map is ``_Scheme.march`` in projected mode, the path that
-    ``solve_skeleton`` reports, so the optimizer differentiates the scheme it
-    prices.  The clip is piecewise linear: its slope is 1 at a node whose
-    free (pre-clip) value lies in [k1, k2] and 0 where a wall restores it,
-    exact off the measure-zero set where a free value sits on a wall.
+    ``solve_skeleton`` reports, and a stage prices the states of its own
+    forward march (``_score_on_projected``), so the optimizer differentiates
+    the path it prices with one scheme and one propagator.  The clip is
+    piecewise linear: its slope is 1 at a node whose free (pre-clip) value
+    lies in [k1, k2] and 0 where a wall restores it, exact off the
+    measure-zero set where a free value sits on a wall.
     ``forward`` returns the states, these 0/1 slopes and the dt*sigma rows
     its drives used (dt times the declared profile, once, when there is
     one), so the gradient's dt*sigma*q is one product; ``value_and_grad``
@@ -408,15 +410,18 @@ def _multipliers(problem, z0, opts):
     }
 
 
-def _score_on_projected(hdot_rows, times, coeffs, walls, target, start):
-    """Re-run the converged control through the projected scheme and price it
-    by recovery, so the reported value is an action of an exact decomposition."""
-    control = Control(walls.grid, times.copy(), hdot_rows.copy())
-    dt = control.dt
-    traj = solve_skeleton(start, control, coeffs, walls, times[-1] - times[0], dt)
-    rec = recover_control(traj.u, coeffs, walls, dt)
-    gap = float(np.max(np.abs(traj.u.final - target)))
-    return traj, rec, gap
+def _score_on_projected(problem, z, horizon):
+    """The stage tail of both optimizers: march the control z (its start
+    clipped onto the walls) with ``problem.forward``, the projected scheme the
+    stage optimized, and price those states by recovery, so the reported value
+    is an action of an exact decomposition of the path the optimizer marched.
+    Returns the path on the uniform mesh of [0, ``horizon``], the recovery and
+    the sup-norm terminal gap."""
+    u0, rows = problem.split(z)
+    states = problem.forward(np.clip(u0, problem.walls.k1, problem.walls.k2), rows)[0]
+    path = SpaceTimeField(problem.grid, np.linspace(0.0, horizon, problem.steps + 1), states)
+    rec = recover_control(path, problem.coeffs, problem.walls, problem.dt)
+    return path, rec, float(np.max(np.abs(states[-1] - problem.target)))
 
 
 def quasipotential_J(
@@ -466,17 +471,13 @@ def quasipotential_J(
             z0 = shift_concat(prev, horizon - prev.times[-1]).values.ravel()
         zstar, loop = _multipliers(problem, z0, opts)
         mu = problem.mu
-        rows = zstar.reshape(steps, problem.n1)
-        times = np.linspace(0.0, horizon, steps + 1)
-        traj, rec, gap = _score_on_projected(
-            rows, times, coeffs, walls, target, np.zeros(problem.n1)
-        )
+        path, rec, gap = _score_on_projected(problem, zstar, horizon)
         value = rec.action
         stages.append(StageRecord(horizon=horizon, value=value, terminal_gap=gap, **loop))
         candidate = QuasipotentialResult(
             value=value,
             horizon=horizon,
-            path=traj.u,
+            path=path,
             control=rec.hdot,
             converged=gap <= opts.terminal_tol,
             gradient_norm=loop["gradient_norm"],
@@ -486,7 +487,7 @@ def quasipotential_J(
             candidate.converged == best.converged and value <= best.value + 1e-12
         ):
             best = candidate
-        prev = Control(grid, times, rows)
+        prev = Control(grid, path.times, problem.split(zstar)[1])
         if candidate.converged:
             if prev_value < math.inf:
                 improvement = (prev_value - value) / max(abs(prev_value), 1e-30)
@@ -513,8 +514,4 @@ def infinite_horizon_check(
     problem = _ActionProblem(coeffs, walls, opts.dt, steps, target, free_start=True)
     z0 = np.zeros(problem.n1 + steps * problem.n1)
     zstar, _ = _multipliers(problem, z0, opts)
-    u0, rows = problem.split(zstar)
-    start = np.clip(u0, walls.k1, walls.k2)
-    times = np.linspace(0.0, horizon, steps + 1)
-    _, rec, _ = _score_on_projected(rows, times, coeffs, walls, target, start)
-    return rec.action
+    return _score_on_projected(problem, zstar, horizon)[1].action

@@ -124,6 +124,12 @@ CORPUS = [
     ("chains_string", "diagnose", diagnose_cfg(chains="x"), "diagnose.chains", True),
     ("gamma_large", "diagnose", diagnose_cfg(gamma=0.7), "diagnose.gamma", True),
     ("dt_negative", "diagnose", diagnose_cfg(dt=-0.01), "diagnose.dt", True),
+    # The sampler's step obeys dt <= dx (0.125 at n=8, 0.0625 at n=16) as simulate's does: these
+    # exited 0, and dt=1e306 at n=64 exited 1 with a traceback from Propagator.
+    ("sampling_dt_coarse", "invariant", base_cfg(grid={"n": 8}, sampling={"count": 10, "eps": 0.2, "dt": 0.5}), "sampling.dt", False),
+    ("sampling_dt_huge", "invariant", base_cfg(grid={"n": 8}, sampling={"count": 10, "eps": 0.2, "dt": 1e306}), "sampling.dt", False),
+    ("sampling_dt_overflow", "invariant", base_cfg(grid={"n": 64}, sampling={"count": 10, "eps": 0.2, "dt": 1e306}), "sampling.dt", False),
+    ("diagnose_dt_coarse", "diagnose", diagnose_cfg(dt=0.5), "diagnose.dt", False),
     (
         "profile_strings",
         "skeleton",

@@ -225,6 +225,22 @@ def test_holder_norm_axioms():
     assert holder_norm(grid, np.zeros(grid.n + 1), 0.3) == 0.0
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        (np.r_[np.zeros(9), 100.0], r"got shape \(10,\)"),
+        (np.zeros(5), r"got shape \(5,\)"),
+        (np.r_[np.zeros(8), np.nan], "got non-finite values"),
+    ],
+    ids=["long", "short", "nan"],
+)
+def test_holder_norm_rejects_a_field_off_its_grid(field, message):
+    # At n=8 the long field returned 100.0 from a node the quotient never
+    # saw, the short one raised IndexError and the NaN returned nan.
+    with pytest.raises(ValueError, match=r"holder_norm field must be a finite field of shape \(9,\), " + message):
+        holder_norm(build_grid(8), field, 0.3)
+
+
 def test_walls_validation():
     grid = build_grid(8)
     walls = Walls.constant(grid, -1.0, 1.0)

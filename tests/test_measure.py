@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -396,6 +397,30 @@ def test_tightness_median_tracks_gaussian_oracle():
     assert max(ratios) / min(ratios) <= 1.2
 
 
+@pytest.mark.parametrize(
+    "count, radii, message",
+    [
+        (0, (1.0,), "empty measure"),
+        (3, (1.0, float("nan")), "tightness radius must be positive, got nan"),
+        (3, (-1.0,), "tightness radius must be positive, got -1.0"),
+        (3, (float("inf"),), "tightness radius must be finite, got inf"),
+    ],
+    ids=["empty", "nan", "negative", "inf"],
+)
+def test_tightness_probe_rejects_a_bad_measure_or_radius_before_any_norm(count, radii, message, monkeypatch):
+    # A NaN radius reported mass 0.0, -1 reported 1.0, and an empty measure
+    # died in np.quantile with an IndexError.
+    grid = build_grid(8)
+    measure = EmpiricalMeasure(np.zeros((count, grid.n + 1)), 0.3, grid)
+
+    def no_norm(*args):
+        raise AssertionError("inputs must be checked before any norm is taken")
+
+    monkeypatch.setattr(wallspde.measure, "holder_norm", no_norm)
+    with pytest.raises(ValueError, match=message):
+        tightness_probe(measure, 0.4, radii)
+
+
 # ---------------------------------------------------------------- stacked sampler
 
 
@@ -596,17 +621,19 @@ def test_ldp_scaling_curve_counts_the_per_level_hits(name):
 
 
 @pytest.mark.parametrize(
-    "chains,grid_n", [(256, 32), (16, 2048)], ids=["256_chains", "n2048"]
+    "chains,grid_n,alpha,dt", [(256, 32, 2.0, 1e-2), (16, 2048, 100.0, 1 / 2048)], ids=["256_chains", "n2048"]
 )
-def test_noise_buffer_stays_within_its_budget(chains, grid_n):
+def test_noise_buffer_stays_within_its_budget(chains, grid_n, alpha, dt):
     # Noise used to be drawn 256 steps per chain at a time: 17.3 MB at 256
     # chains and 65 MB at n=2048.  Now every chain shares _NOISE_VALUES.
-    grid, coeffs, walls, _ = benchmark(alpha=2.0, grid_n=grid_n)
-    plan = SamplingPlan(burn_in=2.5, thin=0.5, count=chains)
+    # At n=2048 the step may not exceed dx, and a large alpha keeps the
+    # 5/alpha burn-in, and so the run, short.
+    grid, coeffs, walls, _ = benchmark(alpha=alpha, grid_n=grid_n)
+    plan = SamplingPlan(burn_in=5.0 / alpha, thin=1.0 / alpha, count=chains)
     state_bytes = chains * (grid.n + 1) * 8
     tracemalloc.start()
     try:
-        measure = sample_invariant(coeffs, walls, 0.3, plan, seeds=range(chains), dt=1e-2)
+        measure = sample_invariant(coeffs, walls, 0.3, plan, seeds=range(chains), dt=dt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -650,6 +677,16 @@ def test_sample_invariant_rejects_a_bad_dt(dt):
         sample_invariant(coeffs, walls, 0.3, plan, seeds=[1], dt=dt)
 
 
+@pytest.mark.parametrize("dt", [0.5, 1e306])
+def test_sample_invariant_rejects_a_step_above_dx(dt, monkeypatch):
+    # Both used to run at n=8 (dx=0.125); at 1e306 the burn-in rounded to
+    # 0 steps and the samples came out near 1e-154.
+    grid, coeffs, walls, plan = benchmark(count=10, grid_n=8)
+    monkeypatch.setattr(wallspde.measure, "_rounds", None)
+    with pytest.raises(ValueError, match=re.escape(f"dt too large: dt={dt} exceeds the stability heuristic dx=0.125")):
+        sample_invariant(coeffs, walls, 0.3, plan, seeds=[1], dt=dt)
+
+
 @pytest.mark.parametrize("seeds", [[5, 5], [1, 2, 1]])
 def test_sample_invariant_rejects_a_repeated_seed(seeds, monkeypatch):
     # seeds=[5, 5] returned two identical chains, so the sample held each draw twice.
@@ -665,6 +702,16 @@ def test_sampling_plan_rejects_non_finite_times(field, value):
     times = {"burn_in": 2.5, "thin": 0.5, field: value}
     with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
         SamplingPlan(count=10, **times)
+
+
+def test_sampling_plan_count_is_an_integer_of_at_least_one():
+    # A float count passed and then died in numpy with a TypeError.
+    grid, coeffs, walls, _ = benchmark(count=10, grid_n=8)
+    plan = SamplingPlan(5.0, 0.5, np.int64(4))
+    assert sample_invariant(coeffs, walls, 0.3, plan, seeds=[1, 2], dt=1e-2).count == 4
+    for count in (4.0, np.float64(4.0), True, np.bool_(True), 0, -1, "4"):
+        with pytest.raises(ValueError, match=f"count must be an integer, at least 1, got {re.escape(repr(count))}"):
+            SamplingPlan(5.0, 0.5, count)
 
 
 def curve_inputs(grid, coeffs, **change):
@@ -721,6 +768,8 @@ BAD_CURVES = {
     # Level i seeds base_seed + 1000*i + j, so chain 1000 of level 0 is chain 0 of level 1.
     "chains_over_1000": (dict(chains=1001, base_seed=200), "seed 1200 is drawn twice"),
     "dt_nan": (dict(dt=float("nan")), "dt must be finite and positive, got nan"),
+    "dt_above_dx": (dict(dt=0.05), "dt too large: dt=0.05 exceeds"),
+    "dt_huge": (dict(dt=1e306), "dt too large: dt=1e[+]306 exceeds"),
 }
 
 

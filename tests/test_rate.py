@@ -11,6 +11,7 @@ from conftest import (
     REGISTRY_KINDS, coeffs_linear, coeffs_sin, coeffs_sin_statesigma, coeffs_zero, counting, registry_coeffs, undeclared,
 )
 from oracles import discrete_lq_min_action, ou_mode_quasipotential
+import wallspde.dynamics as dynamics_module
 import wallspde.rate as rate_module
 from wallspde.dynamics import Control, sample_noise, solve_deterministic, solve_skeleton, solve_spde
 from wallspde.lattice import BLOCK_VALUES, SpaceTimeField, Walls, build_grid, neumann_operator
@@ -607,13 +608,13 @@ def score_with_misses(monkeypatch, missed_horizons):
     real = rate_module._score_on_projected
     stages = []
 
-    def score(hdot_rows, times, *args):
-        traj, rec, gap = real(hdot_rows, times, *args)
-        if times[-1] in missed_horizons:
+    def score(problem, z, horizon):
+        path, rec, gap = real(problem, z, horizon)
+        if horizon in missed_horizons:
             rec = dataclasses.replace(rec, hdot=Control(rec.hdot.grid, rec.hdot.times, 0.5 * rec.hdot.values))
             gap = 10.0 * FAST_OPTS.terminal_tol
-        stages.append((times[-1], rec.action, gap))
-        return traj, rec, gap
+        stages.append((horizon, rec.action, gap))
+        return path, rec, gap
 
     monkeypatch.setattr(rate_module, "_score_on_projected", score)
     return stages
@@ -744,6 +745,29 @@ def test_stage_records_describe_the_result():
         assert stage.nit <= stage.nfev
         assert stage.message
     assert quasipotential_J(np.zeros(grid.n + 1), coeffs_zero(1.0), walls, FAST_OPTS).stages == ()
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "undeclared"])
+def test_each_stage_builds_one_propagator(monkeypatch, declared):
+    # A stage prices the states its own forward march made, so its problem's
+    # propagator is the only one it builds; so does the free-start check.
+    builds = []
+
+    class Counted(dynamics_module.Propagator):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dynamics_module, "Propagator", Counted)
+    grid = build_grid(16)
+    walls = Walls.constant(grid, -0.1, 0.25)
+    coeffs = coeffs_zero(1.0) if declared else undeclared(coeffs_zero(1.0))
+    target = np.full(grid.n + 1, 0.25)
+    res = quasipotential_J(target, coeffs, walls, FAST_OPTS)
+    assert len(res.stages) >= 2
+    assert len(builds) == len(res.stages)
+    infinite_horizon_check(target, coeffs, walls, OptimizerOptions(horizons=(1.0,), dt=0.04, maxiter=50))
+    assert len(builds) == len(res.stages) + 1
 
 
 def test_each_stage_starts_at_the_previous_stage_multiplier(monkeypatch):
