@@ -21,7 +21,7 @@ import numpy as np
 
 from wallspde import __version__
 from wallspde.config import COMMANDS, ConfigError, build_coefficients, build_run, config_hash, load_config
-from wallspde.dynamics import solve_deterministic, solve_skeleton, solve_spde
+from wallspde.dynamics import noise_generator, sample_noise, solve_deterministic, solve_skeleton, solve_spde
 from wallspde.lattice import Grid, Propagator, Walls, heat_kernel, neumann_operator
 from wallspde.measure import ldp_scaling_curve, sample_invariant, tightness_probe
 from wallspde.rate import quasipotential_J, rate_I, rate_S
@@ -33,6 +33,14 @@ from wallspde.snapshots import (
     write_json_record,
     write_trajectory_csv,
 )
+
+# The first four standard normals of noise_generator(2012, 3), then the
+# sample_noise(Grid(4), 1e-3, 2, seed=7, stream=1) increments, as float64 bits.
+_NOISE_STREAM_BITS = [
+    0x3FF43F8A5BAEFFA3, 0xBFD9529C90C3ECE3, 0x3FD37191D7D935EE, 0x3FD1298297E99796,
+    0x3F84815D3E358DA6, 0xBF9BC36E18A7DC3E, 0xBF90497EDD8B4ED8, 0xBF856C18FFAC625F, 0xBF9617D20DC7AE38,
+    0x3F46EA449D881DEF, 0x3F9F2B78940F2479, 0x3FA0A6CE7B13DCDF, 0x3F5B9151353D350B, 0xBFA0F7C64BE108ED,
+]
 
 
 def main(argv=None) -> int:
@@ -258,6 +266,12 @@ def _run_selftest(cfg, run, out):
         solve(state).tobytes() == np.matmul(matrix, state).tobytes()
         for solve, matrix in ((prop.solve, prop.matrix), (prop.solve_transpose, np.ascontiguousarray(prop.matrix.T)))
     )
+
+    # numpy may change a Generator's stream between releases (NEP 19), and
+    # every noisy output would move with it: pin the stream's first draws.
+    draws = noise_generator(2012, 3).standard_normal(4)
+    increments = sample_noise(Grid(4), 1e-3, 2, seed=7, stream=1).increments.ravel()
+    checks["noise_stream"] = np.concatenate([draws, increments]).view(np.uint64).tolist() == _NOISE_STREAM_BITS
 
     # The CSV cell speller against format_float where it is easiest to get
     # wrong: next to powers of ten, on exact ties, and outside its range.

@@ -488,15 +488,30 @@ class Propagator:
 def holder_norm(grid: Grid, values: np.ndarray, gamma: float) -> float:
     """Sup norm plus the gamma-Holder difference quotient over node pairs of
     ``values``, a finite (n+1,) field on ``grid``."""
+    v = check_field(grid, values, "holder_norm field")
+    return float(_holder_norms(grid, v[None, :], gamma)[0])
+
+
+def _holder_norms(grid: Grid, rows: np.ndarray, gamma: float) -> np.ndarray:
+    """``holder_norm`` of each (n+1,) row of ``rows``, which the caller keeps finite.
+
+    The node pairs i < j and their |x_i - x_j|**gamma are built once, and the
+    rows are walked in blocks whose (rows, pairs) quotients hold about
+    ``BLOCK_VALUES`` values; each row's norm has the bits that one field's
+    quotient over the same pairs gives it."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"holder exponent must lie in (0, 1), got {gamma}")
-    v = check_field(grid, values, "holder_norm field")
-    x = grid.nodes
-    diff = np.abs(v[:, None] - v[None, :])
-    dist = np.abs(x[:, None] - x[None, :])
-    iu = np.triu_indices(len(x), k=1)
-    quot = diff[iu] / dist[iu] ** gamma
-    return float(np.max(np.abs(v)) + np.max(quot))
+    i, j = np.triu_indices(grid.n + 1, k=1)
+    denom = np.abs(grid.nodes[i] - grid.nodes[j]) ** gamma
+    size = max(1, BLOCK_VALUES // len(i))
+    norms = np.empty(len(rows))
+    for start in range(0, len(rows), size):
+        block = rows[start : start + size]
+        quot = block[:, i] - block[:, j]
+        np.abs(quot, out=quot)
+        quot /= denom
+        norms[start : start + size] = np.max(np.abs(block), axis=1) + np.max(quot, axis=1)
+    return norms
 
 
 @dataclass(eq=False)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wallspde.dynamics import CoefficientSpec, _Scheme, check_level, check_noise_step, increment_scale, noise_generator
-from wallspde.lattice import Grid, Walls, check_field, holder_norm
+from wallspde.lattice import Grid, Walls, _holder_norms, check_field
 from wallspde.rate import OptimizerOptions, quasipotential_J
 
 # Values of noise drawn at a time (2 MiB), shared by every chain and level, so
@@ -49,6 +49,12 @@ __all__ = [
 ]
 
 
+def _check_integer(value, name: str, least: int) -> None:
+    """Raises unless ``value`` is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer, at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
     """Burn-in and thinning in time units plus the number of kept states,
@@ -59,9 +65,7 @@ class SamplingPlan:
     count: int
 
     def __post_init__(self) -> None:
-        count = self.count
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError(f"count must be an integer, at least 1, got {count!r}")
+        _check_integer(self.count, "count", 1)
         for name in ("burn_in", "thin"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -96,9 +100,12 @@ class EmpiricalMeasure:
 
 
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
-    if total < 1:
-        raise ValueError("empty sample")
+    """95% Wilson score interval for a binomial proportion: ``total`` an integer of
+    at least 1 and ``successes`` an integer in [0, total] (neither a bool)."""
+    _check_integer(total, "total", 1)
+    _check_integer(successes, "successes", 0)
+    if successes > total:
+        raise ValueError(f"successes {successes} exceed the total {total}")
     z = _Z95
     p = successes / total
     denom = 1.0 + z * z / total
@@ -140,12 +147,15 @@ def _check_sampler(coeffs: CoefficientSpec, grid: Grid, levels, plans, streams, 
 
 
 def _check_streams(*groups) -> None:
-    """Raises unless every noise stream a run draws is distinct.  A seed names
-    one stream, so a seed that appears twice, within a group of seeds or
-    across groups, would count the same draws twice."""
+    """Raises unless every seed is an integer (not a bool) of at least 0 and
+    every noise stream a run draws is distinct.  A seed names one stream, so a
+    seed that appears twice, within a group of seeds or across groups, would
+    count the same draws twice, and a fractional seed must not stand in for
+    the integer below it."""
     seen = set()
     for group in groups:
         for seed in group:
+            _check_integer(seed, "seed", 0)
             if seed in seen:
                 raise ValueError(f"seed {seed} is drawn twice: every noise stream of a run must be distinct")
             seen.add(seed)
@@ -180,12 +190,16 @@ def _rounds(coeffs: CoefficientSpec, walls: Walls, levels, dt: float):
     so no second buffer is needed.  Every level is stepped alike, with a kick
     from ``_Scheme.kicks``: with a declared sigma profile it turns each block
     into kicks in the same buffer, so no step evaluates sigma or builds a
-    kick; otherwise each step's kick is built at the stack's states.  A level
-    at eps = 0 draws its streams too, and its kicks are +0.0 or -0.0, so a
-    state at rest stays at +0.0 where f(x, 0) = 0.  Chunked draws continue
-    each stream exactly as one draw would, and every per-level operation has
-    the same operands as when the level is sampled alone, so the rows are
-    bit-identical to per-level sampling.
+    kick, and a block takes three passes: the streams' standard normals,
+    ``*= scale`` (its own pass, so the increments keep the bits of
+    ``sample_noise``'s and the rows those of ``solve_spde``), and one
+    multiply by the small (levels, 1, 1, n+1) factor eps*sig/dx, plus the
+    + 0.0 when f is zero.  Otherwise each step's kick is built at the
+    stack's states.  A level at eps = 0 draws its streams too, and its kicks
+    are +0.0 or -0.0, so a state at rest stays at +0.0 where f(x, 0) = 0.
+    Chunked draws continue each stream exactly as one draw would, and every
+    per-level operation has the same operands as when the level is sampled
+    alone, so the rows are bit-identical to per-level sampling.
     """
     grid = walls.grid
     n1 = grid.n + 1
@@ -252,7 +266,8 @@ def sample_invariant(
 
     Requires the dissipativity hypothesis, which justifies measuring burn-in
     against the relaxation rate; ``_check_sampler`` rejects plans shorter
-    than 5 relaxation times, an empty seed list, a repeated seed, a noise
+    than 5 relaxation times, an empty seed list, a seed that is not an
+    integer of at least 0 (a bool included), a repeated seed, a noise
     level that is negative or not finite and a step ``dt`` above dx.  All
     chains advance together as columns of one node-major state, so the cost
     per step is a single implicit solve; this collects the rounds of the
@@ -262,7 +277,7 @@ def sample_invariant(
     (chain, round) order.
     """
     grid = walls.grid
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(seeds)
     chains = len(seeds)
     (eps,) = _check_sampler(coeffs, grid, [eps], [plan], [seeds], dt)
     per_chain = [plan.count // chains + (1 if j < plan.count % chains else 0) for j in range(chains)]
@@ -352,7 +367,8 @@ def ldp_scaling_curve(
     extrapolated.
 
     Every input is checked before any quasipotential solve or sampling step:
-    a strictly decreasing schedule with one plan per level, the inputs of
+    a strictly decreasing schedule with one plan per level, a ``base_seed``
+    that is an integer of at least 0, the inputs of
     ``_check_sampler``, each ``z_star`` a field between the walls, each
     ``delta`` finite and positive and a catalog entry for every target.
     Level ``i`` runs ``chains`` chains seeded ``base_seed + 1000*i + j``, so
@@ -362,6 +378,7 @@ def ldp_scaling_curve(
     """
     _check_schedule(eps_schedule)
     plans = _plan_per_level(plans, len(eps_schedule))
+    _check_integer(base_seed, "base_seed", 0)
     streams = _level_seeds(base_seed, len(eps_schedule), chains)
     eps_levels = _check_sampler(coeffs, walls.grid, eps_schedule, plans, streams, dt)
     balls = []
@@ -434,7 +451,9 @@ def tightness_probe(measure: EmpiricalMeasure, gamma: float, radius_schedule) ->
     Reports eps^2 * log of the complement mass (None once empty) together
     with the quartiles of the norm sample; mass outside must vanish for large
     radii and shrink with the noise level.  The measure must hold a sample
-    and every radius be finite and positive, as for ``ball_probability``.
+    of finite fields and every radius be finite and positive, as for
+    ``ball_probability``.  The norms are taken in blocks of rows by
+    ``lattice._holder_norms``, with the bits ``holder_norm`` gives each row.
     """
     if not 0.0 < gamma < 0.5:
         raise ValueError("holder exponent must lie in (0, 1/2)")
@@ -443,9 +462,10 @@ def tightness_probe(measure: EmpiricalMeasure, gamma: float, radius_schedule) ->
     radii = list(radius_schedule)
     for radius in radii:
         _check_radius(radius, "tightness radius")
-    norms = np.array(
-        [holder_norm(measure.grid, sample, gamma) for sample in measure.samples]
-    )
+    samples, npts = measure.samples, measure.grid.n + 1
+    if samples.shape[1:] != (npts,) or not np.isfinite(samples).all():
+        raise ValueError(f"the measure's samples must be finite fields of shape ({npts},)")
+    norms = _holder_norms(measure.grid, samples, gamma)
     median, q90 = float(np.median(norms)), float(np.quantile(norms, 0.9))
     rows = []
     for radius in radii:

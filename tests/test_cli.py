@@ -574,6 +574,7 @@ def test_selftest_command(tmp_path):
     assert record["checks"]["csv_spelling"]
     assert record["checks"]["stacked_step_keeps_batch_bits"]
     assert record["checks"]["single_state_gemv_bits"]
+    assert record["checks"]["noise_stream"]
     assert "PASS" in proc.stdout
 
 
@@ -588,6 +589,13 @@ def test_selftest_fails_on_a_wrong_csv_spelling(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(snapshots, "_spell17", off_by_one)
     assert main(["selftest", "--out", str(tmp_path / "out")]) == 1
     assert "FAIL csv_spelling" in capsys.readouterr().out
+
+
+def test_selftest_fails_on_a_changed_noise_stream(tmp_path, monkeypatch, capsys):
+    # A numpy release that seeds or draws differently stands in as PCG64.
+    monkeypatch.setattr(np.random, "SFC64", np.random.PCG64)
+    assert main(["selftest", "--out", str(tmp_path / "out")]) == 1
+    assert "FAIL noise_stream" in capsys.readouterr().out
 
 
 def test_selftest_fails_when_a_stack_solves_unlike_its_batches(tmp_path, monkeypatch, capsys):

@@ -31,6 +31,27 @@ def test_noise_determinism():
     assert np.array_equal(a.increments, b.increments)
 
 
+# Known answers: the first draws of two streams and one small realization, as
+# float64 bit patterns.  NEP 19 lets numpy change a Generator's stream between
+# releases; every noisy output would move with it, so such a change fails here.
+KNOWN_STREAMS = {
+    (0, 0): [0xBFE19D8AB59737BA, 0x3FE0A172D0CDB024, 0x3FCD82E1FF13CB8B, 0x3FE3141C7599E457],
+    (2012, 3): [0x3FF43F8A5BAEFFA3, 0xBFD9529C90C3ECE3, 0x3FD37191D7D935EE, 0x3FD1298297E99796],
+}
+KNOWN_INCREMENTS = [  # sample_noise(build_grid(4), 1e-3, 2, seed=7, stream=1), row by row
+    [0x3F84815D3E358DA6, 0xBF9BC36E18A7DC3E, 0xBF90497EDD8B4ED8, 0xBF856C18FFAC625F, 0xBF9617D20DC7AE38],
+    [0x3F46EA449D881DEF, 0x3F9F2B78940F2479, 0x3FA0A6CE7B13DCDF, 0x3F5B9151353D350B, 0xBFA0F7C64BE108ED],
+]
+
+
+def test_noise_stream_keeps_its_known_answer():
+    for (seed, stream), bits in KNOWN_STREAMS.items():
+        draws = dynamics.noise_generator(seed, stream).standard_normal(len(bits))
+        assert draws.view(np.uint64).tolist() == bits, (seed, stream)
+    increments = sample_noise(build_grid(4), 1e-3, 2, seed=7, stream=1).increments
+    assert increments.view(np.uint64).tolist() == KNOWN_INCREMENTS
+
+
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-3])
 def test_noise_rejects_a_bad_dt(dt):
     # A NaN or infinite dt gave NaN or infinite increments.

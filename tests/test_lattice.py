@@ -6,6 +6,7 @@ from wallspde.lattice import (
     Propagator,
     SpaceTimeField,
     Walls,
+    _holder_norms,
     backward_euler_inverse,
     build_grid,
     cosine_eigensystem,
@@ -223,6 +224,28 @@ def test_holder_norm_axioms():
             assert holder_norm(grid, f + g, gamma) <= nf + ng + 1e-12
             assert holder_norm(grid, c * f, gamma) == pytest.approx(abs(c) * nf, rel=1e-12)
     assert holder_norm(grid, np.zeros(grid.n + 1), 0.3) == 0.0
+
+
+def per_field_holder_norm(grid, v, gamma):
+    """The norm as one field took it: full (n+1)^2 difference and distance
+    matrices, read at the upper triangle."""
+    x = grid.nodes
+    diff = np.abs(v[:, None] - v[None, :])
+    dist = np.abs(x[:, None] - x[None, :])
+    iu = np.triu_indices(len(x), k=1)
+    return float(np.max(np.abs(v)) + np.max(diff[iu] / dist[iu] ** gamma))
+
+
+@pytest.mark.parametrize("n, gamma, count", [(32, 0.4, 10_007), (7, 0.1, 2_001), (100, 0.49, 501)])
+def test_holder_norms_in_blocks_keep_the_per_field_bits(n, gamma, count):
+    # The rows cross many blocks (124 rows each at n=32, 2 at n=100), and the
+    # last block is partial.
+    grid = build_grid(n)
+    rows = 0.3 * np.random.default_rng(n).standard_normal((count, n + 1))
+    norms = _holder_norms(grid, rows, gamma)
+    want = np.array([per_field_holder_norm(grid, row, gamma) for row in rows])
+    assert norms.tobytes() == want.tobytes()
+    assert holder_norm(grid, rows[-1], gamma) == norms[-1]
 
 
 @pytest.mark.parametrize(

@@ -44,11 +44,24 @@ def test_wilson_matches_reference_and_frozen_values():
 
 
 def test_wilson_bounds():
-    for successes, total in ((0, 10), (10, 10), (3, 17), (250, 500)):
+    for successes, total in ((0, 10), (10, 10), (3, 17), (250, 500), (np.int64(2), np.int64(5))):
         lo, hi = wilson_interval(successes, total)
         assert 0.0 <= lo <= hi <= 1.0
         if 0 < successes < total:
             assert lo < successes / total < hi
+    # Fractional and bool counts passed, and counts outside [0, total] died
+    # with a bare "math domain error".
+    for successes, total, message in (
+        (2.5, 10, "successes must be an integer, at least 0, got 2.5"),
+        (True, 10, "successes must be an integer, at least 0, got True"),
+        (-1, 10, "successes must be an integer, at least 0, got -1"),
+        (11, 10, "successes 11 exceed the total 10"),
+        (3, 10.0, "total must be an integer, at least 1, got 10.0"),
+        (0, False, "total must be an integer, at least 1, got False"),
+        (0, 0, "total must be an integer, at least 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            wilson_interval(successes, total)
 
 
 # ---------------------------------------------------------------- sampling
@@ -416,9 +429,19 @@ def test_tightness_probe_rejects_a_bad_measure_or_radius_before_any_norm(count, 
     def no_norm(*args):
         raise AssertionError("inputs must be checked before any norm is taken")
 
-    monkeypatch.setattr(wallspde.measure, "holder_norm", no_norm)
+    monkeypatch.setattr(wallspde.measure, "_holder_norms", no_norm)
     with pytest.raises(ValueError, match=message):
         tightness_probe(measure, 0.4, radii)
+
+
+def test_tightness_probe_rejects_samples_off_the_grid():
+    # A row of the sample used to go through holder_norm's field check.
+    grid = build_grid(8)
+    samples = np.zeros((3, grid.n + 1))
+    samples[1, 4] = np.nan
+    for bad in (samples, np.zeros((3, grid.n))):
+        with pytest.raises(ValueError, match=r"samples must be finite fields of shape \(9,\)"):
+            tightness_probe(EmpiricalMeasure(bad, 0.3, grid), 0.4, (1.0,))
 
 
 # ---------------------------------------------------------------- stacked sampler
@@ -432,7 +455,7 @@ def per_level_samples(coeffs, walls, eps, plan, seeds, dt):
     burn_steps = round(plan.burn_in / dt)
     thin_steps = max(1, round(plan.thin / dt))
     per_chain = [plan.count // chains + (1 if j < plan.count % chains else 0) for j in range(chains)]
-    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(0,))) for s in seeds]
+    rngs = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=s, spawn_key=(0,)))) for s in seeds]
     prop = Propagator(grid, coeffs.alpha, dt)
     x = grid.nodes
     scale = math.sqrt(dt * grid.dx)
@@ -449,7 +472,7 @@ def per_level_samples(coeffs, walls, eps, plan, seeds, dt):
             for k in range(block):
                 rhs = state + dt * coeffs.f(x, state)
                 if eps > 0.0:
-                    rhs = rhs + eps * coeffs.sigma(x, state) * noise[:, k] / grid.dx
+                    rhs = rhs + (eps * coeffs.sigma(x, state) / grid.dx) * noise[:, k]
                 # Propagator steps node-major batches: one chain per column.
                 state[...] = prop.step(rhs.T, walls.k1[:, None], walls.k2[:, None]).T
 
@@ -484,7 +507,8 @@ STACK_CASES = {
             SamplingPlan(2.3, 0.02, 11),
         ],
         chains=5,
-        targets=[(0.0, 0.25), (0.1, 0.15), (0.0, 0.05)],
+        # The last ball is small, but large enough that every noisy level hits it.
+        targets=[(0.0, 0.25), (0.1, 0.15), (0.0, 0.1)],
     ),
     "free_field_constant_walls": dict(
         grid_n=32,
@@ -696,6 +720,23 @@ def test_sample_invariant_rejects_a_repeated_seed(seeds, monkeypatch):
         sample_invariant(coeffs, walls, 0.3, plan, seeds=seeds, dt=1e-2)
 
 
+@pytest.mark.parametrize("seed", [1.9, 2.0, True, np.bool_(False), -1, np.float64(3.0), "4"])
+def test_sample_invariant_rejects_a_seed_that_is_not_a_nonnegative_integer(seed, monkeypatch):
+    # int(s) made seeds 1.9 and 2.2 draw the streams of seeds 1 and 2, and True
+    # drew seed 1's.
+    grid, coeffs, walls, plan = benchmark(count=10)
+    monkeypatch.setattr(wallspde.measure, "_rounds", None)
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, at least 0, got {seed!r}")):
+        sample_invariant(coeffs, walls, 0.3, plan, seeds=[5, seed], dt=1e-2)
+
+
+def test_sample_invariant_takes_numpy_integer_seeds():
+    grid, coeffs, walls, plan = benchmark(count=10)
+    want = sample_invariant(coeffs, walls, 0.3, plan, seeds=[3, 1], dt=1e-2).samples
+    got = sample_invariant(coeffs, walls, 0.3, plan, seeds=np.array([3, 1]), dt=1e-2).samples
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("field", ["burn_in", "thin"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_sampling_plan_rejects_non_finite_times(field, value):
@@ -767,6 +808,10 @@ BAD_CURVES = {
     "no_chains": (dict(chains=0), "at least one chain, got 0"),
     # Level i seeds base_seed + 1000*i + j, so chain 1000 of level 0 is chain 0 of level 1.
     "chains_over_1000": (dict(chains=1001, base_seed=200), "seed 1200 is drawn twice"),
+    # A fractional base seed drew fractional seeds, which were not checked.
+    "base_seed_fractional": (dict(base_seed=200.5), r"base_seed must be an integer, at least 0, got 200\.5"),
+    "base_seed_bool": (dict(base_seed=True), "base_seed must be an integer, at least 0, got True"),
+    "base_seed_negative": (dict(base_seed=-3), "base_seed must be an integer, at least 0, got -3"),
     "dt_nan": (dict(dt=float("nan")), "dt must be finite and positive, got nan"),
     "dt_above_dx": (dict(dt=0.05), "dt too large: dt=0.05 exceeds"),
     "dt_huge": (dict(dt=1e306), "dt too large: dt=1e[+]306 exceeds"),
