@@ -33,8 +33,10 @@ Each stepping rule has one home that every solver and the sampler call:
 ``lattice.uniform_step`` and ``lattice.match_dt`` (the time mesh),
 ``check_noise_step`` (stochastic step), ``check_level`` (noise level),
 ``check_penalty`` (penalty), and ``noise_generator`` with
-``increment_scale`` (the noise stream).  A bad ``dt``, horizon, time mesh,
-noise level or penalty raises ``ValueError``.
+``increment_scale`` (the noise stream).  ``noise_generator`` holds seeds and
+streams, and ``sample_noise`` its step count, to ``lattice.check_integer``,
+the one rule for every count, seed and grid size.  A bad ``dt``, horizon,
+time mesh, noise level, penalty, seed, stream or count raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from itertools import repeat
 import numpy as np
 
 from wallspde.lattice import (
-    Grid, Propagator, SpaceTimeField, Walls, _check_alpha, _step_tolerance, check_dt, check_field, check_times,
-    match_dt, match_grid, mesh_steps, neumann_operator, uniform_step,
+    Grid, Operator, Propagator, SpaceTimeField, Walls, _check_alpha, _step_tolerance, check_dt, check_field,
+    check_integer, check_times, match_dt, match_grid, mesh_steps, neumann_operator, uniform_step,
 )
 from wallspde.obstacle import LocalTime
 
@@ -223,9 +225,13 @@ def _check_rows(grid: Grid, dt: float, steps: int, other: Grid, times, rows: np.
 def noise_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Stream ``stream`` of ``seed``: an SFC64 generator seeded by
     SeedSequence(entropy=seed, spawn_key=(stream,)), so distinct (seed, stream)
-    pairs seed independent streams.  SFC64 is the fastest of numpy's bit
-    generators at drawing normals, which bound the sampler.  Its standard
-    normals times ``increment_scale`` are increments."""
+    pairs seed independent streams.  Raises unless both are integers (not
+    bools) of at least 0: a fractional seed must not stand in for the integer
+    below it, nor True for 1.  SFC64 is the fastest of numpy's bit generators at
+    drawing normals, which bound the sampler.  Its standard normals times
+    ``increment_scale`` are increments."""
+    check_integer(seed, "seed", 0)
+    check_integer(stream, "stream", 0)
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
 
 
@@ -236,8 +242,7 @@ def increment_scale(grid: Grid, dt: float) -> float:
 
 def sample_noise(grid: Grid, dt: float, steps: int, seed: int, stream: int = 0) -> NoiseRealization:
     """Reproducible i.i.d. increments; (seed, stream) fully determines them."""
-    if steps < 1:
-        raise ValueError(f"need at least one step, got {steps}")
+    check_integer(steps, "steps", 1)
     scale = increment_scale(grid, dt)
     draws = noise_generator(seed, stream).normal(0.0, scale, size=(steps, grid.n + 1))
     return NoiseRealization(grid, dt, draws)
@@ -260,7 +265,8 @@ class _Scheme:
     ``kicks``, with sig = sigma(x, state).  A kick pairs as white noise does
     under trapezoid weights at the interior nodes only: at the two end nodes
     it is O(dx) off the W metric of the action.  The propagator is built on
-    first use, so ``residual``, the inverse, never builds one.  It solves a
+    first use, so ``residual``, the inverse, never builds one; the operator
+    that ``residual`` applies is built once too.  The propagator solves a
     single state as one gemv through np.dot, and a batch or stack by
     matmul's gemm per batch.
 
@@ -291,6 +297,10 @@ class _Scheme:
     @cached_property
     def prop(self) -> Propagator:
         return Propagator(self.grid, self.coeffs.alpha, self.dt)
+
+    @cached_property
+    def op(self) -> Operator:
+        return neumann_operator(self.grid, self.coeffs.alpha)
 
     def _sig(self, state):
         return self.sigma(self.x, state) if self.profile is None else self.profile
@@ -394,8 +404,7 @@ class _Scheme:
         ``prev`` to ``new``: sig*hdot plus the lower force density minus the upper.
         A declared profile comes back as the (n+1,) sig of every step, and with
         ``f_zero`` no f is subtracted (subtracting +0.0 changes no bit)."""
-        op = neumann_operator(self.grid, self.coeffs.alpha)
-        residual = (new - prev) / self.dt - op.apply(new)
+        residual = (new - prev) / self.dt - self.op.apply(new)
         if not self.f_zero:
             residual -= self.f(self.x, prev)
         return self._sig(prev), residual

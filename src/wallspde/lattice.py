@@ -26,12 +26,14 @@ to within 1e-12 * (1 + max|t|), which grows with the mesh because a level's
 round-off grows with its time.  ``match_grid`` checks that an input's grid
 has the solver's ``n``.  Every field a solver starts from or aims at passes
 ``Walls.check``, which adds the wall band to ``check_field``'s finite
-(n+1,) rule.
+(n+1,) rule.  ``check_integer`` is the one rule for a count, a seed or a
+grid size: an integer, not a bool, of at least a given least value.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,8 +81,7 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 4:
-            raise ValueError(f"grid too coarse: need n >= 4, got n={self.n}")
+        check_integer(self.n, "n", 4)
 
     @property
     def dx(self) -> float:
@@ -97,6 +98,12 @@ class Grid:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
+
+
+def check_integer(value, name: str, least: int) -> None:
+    """Raises unless ``value`` is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer, at least {least}, got {value!r}")
 
 
 def build_grid(n: int) -> Grid:
@@ -197,16 +204,19 @@ class Walls:
 
     def __post_init__(self) -> None:
         npts = self.grid.n + 1
-        for name, arr in (("k1", self.k1), ("k2", self.k2)):
+        for name in ("k1", "k2"):
+            arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (npts,):
                 raise ValueError(f"walls profile {name} has shape {arr.shape}, expected ({npts},)")
+            object.__setattr__(self, name, arr)
+        # An infinite wall would make every node count as in contact, and a NaN
+        # wall fails the sign tests below for the wrong reason.
+        if not (np.isfinite(self.k1).all() and np.isfinite(self.k2).all()):
+            raise ValueError("walls must be finite everywhere")
         if not np.all(self.k1 < 0.0):
             raise ValueError("lower wall must be negative everywhere (K1 < 0)")
         if not np.all(self.k2 > 0.0):
             raise ValueError("upper wall must be positive everywhere (K2 > 0)")
-        # An infinite wall would make every node count as in contact.
-        if not (np.isfinite(self.k1).all() and np.isfinite(self.k2).all()):
-            raise ValueError("walls must be finite everywhere")
 
     def contains(self, values: np.ndarray, tol: float = 0.0) -> bool:
         return bool(np.all(values >= self.k1 - tol) and np.all(values <= self.k2 + tol))
@@ -224,7 +234,7 @@ class Walls:
 
     @classmethod
     def from_profiles(cls, grid: Grid, k1: np.ndarray, k2: np.ndarray) -> "Walls":
-        return cls(grid, np.asarray(k1, dtype=float), np.asarray(k2, dtype=float))
+        return cls(grid, k1, k2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,14 +242,13 @@ class Operator:
     """Tridiagonal A = (d^2/dx^2) - alpha*I with mirrored-ghost Neumann rows.
 
     Self-adjoint for the trapezoid inner product; constants are eigenvectors
-    with eigenvalue -alpha, and every row sums to -alpha.
+    with eigenvalue -alpha, and every row sums to -alpha.  ``apply`` is the
+    stencil's one spelling: no diagonals are stored, and ``dense`` assembles
+    the matrix by applying it.
     """
 
     grid: Grid
     alpha: float
-    lower: np.ndarray
-    main: np.ndarray
-    upper: np.ndarray
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """A acting on fields shaped (..., n+1)."""
@@ -252,13 +261,8 @@ class Operator:
         return out - self.alpha * values
 
     def dense(self) -> np.ndarray:
-        n1 = self.grid.n + 1
-        mat = np.zeros((n1, n1))
-        idx = np.arange(n1)
-        mat[idx, idx] = self.main
-        mat[idx[1:], idx[:-1]] = self.lower
-        mat[idx[:-1], idx[1:]] = self.upper
-        return mat
+        """A as an (n+1, n+1) matrix: ``apply`` on the unit fields, one per row, transposed."""
+        return self.apply(np.eye(self.grid.n + 1)).T
 
 
 def _check_alpha(alpha: float) -> None:
@@ -269,14 +273,7 @@ def _check_alpha(alpha: float) -> None:
 def neumann_operator(grid: Grid, alpha: float) -> Operator:
     """Build the shifted Neumann Laplacian.  Rejects alpha that is negative or not finite."""
     _check_alpha(alpha)
-    n1 = grid.n + 1
-    inv2 = 1.0 / grid.dx**2
-    main = np.full(n1, -2.0 * inv2 - alpha)
-    lower = np.full(n1 - 1, inv2)
-    upper = np.full(n1 - 1, inv2)
-    upper[0] = 2.0 * inv2
-    lower[-1] = 2.0 * inv2
-    return Operator(grid, float(alpha), lower, main, upper)
+    return Operator(grid, float(alpha))
 
 
 def cosine_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray]:

@@ -21,13 +21,12 @@ bracket as the noise decreases.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from wallspde.dynamics import CoefficientSpec, _Scheme, check_level, check_noise_step, increment_scale, noise_generator
-from wallspde.lattice import Grid, Walls, _holder_norms, check_field
+from wallspde.lattice import Grid, Walls, _holder_norms, check_field, check_integer
 from wallspde.rate import OptimizerOptions, quasipotential_J
 
 # Values of noise drawn at a time (2 MiB), shared by every chain and level, so
@@ -49,12 +48,6 @@ __all__ = [
 ]
 
 
-def _check_integer(value, name: str, least: int) -> None:
-    """Raises unless ``value`` is an integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer, at least {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SamplingPlan:
     """Burn-in and thinning in time units plus the number of kept states,
@@ -65,7 +58,7 @@ class SamplingPlan:
     count: int
 
     def __post_init__(self) -> None:
-        _check_integer(self.count, "count", 1)
+        check_integer(self.count, "count", 1)
         for name in ("burn_in", "thin"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -102,8 +95,8 @@ class EmpiricalMeasure:
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion: ``total`` an integer of
     at least 1 and ``successes`` an integer in [0, total] (neither a bool)."""
-    _check_integer(total, "total", 1)
-    _check_integer(successes, "successes", 0)
+    check_integer(total, "total", 1)
+    check_integer(successes, "successes", 0)
     if successes > total:
         raise ValueError(f"successes {successes} exceed the total {total}")
     z = _Z95
@@ -139,9 +132,7 @@ def _check_sampler(coeffs: CoefficientSpec, grid: Grid, levels, plans, streams, 
     levels = [check_level(eps) for eps in levels]
     for plan in plans:
         plan.check_burn_in(coeffs)
-    chains = len(streams[0])
-    if chains < 1:
-        raise ValueError(f"need at least one chain, got {chains}")
+    check_integer(len(streams[0]), "chains", 1)
     _check_streams(*streams)
     return levels
 
@@ -155,7 +146,7 @@ def _check_streams(*groups) -> None:
     seen = set()
     for group in groups:
         for seed in group:
-            _check_integer(seed, "seed", 0)
+            check_integer(seed, "seed", 0)
             if seed in seen:
                 raise ValueError(f"seed {seed} is drawn twice: every noise stream of a run must be distinct")
             seen.add(seed)
@@ -368,7 +359,8 @@ def ldp_scaling_curve(
 
     Every input is checked before any quasipotential solve or sampling step:
     a strictly decreasing schedule with one plan per level, a ``base_seed``
-    that is an integer of at least 0, the inputs of
+    that is an integer of at least 0, a ``chains`` count that is an integer
+    of at least 1, the inputs of
     ``_check_sampler``, each ``z_star`` a field between the walls, each
     ``delta`` finite and positive and a catalog entry for every target.
     Level ``i`` runs ``chains`` chains seeded ``base_seed + 1000*i + j``, so
@@ -378,7 +370,8 @@ def ldp_scaling_curve(
     """
     _check_schedule(eps_schedule)
     plans = _plan_per_level(plans, len(eps_schedule))
-    _check_integer(base_seed, "base_seed", 0)
+    check_integer(base_seed, "base_seed", 0)
+    check_integer(chains, "chains", 1)
     streams = _level_seeds(base_seed, len(eps_schedule), chains)
     eps_levels = _check_sampler(coeffs, walls.grid, eps_schedule, plans, streams, dt)
     balls = []

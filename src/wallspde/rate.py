@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wallspde.dynamics import CoefficientSpec, Control, _Scheme
-from wallspde.lattice import SpaceTimeField, Walls, match_dt, match_grid, mesh_steps, row_blocks
+from wallspde.lattice import SpaceTimeField, Walls, check_integer, match_dt, match_grid, mesh_steps, row_blocks
 from wallspde.obstacle import LocalTime
 
 __all__ = [
@@ -138,9 +138,9 @@ class QuasipotentialResult:
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Horizons must increase strictly, each a whole number (at least one) of
-    ``dt`` steps as ``lattice.mesh_steps`` counts them.  ``maxiter`` is a
-    whole number, at least one; ``terminal_tol`` is finite and positive and
-    ``improvement_tol`` finite and nonnegative."""
+    ``dt`` steps as ``lattice.mesh_steps`` counts them.  ``maxiter`` is an
+    integer (not a bool), at least one; ``terminal_tol`` is finite and
+    positive and ``improvement_tol`` finite and nonnegative."""
 
     horizons: tuple = (1.0, 2.0, 4.0, 8.0)
     dt: float = 0.02
@@ -155,8 +155,7 @@ class OptimizerOptions:
             if i and not horizon > self.horizons[i - 1]:
                 raise ValueError(f"horizons[{i}] = {horizon} must exceed horizons[{i - 1}] = {self.horizons[i - 1]}")
             mesh_steps(horizon, self.dt, f"horizons[{i}]")
-        if not (math.isfinite(self.maxiter) and self.maxiter >= 1 and int(self.maxiter) == self.maxiter):
-            raise ValueError(f"maxiter must be a whole number, at least 1, got {self.maxiter}")
+        check_integer(self.maxiter, "maxiter", 1)
         if not (math.isfinite(self.terminal_tol) and self.terminal_tol > 0.0):
             raise ValueError(f"terminal_tol must be finite and positive, got {self.terminal_tol}")
         if not (math.isfinite(self.improvement_tol) and self.improvement_tol >= 0.0):

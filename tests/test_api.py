@@ -1,6 +1,8 @@
 """The public API, pinned: adding or removing a name of ``wallspde.__all__``
 changes this list in the same diff, where a review can see it."""
 
+import dataclasses
+
 import wallspde
 
 PUBLIC = [
@@ -57,3 +59,8 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in wallspde.__all__:
         assert getattr(wallspde, name) is not None, name
+
+
+def test_operator_holds_no_copy_of_its_stencil():
+    # ``apply`` is the stencil's one spelling; ``dense`` is assembled from it.
+    assert [field.name for field in dataclasses.fields(wallspde.Operator)] == ["grid", "alpha"]

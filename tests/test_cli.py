@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -405,7 +406,8 @@ def rerun_cases():
     cases["quasipotential"] = ("quasipotential", qp_cfg(horizons=[0.5, 1.0], dt=0.05, maxiter=50))
     cases["invariant"] = ("invariant", base_cfg(sampling={"count": 20, "eps": 0.3, "seeds": [3, 1], "dt": 2e-3}))
     cases["invariant_noiseless"] = ("invariant", base_cfg(sampling={"count": 20, "eps": 0.0, "seeds": [3, 1], "dt": 2e-3}))
-    diagnose = diagnose_cfg(gamma=0.4, radii=[0.5, 2.0])
+    # A 0.45 ball: both 10-sample levels hit it, so the rerun compares counted hits.
+    diagnose = diagnose_cfg(targets=[{"kind": "constant", "value": 0.3, "delta": 0.45}], gamma=0.4, radii=[0.5, 2.0])
     diagnose["optimizer"] = {"horizons": [0.5], "dt": 0.05, "maxiter": 20}
     cases["diagnose_gamma"] = ("diagnose", diagnose)
     return cases
@@ -419,6 +421,9 @@ def test_deterministic_reruns_of_every_command_are_byte_identical(tmp_path, case
     for out in outs:
         assert main([command, "--config", str(path), "--out", str(out), "--deterministic"]) == 0
     assert dir_bytes(outs[0]) == dir_bytes(outs[1])
+    if case == "diagnose_gamma":
+        with open(outs[0] / "diagnostics.csv", newline="") as handle:
+            assert max(float(row["p_hat"]) for row in csv.DictReader(handle)) > 0.0
 
 
 def test_quasipotential_command_hits_benchmark(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from wallspde.lattice import (
     TRIDIAGONAL_MIN_N,
+    Grid,
     Propagator,
     SpaceTimeField,
     Walls,
@@ -18,10 +19,10 @@ from wallspde.lattice import (
 )
 import wallspde.measure
 from conftest import coeffs_zero
-from wallspde.dynamics import Control, solve_skeleton, solve_spde
-from wallspde.measure import SamplingPlan, ldp_scaling_curve
+from wallspde.dynamics import Control, noise_generator, sample_noise, solve_skeleton, solve_spde
+from wallspde.measure import SamplingPlan, ldp_scaling_curve, sample_invariant, wilson_interval
 from wallspde.obstacle import solve_obstacle
-from wallspde.rate import infinite_horizon_check, quasipotential_J
+from wallspde.rate import OptimizerOptions, infinite_horizon_check, quasipotential_J
 
 
 def test_build_grid_uniform_partition():
@@ -38,7 +39,7 @@ def test_build_grid_n100():
 
 
 def test_build_grid_too_coarse():
-    with pytest.raises(ValueError, match="too coarse"):
+    with pytest.raises(ValueError, match="n must be an integer, at least 4, got 3"):
         build_grid(3)
 
 
@@ -115,6 +116,37 @@ def test_operator_row_sums_and_constant_eigenvector():
     assert np.allclose(mat.sum(axis=1), -alpha, atol=1e-9)
     ones = np.ones(grid.n + 1)
     assert np.allclose(mat @ ones, -alpha * ones, atol=1e-9)
+
+
+def _diagonal_assembly(grid, alpha):
+    """A assembled from its three diagonals, as ``Operator`` once stored them: the reference for ``dense``."""
+    n1 = grid.n + 1
+    inv2 = 1.0 / grid.dx**2
+    main = np.full(n1, -2.0 * inv2 - alpha)
+    lower = np.full(n1 - 1, inv2)
+    upper = np.full(n1 - 1, inv2)
+    upper[0] = 2.0 * inv2
+    lower[-1] = 2.0 * inv2
+    mat = np.zeros((n1, n1))
+    idx = np.arange(n1)
+    mat[idx, idx] = main
+    mat[idx[1:], idx[:-1]] = lower
+    mat[idx[:-1], idx[1:]] = upper
+    return mat
+
+
+@pytest.mark.parametrize("n", [4, 7, 32, 511])
+def test_dense_operator_and_inverse_keep_the_bits_of_the_diagonal_assembly(n):
+    # dense() applies the stencil to the unit fields; it must round as the
+    # stored diagonals did, or every coarse-grid output would move.
+    grid = build_grid(n)
+    for alpha in (0.0, 0.5, 1.3, 10.0, 1e6):
+        reference = _diagonal_assembly(grid, alpha)
+        dense = neumann_operator(grid, alpha).dense()
+        assert np.ascontiguousarray(dense).tobytes() == reference.tobytes(), alpha
+        for dt in (1e-3, grid.dx):
+            inverse = np.linalg.inv(np.eye(n + 1) - dt * reference)
+            assert backward_euler_inverse(grid, alpha, dt).tobytes() == inverse.tobytes(), (alpha, dt)
 
 
 def test_discrete_divergence_theorem():
@@ -287,6 +319,26 @@ def test_walls_reject_an_infinite_profile(k1, k2):
         Walls.from_profiles(grid, lower, upper)
 
 
+def test_walls_take_list_profiles_as_from_profiles_does():
+    # A list profile used to die with "'list' object has no attribute 'shape'".
+    grid = build_grid(4)
+    lower, upper = [-1.0, -0.5, -0.25, -0.5, -1], [1, 2.0, 0.5, 2.0, 1.0]
+    walls, profiles = Walls(grid, lower, upper), Walls.from_profiles(grid, np.array(lower), np.array(upper))
+    for got, want in ((walls.k1, profiles.k1), (walls.k2, profiles.k2)):
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("wall", ["k1", "k2"])
+def test_walls_name_finiteness_for_a_nan_profile(wall):
+    # NaN fails both sign tests, so it used to be reported as a sign fault.
+    grid = build_grid(4)
+    profiles = {"k1": [-1.0] * 5, "k2": [1.0] * 5}
+    profiles[wall][2] = np.nan
+    with pytest.raises(ValueError, match="walls must be finite everywhere"):
+        Walls(grid, profiles["k1"], profiles["k2"])
+
+
 def _forcing_from(field):
     """A two-level forcing path that starts at ``field``, on its own grid."""
     grid = build_grid(len(field) - 1)
@@ -445,3 +497,75 @@ def test_space_time_field_rejects_a_non_finite_time(t):
     for call in (lambda: field.index_of(t), lambda: field.restrict(t, 0.7), lambda: field.restrict(0.2, t)):
         with pytest.raises(ValueError, match=f"time must be finite, got {t}"):
             call()
+
+
+# ------------------------------------------------ one rule for every count
+
+
+def _stepper_grid():
+    return build_grid(8)
+
+
+def _spde(**kwargs):
+    grid = _stepper_grid()
+    return solve_spde(np.zeros(grid.n + 1), 0.1, coeffs_zero(10.0), Walls.constant(grid, -1.0, 1.0), 0.02, 1e-2, **kwargs)
+
+
+def _curve(**kwargs):
+    grid = _stepper_grid()
+    coeffs = coeffs_zero(10.0)
+    plan = SamplingPlan.default(coeffs, 2)
+    targets = [(np.zeros(grid.n + 1), 0.5)]
+    return ldp_scaling_curve(
+        targets, [0.5], plan, coeffs, Walls.constant(grid, -1.0, 1.0), catalog={0: (0.0, 0.0, 0.0)}, dt=1e-2, **kwargs
+    )
+
+
+def _invariant(seed):
+    grid = _stepper_grid()
+    coeffs = coeffs_zero(10.0)
+    return sample_invariant(coeffs, Walls.constant(grid, -1.0, 1.0), 0.1, SamplingPlan.default(coeffs, 2), [seed], 1e-2)
+
+
+# (input name, least, call with the value): every entry point that takes a
+# count, a seed, a stream or a grid size.
+INTEGER_INPUTS = {
+    "Grid": ("n", 4, lambda v: Grid(v).nodes),
+    "noise_generator.seed": ("seed", 0, lambda v: noise_generator(v)),
+    "noise_generator.stream": ("stream", 0, lambda v: noise_generator(0, v)),
+    "sample_noise.steps": ("steps", 1, lambda v: sample_noise(_stepper_grid(), 1e-2, v, 0)),
+    "sample_noise.seed": ("seed", 0, lambda v: sample_noise(_stepper_grid(), 1e-2, 2, v)),
+    "sample_noise.stream": ("stream", 0, lambda v: sample_noise(_stepper_grid(), 1e-2, 2, 0, v)),
+    "solve_spde.seed": ("seed", 0, lambda v: _spde(seed=v)),
+    "solve_spde.stream": ("stream", 0, lambda v: _spde(stream=v)),
+    "SamplingPlan.count": ("count", 1, lambda v: SamplingPlan(1.0, 0.5, v)),
+    "OptimizerOptions.maxiter": ("maxiter", 1, lambda v: OptimizerOptions(maxiter=v)),
+    "ldp_scaling_curve.chains": ("chains", 1, lambda v: _curve(chains=v)),
+    "ldp_scaling_curve.base_seed": ("base_seed", 0, lambda v: _curve(base_seed=v)),
+    "sample_invariant.seeds": ("seed", 0, _invariant),
+    "wilson_interval.total": ("total", 1, lambda v: wilson_interval(0, v)),
+    "wilson_interval.successes": ("successes", 0, lambda v: wilson_interval(v, 10)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_INPUTS))
+@pytest.mark.parametrize("bad", ["fraction", "bool", "inf", "below"])
+def test_integer_inputs_are_rejected_before_any_draw_or_step(entry, bad, monkeypatch):
+    # Grid(8.0) used to pass and fail later; seed=True drew seed 1's stream.
+    name, least, call = INTEGER_INPUTS[entry]
+    value = {"fraction": 2.5, "bool": True, "inf": float("inf"), "below": least - 1}[bad]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("integer inputs must be checked before any draw, step or solve")
+
+    monkeypatch.setattr(np.random, "SFC64", no_work)
+    monkeypatch.setattr(Propagator, "__init__", no_work)
+    monkeypatch.setattr(wallspde.measure, "quasipotential_J", no_work)
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, at least {least}, got {value!r}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_INPUTS))
+def test_integer_inputs_accept_numpy_integers(entry):
+    _, least, call = INTEGER_INPUTS[entry]
+    call(np.int64(least))

@@ -805,7 +805,7 @@ BAD_CURVES = {
         dict(plans=[SamplingPlan(5.0, 0.5, 50), SamplingPlan(1.0, 0.5, 50)]),
         "mixing heuristic",
     ),
-    "no_chains": (dict(chains=0), "at least one chain, got 0"),
+    "no_chains": (dict(chains=0), "chains must be an integer, at least 1, got 0"),
     # Level i seeds base_seed + 1000*i + j, so chain 1000 of level 0 is chain 0 of level 1.
     "chains_over_1000": (dict(chains=1001, base_seed=200), "seed 1200 is drawn twice"),
     # A fractional base seed drew fractional seeds, which were not checked.

@@ -269,12 +269,13 @@ def test_tridiagonal_transposed_solve_is_the_adjoint(n):
 def backward_error(prop, x, b, transposed=False):
     """Componentwise backward error of ``x`` as a solution of (I - dt*A) x = b,
     or of its transpose, one column per state, with the residual taken in long double."""
-    op = neumann_operator(prop.grid, prop.alpha)
-    lower, upper = (op.upper, op.lower) if transposed else (op.lower, op.upper)
+    mat = neumann_operator(prop.grid, prop.alpha).dense()
+    main, lower, upper = np.diag(mat), np.diag(mat, -1), np.diag(mat, 1)
+    lower, upper = (upper, lower) if transposed else (lower, upper)
     dt = np.longdouble(prop.dt)
     x, b = (np.reshape(v, (prop.grid.n + 1, -1)).astype(np.longdouble) for v in (x, b))
     terms = np.zeros((3,) + x.shape, dtype=np.longdouble)
-    terms[0] = (1 - dt * op.main.astype(np.longdouble))[:, None] * x
+    terms[0] = (1 - dt * main.astype(np.longdouble))[:, None] * x
     terms[1, 1:] = -dt * lower.astype(np.longdouble)[:, None] * x[:-1]
     terms[2, :-1] = -dt * upper.astype(np.longdouble)[:, None] * x[1:]
     return float(np.max(np.abs(b - terms.sum(axis=0)) / (np.abs(terms).sum(axis=0) + np.abs(b))))
